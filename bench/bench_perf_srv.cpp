@@ -1,10 +1,9 @@
-// P-srv: what the server front-end costs and what group commit buys.
+// P-srv: what the server front-end costs.
 //
-// The artifact table drives the closed-loop load driver (herc::srv::run_load)
-// against an in-process server twice — group-committed journal vs. plain
-// per-run journal — and reports throughput, tail latency and the flush count.
-// The headline claim is visible directly: the same number of journal lines
-// reaches disk in far fewer flushes, at equal or better throughput.
+// The artifact tables drive the closed-loop load driver (herc::srv::run_load)
+// against an in-process server: throughput, tail latency and how many
+// group-commit flushes covered the journal lines, then read throughput on
+// one hot project as the number of readers grows.
 //
 // The timed benchmarks then isolate the layers: pure framing/parsing cost,
 // a ping round trip (wire + queue + worker, no project work), and a full
@@ -31,8 +30,7 @@ namespace fs = std::filesystem;
 
 /// In-process server on a unix socket under a private temp dir.
 struct ServerFixture {
-  explicit ServerFixture(bool group_commit, bool snapshot_reads = true,
-                         int workers = 4) {
+  explicit ServerFixture(int workers = 4) {
     dir = fs::temp_directory_path() /
           ("herc_bench_srv." + std::to_string(::getpid()) + "." +
            std::to_string(counter++));
@@ -41,8 +39,6 @@ struct ServerFixture {
     config.unix_path = (dir / "srv.sock").string();
     config.workers = workers;
     config.shard.dir = dir.string();
-    config.shard.group_commit = group_commit;
-    config.shard.snapshot_reads = snapshot_reads;
     server = srv::Server::start(config).take();
   }
   ~ServerFixture() {
@@ -71,8 +67,8 @@ struct ServerFixture {
 
 int ServerFixture::counter = 0;
 
-srv::LoadReport drive(bool group_commit) {
-  ServerFixture fixture(group_commit);
+srv::LoadReport drive() {
+  ServerFixture fixture;
   srv::LoadOptions options;
   options.address = fixture.server->unix_address();
   options.projects = 2;
@@ -86,60 +82,44 @@ srv::LoadReport drive(bool group_commit) {
 /// threads polling it closed-loop plus one paced writer executing flows.
 /// `--read-mix 90` with readers+1 designers dedicates exactly `readers`
 /// threads to the read rotation for every sweep point used here.
-srv::LoadReport drive_read_mix(bool snapshot_reads, int readers) {
-  ServerFixture fixture(/*group_commit=*/true, snapshot_reads,
-                        /*workers=*/readers + 1);
+srv::LoadReport drive_read_mix(int readers) {
+  ServerFixture fixture(/*workers=*/readers + 1);
   srv::LoadOptions options;
   options.address = fixture.server->unix_address();
   options.projects = 1;
   options.designers = readers + 1;
   options.read_mix = 90;
   options.rate_per_designer = 10.0;  // paced writer (see LoadOptions)
-  options.warmup_executes = 40;      // mid-flight project, both modes alike
+  options.warmup_executes = 40;      // mid-flight project
   options.duration = std::chrono::milliseconds(1000);
   return srv::run_load(options).take();
 }
 
 void print_read_mix_artifact() {
-  std::cout << "P-srv-mvcc: snapshot reads vs single-mutex baseline "
-               "(1 hot project, N readers + 1 paced writer, 1s)\n\n";
-  std::cout << "  readers   snapshot reads/s   locked reads/s   speedup   "
-               "wr p99 snap/locked us\n";
+  std::cout << "P-srv-mvcc: snapshot reads on one hot project "
+               "(N readers + 1 paced writer, 1s)\n\n";
+  std::cout << "  readers   reads/s   write p99 us\n";
   for (int readers : {1, 2, 4, 8}) {
-    auto snap = drive_read_mix(/*snapshot_reads=*/true, readers);
-    auto locked = drive_read_mix(/*snapshot_reads=*/false, readers);
-    const double speedup = locked.reads_per_sec > 0
-                               ? snap.reads_per_sec / locked.reads_per_sec
-                               : 0.0;
-    std::printf("  %7d   %16.0f   %14.0f   %6.2fx   %8lld / %lld\n", readers,
-                snap.reads_per_sec, locked.reads_per_sec, speedup,
-                static_cast<long long>(snap.write_p99_us),
-                static_cast<long long>(locked.write_p99_us));
+    auto report = drive_read_mix(readers);
+    std::printf("  %7d   %7.0f   %12lld\n", readers, report.reads_per_sec,
+                static_cast<long long>(report.write_p99_us));
   }
-  std::cout << "\n  (locked mode re-renders every response under the shard "
-               "mutex; snapshot mode\n   serves repeat reads from the pinned "
-               "epoch's memo and never takes the lock)\n\n";
+  std::cout << "\n  (readers never take the shard mutex: repeat reads are "
+               "served from the\n   pinned epoch's memo)\n\n";
 }
 
 void print_artifact() {
   std::cout << "P-srv: server front-end under closed-loop load "
                "(2 projects x 2 designers, 500ms)\n\n";
-  std::cout << "  journal mode   runs/s     p50us  p99us  lines    flushes\n";
-  for (bool group_commit : {false, true}) {
-    auto report = drive(group_commit);
-    // Plain mode is one flush per line by construction (see ShardOptions);
-    // only the committer counts its flushes.
-    const auto flushes =
-        group_commit ? report.group_commits : report.journal_lines;
-    std::printf("  %-12s %8.0f  %6lld %6lld  %7lld  %7lld\n",
-                group_commit ? "group-commit" : "per-run",
-                report.runs_per_sec, static_cast<long long>(report.p50_us),
-                static_cast<long long>(report.p99_us),
-                static_cast<long long>(report.journal_lines),
-                static_cast<long long>(flushes));
-  }
-  std::cout << "\n  (same lines recovered either way; group commit batches "
-               "them into far fewer flushes)\n\n";
+  std::cout << "    runs/s     p50us  p99us  lines    flushes\n";
+  auto report = drive();
+  std::printf("  %8.0f  %6lld %6lld  %7lld  %7lld\n", report.runs_per_sec,
+              static_cast<long long>(report.p50_us),
+              static_cast<long long>(report.p99_us),
+              static_cast<long long>(report.journal_lines),
+              static_cast<long long>(report.group_commits));
+  std::cout << "\n  (group commit covers many journal lines with one "
+               "flush)\n\n";
   print_read_mix_artifact();
 }
 
@@ -163,7 +143,7 @@ BENCHMARK(BM_WireEncodeParse);
 
 // Wire + queue + worker round trip with no project work behind it.
 void BM_PingRoundTrip(benchmark::State& state) {
-  ServerFixture fixture(/*group_commit=*/true);
+  ServerFixture fixture;
   auto client = srv::Client::connect(fixture.server->unix_address()).take();
   for (auto _ : state)
     benchmark::DoNotOptimize(client->invoke("", "ping").value().is_object());
@@ -175,7 +155,7 @@ BENCHMARK(BM_PingRoundTrip);
 // with) — the classic group-commit latency trade, bought back many times
 // over under concurrent load (see the artifact table and herc_load).
 void BM_ExecuteRoundTrip(benchmark::State& state) {
-  ServerFixture fixture(/*group_commit=*/true);
+  ServerFixture fixture;
   auto client = fixture.client_with_project("bench");
   for (auto _ : state) {
     util::JsonObject args;
@@ -186,22 +166,9 @@ void BM_ExecuteRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteRoundTrip);
 
-// Same, but one flush per recorded run (what group commit replaces).
-void BM_ExecuteRoundTripPlainJournal(benchmark::State& state) {
-  ServerFixture fixture(/*group_commit=*/false);
-  auto client = fixture.client_with_project("bench");
-  for (auto _ : state) {
-    util::JsonObject args;
-    args.set("designer", "alice");
-    benchmark::DoNotOptimize(
-        client->invoke("bench", "execute", std::move(args)).value().is_object());
-  }
-}
-BENCHMARK(BM_ExecuteRoundTripPlainJournal);
-
 // A status read against a planned project: the read mix's cheap path.
 void BM_StatusRoundTrip(benchmark::State& state) {
-  ServerFixture fixture(/*group_commit=*/true);
+  ServerFixture fixture;
   auto client = fixture.client_with_project("bench");
   for (auto _ : state)
     benchmark::DoNotOptimize(
@@ -212,7 +179,7 @@ BENCHMARK(BM_StatusRoundTrip);
 // A query round trip through the snapshot read lane: no shard mutex, the
 // second and later iterations are served from the pinned epoch's memo.
 void BM_QueryRoundTripSnapshot(benchmark::State& state) {
-  ServerFixture fixture(/*group_commit=*/true, /*snapshot_reads=*/true);
+  ServerFixture fixture;
   auto client = fixture.client_with_project("bench");
   for (auto _ : state) {
     util::JsonObject args;
@@ -222,21 +189,6 @@ void BM_QueryRoundTripSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryRoundTripSnapshot);
-
-// The same query through the write lane (snapshot reads off): the pre-MVCC
-// model — shard mutex plus a fresh render per call.  The gap between these
-// two is the per-read cost the read lane removed.
-void BM_QueryRoundTripLocked(benchmark::State& state) {
-  ServerFixture fixture(/*group_commit=*/true, /*snapshot_reads=*/false);
-  auto client = fixture.client_with_project("bench");
-  for (auto _ : state) {
-    util::JsonObject args;
-    args.set("statement", std::string("select schedule where critical = true"));
-    benchmark::DoNotOptimize(
-        client->invoke("bench", "query", std::move(args)).value().is_object());
-  }
-}
-BENCHMARK(BM_QueryRoundTripLocked);
 
 }  // namespace
 

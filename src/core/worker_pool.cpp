@@ -26,21 +26,22 @@ void WorkerPool::run(int tasks, const std::function<void(int)>& fn) {
     return;
   }
   std::lock_guard<std::mutex> serialize(run_mutex_);
+  std::uint32_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
     tasks_ = tasks;
     done_ = 0;
-    next_.store(0, std::memory_order_relaxed);
-    ++generation_;
+    generation = ++generation_;
+    claim_.store(std::uint64_t{generation} << 32, std::memory_order_relaxed);
   }
   work_cv_.notify_all();
 
-  // The caller is a lane too: claim tasks until the counter runs dry.
+  // The caller is a lane too: claim tasks until the region runs dry.
   int claimed = 0;
   for (;;) {
-    int i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= tasks) break;
+    const int i = claim(generation, tasks);
+    if (i < 0) break;
     fn(i);
     ++claimed;
   }
@@ -50,8 +51,19 @@ void WorkerPool::run(int tasks, const std::function<void(int)>& fn) {
   fn_ = nullptr;
 }
 
+int WorkerPool::claim(std::uint32_t generation, int tasks) {
+  std::uint64_t word = claim_.load(std::memory_order_relaxed);
+  for (;;) {
+    const auto next = static_cast<std::uint32_t>(word);
+    if (word >> 32 != generation || next >= static_cast<std::uint32_t>(tasks))
+      return -1;
+    if (claim_.compare_exchange_weak(word, word + 1, std::memory_order_relaxed))
+      return static_cast<int>(next);
+  }
+}
+
 void WorkerPool::worker_loop() {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
     const std::function<void(int)>* fn = nullptr;
     int tasks = 0;
@@ -63,10 +75,12 @@ void WorkerPool::worker_loop() {
       fn = fn_;
       tasks = tasks_;
     }
+    // A claim succeeds only while region `seen` is current, so fn still
+    // points at that region's function whenever it runs.
     int claimed = 0;
     for (;;) {
-      int i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks) break;
+      const int i = claim(seen, tasks);
+      if (i < 0) break;
       (*fn)(i);
       ++claimed;
     }

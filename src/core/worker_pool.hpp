@@ -9,8 +9,10 @@
 //
 // The only primitive is run(tasks, fn): execute fn(0..tasks-1), each task
 // exactly once, across the pool *and the calling thread*, returning when
-// all tasks finished.  Tasks are claimed from a shared atomic counter, so
-// which thread runs which task is nondeterministic — determinism is the
+// all tasks finished.  Tasks are claimed from a shared atomic word that
+// carries the region's generation next to the next index, so a worker that
+// wakes after its region ended can never claim a later region's indices.
+// Which thread runs which task is nondeterministic — determinism is the
 // caller's contract: tasks must write results only at task-indexed slots
 // (disjoint per task) and any reduction must happen on the caller's thread
 // in task-index order after run() returns.  Every kernel in this repo
@@ -23,6 +25,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -55,6 +58,9 @@ class WorkerPool {
 
  private:
   void worker_loop();
+  /// Claims the next index of region `generation`; -1 once that region's
+  /// indices are exhausted or a later region has replaced it.
+  int claim(std::uint32_t generation, int tasks);
 
   const int threads_;
   std::vector<std::thread> workers_;
@@ -62,14 +68,15 @@ class WorkerPool {
   std::mutex run_mutex_;  ///< serializes concurrent run() callers
 
   // One "region" per run() call.  Workers wake on generation_ changing,
-  // claim task indices from next_, and count completions into done_.
+  // claim task indices from claim_, and count completions into done_.
   std::mutex mutex_;
   std::condition_variable work_cv_;   ///< workers wait for a new generation
   std::condition_variable done_cv_;   ///< caller waits for done_ == tasks_
-  std::uint64_t generation_ = 0;
+  std::uint32_t generation_ = 0;
   int tasks_ = 0;
   const std::function<void(int)>* fn_ = nullptr;
-  std::atomic<int> next_{0};
+  /// Region generation in the high 32 bits, next unclaimed index in the low.
+  std::atomic<std::uint64_t> claim_{0};
   int done_ = 0;
   bool stop_ = false;
 };

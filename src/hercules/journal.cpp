@@ -18,21 +18,16 @@ using util::JsonObject;
 
 namespace {
 
-/// The default sink: a private append-only file, one write per line, with an
-/// optional fsync per append (JournalOptions::durable).
+/// The default sink: a private append-only file, one write per line.
 class FileSink : public JournalSink {
  public:
-  FileSink(std::string path, bool durable)
-      : path_(std::move(path)), durable_(durable) {}
+  explicit FileSink(std::string path) : path_(std::move(path)) {}
 
   [[nodiscard]] const std::string& path() const override { return path_; }
 
   [[nodiscard]] util::Status append(std::string line) override {
     line.push_back('\n');
-    auto st = out_.append(line);
-    if (!st.ok()) return st;
-    if (durable_) return out_.sync();
-    return util::Status::ok_status();
+    return out_.append(line);
   }
 
   [[nodiscard]] util::Status restart() override {
@@ -48,7 +43,6 @@ class FileSink : public JournalSink {
 
  private:
   std::string path_;
-  bool durable_;
   util::AppendFile out_;
 };
 
@@ -65,11 +59,10 @@ RunJournal::~RunJournal() { db_->remove_observer(this); }
 util::Result<std::unique_ptr<RunJournal>> RunJournal::open(meta::Database& db,
                                                            data::DataStore& store,
                                                            exec::SimClock& clock,
-                                                           const std::string& path,
-                                                           JournalOptions options) {
+                                                           const std::string& path) {
   // Not make_unique: the constructor is private.
   std::unique_ptr<RunJournal> j(new RunJournal(db, store, clock));
-  j->owned_sink_ = std::make_unique<FileSink>(path, options.durable);
+  j->owned_sink_ = std::make_unique<FileSink>(path);
   j->sink_ = j->owned_sink_.get();
   auto st = j->restart();
   if (!st.ok()) return st.error();

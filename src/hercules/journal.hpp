@@ -23,13 +23,12 @@
 // schedule-space mutations (plans, links) or manual clock advances between
 // runs; snapshot after those if they must survive a crash.
 //
-// Durability guarantee: by default each line is written to the OS before the
-// append returns — an APPLICATION crash never loses an acknowledged run, a
-// machine crash may lose the unsynced tail.  JournalOptions::durable adds an
-// fsync per append, upgrading the guarantee to power-loss safety at the cost
-// of one fsync per run.  The server amortizes that cost instead: its
-// GroupCommitter is installed here as a JournalSink and batches many appends
-// into one fsync (see srv/group_commit.hpp).
+// Durability guarantee: the default file sink writes each line to the OS
+// before the append returns — an APPLICATION crash never loses an
+// acknowledged run, a machine crash may lose the unsynced tail.  Power-loss
+// safety needs an fsync per acknowledged run, which the server amortizes:
+// its GroupCommitter is installed here as a JournalSink and covers many
+// appends with one fsync (see srv/group_commit.hpp).
 //
 // Lifecycle: WorkflowManager::enable_journal installs one as a database
 // observer; save_project_file restarts (truncates) it after each snapshot.
@@ -62,13 +61,6 @@ class JournalSink {
   [[nodiscard]] virtual util::Status restart() = 0;
 };
 
-struct JournalOptions {
-  /// fsync after every append: an acknowledged run survives power loss, not
-  /// just process death.  Default off — one fsync per run is exactly the
-  /// cost the server's group commit exists to amortize.
-  bool durable = false;
-};
-
 /// Append-only journal of recorded runs.  Registers itself as an observer of
 /// the database on open() and detaches in the destructor.
 class RunJournal : public meta::DatabaseObserver {
@@ -79,7 +71,7 @@ class RunJournal : public meta::DatabaseObserver {
   /// kUnsupported if the file cannot be created.
   [[nodiscard]] static util::Result<std::unique_ptr<RunJournal>> open(
       meta::Database& db, data::DataStore& store, exec::SimClock& clock,
-      const std::string& path, JournalOptions options = {});
+      const std::string& path);
 
   /// Journals through a caller-owned sink (the server's group committer)
   /// instead of a private file.  The sink must outlive the journal.

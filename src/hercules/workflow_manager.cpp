@@ -18,10 +18,9 @@ void WorkflowManager::clear_faults() {
   faults_.reset();
 }
 
-util::Status WorkflowManager::enable_journal(const std::string& path,
-                                             JournalOptions options) {
+util::Status WorkflowManager::enable_journal(const std::string& path) {
   journal_.reset();  // detach any previous journal before opening the new one
-  auto opened = RunJournal::open(*db_, *store_, clock_, path, options);
+  auto opened = RunJournal::open(*db_, *store_, clock_, path);
   if (!opened.ok()) return opened.error();
   journal_ = std::move(opened).take();
   return util::Status::ok_status();

@@ -96,9 +96,8 @@ class WorkflowManager {
   /// Starts crash-safe journaling: every recorded run appends one delta line
   /// to `path` (see journal.hpp).  Take a snapshot (save_project_file) first
   /// — recovery replays the journal over it.  Replaces any active journal.
-  /// JournalOptions::durable upgrades each append to an fsync (power-loss
-  /// safe); the default remains flush-to-OS.
-  util::Status enable_journal(const std::string& path, JournalOptions options = {});
+  /// Each line is flushed to the OS, not fsynced (see journal.hpp).
+  util::Status enable_journal(const std::string& path);
   /// Journals through a caller-owned sink (the server's group committer);
   /// the sink must outlive the journal (disable_journal before dropping it).
   util::Status enable_journal_sink(JournalSink& sink);

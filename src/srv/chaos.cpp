@@ -49,7 +49,6 @@ util::Result<TrialOutcome> drive(const gen::Scenario& scenario,
   ShardOptions sopts;
   sopts.dir = dir;
   sopts.durable = true;
-  sopts.group_commit = options.group_commit;
   auto created = ProjectShard::create("chaos", scenario, sopts);
   if (!created.ok()) return created.error();
   std::unique_ptr<ProjectShard> shard = std::move(created).take();
@@ -114,12 +113,10 @@ util::Result<TrialOutcome> drive(const gen::Scenario& scenario,
 /// Recovers the trial directory and checks contracts 1-4 against what the
 /// faulted run acknowledged.  Appends violations to `violations`.
 void verify_recovery(const std::string& label, const std::string& dir,
-                     const ChaosOptions& options, const TrialOutcome& outcome,
-                     ChaosReport& report) {
+                     const TrialOutcome& outcome, ChaosReport& report) {
   ShardOptions sopts;
   sopts.dir = dir;
   sopts.durable = true;
-  sopts.group_commit = options.group_commit;
 
   auto recovered = ProjectShard::recover("chaos", 120, sopts);
   if (!recovered.ok()) {
@@ -189,7 +186,7 @@ void run_trial(const std::string& label, const gen::Scenario& scenario,
   if (!outcome.value().probe_violation.empty())
     report.violations.push_back(label + ": " +
                                 outcome.value().probe_violation);
-  verify_recovery(label, dir.string(), options, outcome.value(), report);
+  verify_recovery(label, dir.string(), outcome.value(), report);
   fs::remove_all(dir, ec);
 }
 

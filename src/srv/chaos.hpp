@@ -28,9 +28,14 @@
 //      is read-only — reads and stats still answer, mutations are rejected
 //      with a RETRYABLE error.
 //
-// The harness is deliberately single-threaded (one driver, group commit
-// off by default): FaultFs decisions are a pure function of (seed, IO op
-// index), so every trial is reproducible from its ChaosOptions alone.
+// The harness drives each shard from one thread, and FaultFs decisions are
+// a pure function of (seed, IO op index).  The shard journals through its
+// group committer, though, whose flusher thread cuts batches by timing, so
+// the request behind a given IO index depends on batch timing, and even
+// the number of IO points can differ between two runs with the same
+// options.  Every index of a run is still swept, but a trial reproduces
+// its fault, not necessarily the request it hits (util/faultfs.hpp says
+// the same of concurrent load).
 
 #include <cstdint>
 #include <string>
@@ -50,7 +55,6 @@ struct ChaosOptions {
   std::size_t max_points = 0;  ///< cap swept IO points; 0 = sweep all
   int random_trials = 4;       ///< extra trials with per-op fail probability
   double fail_prob = 0.05;     ///< probability for the random trials
-  bool group_commit = false;   ///< sweep the group-committed WAL path too
 };
 
 struct ChaosReport {

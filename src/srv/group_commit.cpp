@@ -134,6 +134,16 @@ void GroupCommitter::flusher_main() {
       lock.lock();
       if (crashed_) return;
     }
+    if (!status_.ok()) {
+      // An earlier batch never reached the file.  Writing later lines after
+      // that hole would leave a WAL that recovery refuses (and could lift
+      // committed_ over the lost tickets), so everything queued is dropped
+      // and nothing is written until restart() truncates the file.  The
+      // waiters already see the error.
+      pending_.clear();
+      if (stop_) return;
+      continue;
+    }
     std::vector<std::string> batch;
     batch.swap(pending_);
     flushing_ = true;

@@ -71,7 +71,9 @@ class GroupCommitter : public hercules::JournalSink {
   [[nodiscard]] const std::string& path() const override { return path_; }
   /// Enqueues the line and returns immediately; the line's durability is
   /// settled by wait_durable().  Write errors are deferred: they surface on
-  /// the waiting side and stick for later appends.
+  /// the waiting side and stick for later appends, and once a flush fails
+  /// nothing more is written until restart() (so the file never holds a
+  /// batch that follows a lost one).
   [[nodiscard]] util::Status append(std::string line) override;
   /// Truncates the journal.  Pending lines are considered committed — the
   /// caller snapshots the state they describe BEFORE restarting (the

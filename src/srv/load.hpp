@@ -1,10 +1,9 @@
 #pragma once
 // Closed-loop load driver for the server: N projects x M simulated designers,
 // each designer a thread with its own connection, all hammering `execute`
-// (plus a sprinkling of reads) until a deadline.  This is the headline
-// benchmark for the server PR — it measures the throughput/latency effect of
-// group commit under real socket + worker-pool + shard contention, which the
-// in-process microbenches cannot.
+// (plus a sprinkling of reads) until a deadline.  It measures throughput,
+// latency and group-commit batching under real socket + worker-pool + shard
+// contention, which the in-process microbenches cannot.
 //
 // Arrival modes:
 //   closed  each designer issues its next request the moment the previous
@@ -93,8 +92,8 @@ struct LoadReport {
   std::int64_t read_p99_us = 0;
   std::int64_t write_p50_us = 0;
   std::int64_t write_p99_us = 0;
-  // Durability accounting from the server's `stats` op, for the group-commit
-  // comparison: how many physical flushes covered how many journal lines.
+  // Durability accounting from the server's `stats` op: how many physical
+  // flushes covered how many journal lines.
   std::int64_t journal_lines = 0;
   std::int64_t group_commits = 0;
 

@@ -158,8 +158,7 @@ void Server::reader_main(std::shared_ptr<Session> session) {
         // queued) with a retryable error, from the reader thread — the
         // worker pool never sees it, so a storm cannot grow the queue or
         // its memory without limit.
-        if (config_.max_queue_depth != 0 &&
-            queue_.size() >= config_.max_queue_depth) {
+        if (queue_.size() >= config_.max_queue_depth) {
           shed = true;
           request_id = request.value().id;
         } else {

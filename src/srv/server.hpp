@@ -50,9 +50,9 @@ struct ServerConfig {
   /// immediately with a RETRYABLE `overloaded` error instead of being
   /// queued — bounding memory and queueing latency under a request storm
   /// (shed work is cheap for the client to retry; an unbounded queue would
-  /// instead time everyone out).  0 = unbounded (the pre-shedding behavior).
+  /// instead time everyone out).
   std::size_t max_queue_depth = 1024;
-  /// Applied to every shard (journal mode, fsync policy, data directory).
+  /// Applied to every shard (data directory, fsync policy, commit window).
   ShardOptions shard;
   /// Nominal runtime for auto-registered simulated tools (DSL projects and
   /// recovery).

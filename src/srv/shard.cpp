@@ -49,6 +49,14 @@ bool is_read_op(const std::string& op) {
   return op == "query" || op == "explain" || op == "status" || op == "gantt";
 }
 
+// Writer-priority backoff for the read lane: while a write dispatch holds the
+// write lane, arriving readers sleep-poll in kReaderBackoff steps instead of
+// competing with the mutator for cores, which keeps the writer's latency
+// tail flat under a read storm on small machines.  kReaderBackoffCap bounds
+// the total wait, so a slow writer never starves the read lane.
+constexpr std::chrono::microseconds kReaderBackoff{150};
+constexpr std::chrono::microseconds kReaderBackoffCap{8000};
+
 }  // namespace
 
 ProjectShard::ProjectShard(std::string name, ShardOptions options)
@@ -86,16 +94,11 @@ util::Status ProjectShard::start_journal() {
   auto st = hercules::save_project_file(*manager_, snapshot_path(),
                                         options_.durable);
   if (!st.ok()) return st;
-  if (options_.group_commit) {
-    GroupCommitter::Options copts;
-    copts.durable = options_.durable;
-    copts.window = options_.commit_window;
-    auto opened = GroupCommitter::open(wal_path(), copts);
-    if (!opened.ok()) return opened.error();
-    committer_ = std::move(opened).take();
-    return manager_->enable_journal_sink(*committer_);
-  }
-  return manager_->enable_journal(wal_path(), {.durable = options_.durable});
+  auto opened = GroupCommitter::open(
+      wal_path(), {.durable = options_.durable, .window = options_.commit_window});
+  if (!opened.ok()) return opened.error();
+  committer_ = std::move(opened).take();
+  return manager_->enable_journal_sink(*committer_);
 }
 
 util::Result<std::unique_ptr<ProjectShard>> ProjectShard::create(
@@ -162,29 +165,25 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::recover(
 wire::Response ProjectShard::apply(const wire::Request& request) {
   // Read lane: no shard lock.  The snapshot is pinned by the shared_ptr for
   // the duration of the call; the write lane keeps publishing newer epochs
-  // meanwhile.  (Before the first publish — snapshot_reads off, or a shard
-  // mid-construction — reads fall through to the write lane.)
-  if (options_.snapshot_reads && is_read_op(request.op)) {
-    // Writer-priority backoff (see ShardOptions): let an in-flight write
-    // dispatch have the cores; bounded so reads can never be starved.  The
-    // snapshot is loaded AFTER the backoff so a read that did wait tends to
-    // observe the write it waited for.
-    if (options_.reader_backoff.count() > 0) {
-      auto waited = std::chrono::microseconds(0);
-      while (write_dispatching_.load(std::memory_order_relaxed) &&
-             waited < options_.reader_backoff_cap) {
-        std::this_thread::sleep_for(options_.reader_backoff);
-        waited += options_.reader_backoff;
-      }
+  // meanwhile.  Every factory publishes before it returns the shard, so a
+  // view always exists.
+  if (is_read_op(request.op)) {
+    // Let an in-flight write dispatch have the cores (see kReaderBackoff).
+    // The snapshot is loaded AFTER the backoff so a read that did wait tends
+    // to observe the write it waited for.
+    auto waited = std::chrono::microseconds(0);
+    while (write_dispatching_.load(std::memory_order_relaxed) &&
+           waited < kReaderBackoffCap) {
+      std::this_thread::sleep_for(kReaderBackoff);
+      waited += kReaderBackoff;
     }
-    if (auto view = view_.load()) {
-      if (crashed_.load(std::memory_order_acquire))
-        return wire::Response::failure(
-            request.id, util::unsupported("shard '" + name_ + "' crashed"));
-      read_lane_requests_.fetch_add(1, std::memory_order_relaxed);
-      metrics_->add("srv_requests");  // MetricsRegistry is thread-safe
-      return dispatch_read(request, *view);
-    }
+    auto view = view_.load();
+    if (crashed_.load(std::memory_order_acquire))
+      return wire::Response::failure(
+          request.id, util::unsupported("shard '" + name_ + "' crashed"));
+    read_lane_requests_.fetch_add(1, std::memory_order_relaxed);
+    metrics_->add("srv_requests");  // MetricsRegistry is thread-safe
+    return dispatch_read(request, *view);
   }
 
   std::uint64_t before = 0, after = 0;
@@ -195,23 +194,34 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
       return wire::Response::failure(
           request.id, util::unsupported("shard '" + name_ + "' crashed"));
     // Fail-safe degradation: after an unrecoverable storage fault the shard
-    // keeps answering reads (above, and read ops falling through to this
-    // lane) and `stats`, but rejects anything that would need the disk with
-    // a retryable error.
-    if (read_only_.load(std::memory_order_relaxed) &&
-        !is_read_op(request.op) && request.op != "stats")
+    // keeps answering reads (above) and `stats`, but rejects anything that
+    // would need the disk with a retryable error.
+    if (read_only_.load(std::memory_order_relaxed) && request.op != "stats")
       return wire::Response::failure(request.id, read_only_error_locked());
     write_lane_requests_.fetch_add(1, std::memory_order_relaxed);
     metrics_->add("srv_requests");
-    if (committer_) before = committer_->last_enqueued();
+    before = committer_->last_enqueued();
     write_dispatching_.store(true, std::memory_order_relaxed);
     response = dispatch(request);
-    if (committer_) after = committer_->last_enqueued();
+    after = committer_->last_enqueued();
     // Publish the post-op epoch before the durability wait (and thus before
     // the ack): once a client holds an ack, the published snapshot already
     // contains its write.
     publish_view_locked();
     write_dispatching_.store(false, std::memory_order_relaxed);
+    // The committer refuses appends once a flush failed, and a request can
+    // land between that failure and the failed request's read-only latch
+    // below.  Its runs then reached no ticket, so there is nothing to wait
+    // for: never acknowledge it.  (`stats` appends nothing and must keep
+    // answering on a degraded shard.)
+    const util::Status journal = manager_->journal()->status();
+    if (response.ok && request.op != "stats" && !journal.ok()) {
+      enter_read_only_locked(journal.error());
+      return wire::Response::failure(
+          request.id, util::io_error("shard '" + name_ + "': " +
+                                     journal.error().message +
+                                     " (not acknowledged)"));
+    }
   }
   // Acknowledge only once this request's journal lines are durable — but
   // wait OUTSIDE the shard lock, so the next request's mutation overlaps
@@ -227,19 +237,6 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
           request.id, util::io_error("shard '" + name_ + "': " +
                                      st.error().message + " (not acknowledged)"));
     }
-  }
-  // Only mutations are held to the WAL guarantee: reads that fell through
-  // to the write lane and `stats` (both must keep answering on a degraded
-  // shard) never appended anything, so the sticky journal status cannot
-  // retract them.
-  if (!committer_ && response.ok && !is_read_op(request.op) &&
-      request.op != "stats" && manager_->journal() &&
-      !manager_->journal()->status().ok()) {
-    auto err = manager_->journal()->status().error();
-    enter_read_only(err);
-    return wire::Response::failure(
-        request.id, util::io_error("shard '" + name_ + "': " + err.message +
-                                   " (not acknowledged)"));
   }
   return response;
 }
@@ -330,26 +327,6 @@ wire::Response ProjectShard::dispatch(const wire::Request& request) {
     return wire::Response::success(request.id, Json(JsonObject{}));
   }
 
-  if (request.op == "query" || request.op == "explain") {
-    const std::string statement = arg_string(args, "statement");
-    if (statement.empty())
-      return wire::Response::failure(
-          request.id, util::invalid(request.op + ": missing 'statement'"));
-    auto result = request.op == "query" ? m.query(statement) : m.explain(statement);
-    if (!result.ok()) return wire::Response::failure(request.id, result.error());
-    JsonObject o;
-    o.set("text", result.value());
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-
-  if (request.op == "status" || request.op == "gantt") {
-    auto result = request.op == "status" ? m.status_report(task) : m.gantt(task);
-    if (!result.ok()) return wire::Response::failure(request.id, result.error());
-    JsonObject o;
-    o.set("text", result.value());
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-
   if (request.op == "advance") {
     const std::int64_t minutes = arg_int(args, "minutes", -1);
     if (minutes < 0)
@@ -403,8 +380,7 @@ wire::Response ProjectShard::dispatch_read(const wire::Request& request,
 }
 
 void ProjectShard::publish_view_locked() {
-  if (!options_.snapshot_reads || crashed_.load(std::memory_order_relaxed))
-    return;
+  if (crashed_.load(std::memory_order_relaxed)) return;
   view_.store(manager_->read_view());
 }
 
@@ -431,17 +407,15 @@ util::Status ProjectShard::snapshot_locked() {
 util::Status ProjectShard::shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
   if (crashed_) return util::unsupported("shard '" + name_ + "' crashed");
-  if (committer_) {
-    auto st = committer_->sync_now();  // final group commit
-    if (!st.ok()) return st;
-  }
+  auto st = committer_->sync_now();  // final group commit
+  if (!st.ok()) return st;
   return snapshot_locked();
 }
 
 void ProjectShard::simulate_crash() {
   std::lock_guard<std::mutex> lock(mu_);
   crashed_ = true;
-  if (committer_) committer_->simulate_crash();
+  committer_->simulate_crash();
 }
 
 Json ProjectShard::stats_json() const {
@@ -456,9 +430,8 @@ Json ProjectShard::stats_json_locked() const {
   o.set("runs_executed", metrics_->counter("runs_executed"));
   o.set("run_count", manager_->db().run_count());
   o.set("clock_minutes", manager_->clock().now().minutes_since_epoch());
-  if (manager_->journal())
-    o.set("journal_lines", manager_->journal()->lines_written());
-  if (committer_) {
+  o.set("journal_lines", manager_->journal()->lines_written());
+  {
     auto s = committer_->stats();
     JsonObject g;
     g.set("lines", s.lines);
@@ -473,7 +446,6 @@ Json ProjectShard::stats_json_locked() const {
     // one is the manager's own cache, so anything beyond it is retired
     // epochs still pinned by in-flight readers.
     JsonObject sn;
-    sn.set("enabled", options_.snapshot_reads);
     sn.set("epoch", static_cast<std::int64_t>(manager_->snapshot_epoch()));
     sn.set("published",
            static_cast<std::int64_t>(manager_->snapshots_published()));

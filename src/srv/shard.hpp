@@ -26,14 +26,12 @@
 // a mutation that is published but not yet fsync-durable (the mutator itself
 // is still blocked in its durability wait).  That read could be lost by a
 // crash — the same contract as PostgreSQL's asynchronous standby reads.
-// ShardOptions::snapshot_reads = false restores the old single-mutex
-// behavior (every op through the write lane); the load driver uses it as
-// the baseline for the read-throughput benchmark.
 //
 // Scaling still also comes from shard independence — requests for different
-// projects never contend — and from group commit: a mutation enqueues its
-// journal lines under the lock but waits for durability AFTER releasing it,
-// so the next request's mutation overlaps this one's fsync.
+// projects never contend — and from group commit, the shard's only journal
+// path: a mutation enqueues its journal lines with the shard's
+// GroupCommitter under the lock but waits for durability AFTER releasing
+// it, so the next request's mutation overlaps this one's fsync.
 //
 // Files: <dir>/<name>.snapshot.json (atomic replace) and <dir>/<name>.wal.
 // An acknowledged mutation is always recoverable from snapshot + WAL.
@@ -55,22 +53,8 @@ namespace herc::srv {
 struct ShardOptions {
   std::string dir = ".";  ///< where the snapshot and WAL live
   bool durable = false;   ///< fsync group commits and snapshots
+  /// The group committer's accumulation window (GroupCommitter::Options).
   std::chrono::microseconds commit_window{200};
-  /// Off: plain per-run journal (one flush — durable: one fsync — per run).
-  /// The load driver uses this to measure what group commit buys.
-  bool group_commit = true;
-  /// Off: read ops go through the write lane like any mutation (the pre-MVCC
-  /// single-mutex model).  The load driver's --no-snapshot-reads baseline.
-  bool snapshot_reads = true;
-  /// Writer-priority backoff for the read lane: while a write dispatch holds
-  /// the write lane, arriving readers briefly sleep-poll (bounded) instead
-  /// of competing with the mutator for cores.  This is what keeps write p99
-  /// flat under a read storm on small machines; on wide machines it costs a
-  /// little read overlap during the (short) dispatch window.  0 = off.
-  std::chrono::microseconds reader_backoff{150};
-  /// Upper bound on the total backoff one read will wait before proceeding
-  /// anyway (a slow writer must never starve the read lane).
-  std::chrono::microseconds reader_backoff_cap{8000};
 };
 
 class ProjectShard {
@@ -124,9 +108,8 @@ class ProjectShard {
   /// bus), group-commit stats, journal lines.
   [[nodiscard]] util::Json stats_json() const;
 
-  /// The group committer (null when group_commit is off) — tests and the
-  /// load driver read its flush counters.
-  [[nodiscard]] GroupCommitter* committer() { return committer_.get(); }
+  /// The shard's group committer — tests read its flush counters.
+  [[nodiscard]] GroupCommitter& committer() { return *committer_; }
 
   /// Direct manager access for tests; callers must not race apply().
   [[nodiscard]] hercules::WorkflowManager& manager_for_test() { return *manager_; }
@@ -152,21 +135,22 @@ class ProjectShard {
  private:
   ProjectShard(std::string name, ShardOptions options);
 
-  /// Installs journaling (group committer or plain durable journal) over a
-  /// freshly built manager and writes the initial snapshot.
+  /// Writes the initial snapshot of a freshly built manager and starts
+  /// journaling through a new group committer.
   [[nodiscard]] util::Status start_journal();
 
   /// Registers "<type>1" simulated tools for every tool type missing one.
   static void register_default_tools(hercules::WorkflowManager& manager,
                                      std::int64_t tool_minutes);
 
+  /// The write lane: every op except the four reads.  Must hold mu_.
   wire::Response dispatch(const wire::Request& request);
   /// The read lane: runs one query/explain/status/gantt op against a pinned
   /// epoch snapshot.  No shard lock anywhere on this path.
   wire::Response dispatch_read(const wire::Request& request,
                                const hercules::ReadView& view);
-  /// Republishes the current epoch snapshot (no-op when snapshot_reads is
-  /// off).  Must hold mu_: read_view() walks the live spaces.
+  /// Republishes the current epoch snapshot (no-op once crashed).  Must hold
+  /// mu_: read_view() walks the live spaces.
   void publish_view_locked();
   [[nodiscard]] util::Status snapshot_locked();
   [[nodiscard]] util::Json stats_json_locked() const;
@@ -176,7 +160,7 @@ class ProjectShard {
 
   mutable std::mutex mu_;  ///< serializes every WRITE-lane manager access
   std::unique_ptr<hercules::WorkflowManager> manager_;
-  std::unique_ptr<GroupCommitter> committer_;  ///< null when group_commit off
+  std::unique_ptr<GroupCommitter> committer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   /// The epoch snapshot readers run against.  Written by the write lane
   /// (under mu_), copied out by the read lane under the slot's own

@@ -2,8 +2,8 @@
 // the workload crossed with every fault kind, plus probabilistic trials —
 // must hold the durability contract (acknowledged => recovered
 // byte-identically, recovery deterministic, degraded shards read-only but
-// alive) with zero violations.  The CI chaos job runs the same sweep at a
-// larger scale through tools/herc_chaos.
+// alive) with zero violations on the shard's group-committed WAL.  The CI
+// chaos job runs the same sweep at a larger scale through tools/herc_chaos.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +31,7 @@ ChaosOptions small_sweep(const std::string& tag) {
 }
 
 TEST(Chaos, SweepHoldsTheDurabilityContract) {
-  auto report = run_chaos(small_sweep("plain"));
+  auto report = run_chaos(small_sweep("sweep"));
   ASSERT_TRUE(report.ok()) << report.error().str();
   EXPECT_TRUE(report.value().ok()) << report.value().summary();
 
@@ -45,18 +45,7 @@ TEST(Chaos, SweepHoldsTheDurabilityContract) {
   EXPECT_GT(report.value().recoveries, 0u);
   EXPECT_GT(report.value().acked_ops, 0u);
   // The scratch tree is cleaned up.
-  EXPECT_FALSE(std::filesystem::exists(small_sweep("plain").dir));
-}
-
-TEST(Chaos, SweepAlsoHoldsUnderGroupCommit) {
-  ChaosOptions options = small_sweep("gc");
-  options.group_commit = true;
-  options.max_points = 6;
-  options.random_trials = 2;
-  auto report = run_chaos(options);
-  ASSERT_TRUE(report.ok()) << report.error().str();
-  EXPECT_TRUE(report.value().ok()) << report.value().summary();
-  EXPECT_GT(report.value().recoveries, 0u);
+  EXPECT_FALSE(std::filesystem::exists(small_sweep("sweep").dir));
 }
 
 TEST(Chaos, ReportSerializesItsCounters) {

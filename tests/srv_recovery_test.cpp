@@ -1,13 +1,15 @@
-// Durability tests for the server shards: group commit batching vs the plain
-// per-run journal, fsync-backed durable mode, the kill-mid-commit model
-// (simulate_crash drops everything unflushed), byte-identical recovery, and
-// the WAL prefix sweep (every truncation point must recover cleanly).
+// Durability tests for the server shards: group commit batching, fsync-backed
+// durable mode, the kill-mid-commit model (simulate_crash drops everything
+// unflushed), byte-identical recovery after executes mixed with schedule ops,
+// the WAL prefix sweep (every truncation point must recover cleanly), and
+// what the committer may write after a failed flush.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "hercules/journal.hpp"
 #include "hercules/persist.hpp"
 #include "srv/shard.hpp"
+#include "util/faultfs.hpp"
 #include "util/fsio.hpp"
 
 namespace herc::srv {
@@ -60,11 +63,9 @@ wire::Request execute_request(std::uint64_t id, const std::string& designer) {
   return request;
 }
 
-ShardOptions options_in(const TempDir& tmp, bool group_commit = true,
-                        bool durable = false) {
+ShardOptions options_in(const TempDir& tmp, bool durable = false) {
   ShardOptions options;
   options.dir = tmp.dir.string();
-  options.group_commit = group_commit;
   options.durable = durable;
   return options;
 }
@@ -181,15 +182,13 @@ TEST(SrvRecovery, WalPrefixSweepAlwaysRecovers) {
   }
 }
 
-TEST(SrvRecovery, GroupCommitMatchesPlainJournalStateWithFewerFlushes) {
-  TempDir tmp_gc("gc");
-  TempDir tmp_plain("plain");
-  auto gc = ProjectShard::create("p", small_scenario(5),
-                                 options_in(tmp_gc, /*group_commit=*/true));
-  auto plain = ProjectShard::create("p", small_scenario(5),
-                                    options_in(tmp_plain, /*group_commit=*/false));
-  ASSERT_TRUE(gc.ok());
-  ASSERT_TRUE(plain.ok());
+// The only shard test that crashes after schedule ops (plan, replan, link,
+// advance: snapshotted through before the ack) mixed with journaled
+// executes and runs: recovery rebuilds the acknowledged state byte for byte.
+TEST(SrvRecovery, MixedRequestStreamRecoversByteIdentically) {
+  TempDir tmp("mixed");
+  auto shard = ProjectShard::create("p", small_scenario(5), options_in(tmp));
+  ASSERT_TRUE(shard.ok());
 
   gen::RequestStreamSpec spec;
   spec.seed = 9;
@@ -202,30 +201,22 @@ TEST(SrvRecovery, GroupCommitMatchesPlainJournalStateWithFewerFlushes) {
     request.project = "p";
     request.op = generated.op;
     request.args = generated.args;
-    auto from_gc = gc.value()->apply(request);
-    auto from_plain = plain.value()->apply(request);
-    ASSERT_TRUE(from_gc.ok) << generated.op << ": " << from_gc.error.str();
-    ASSERT_TRUE(from_plain.ok) << generated.op << ": " << from_plain.error.str();
+    auto response = shard.value()->apply(request);
+    ASSERT_TRUE(response.ok) << generated.op << ": " << response.error.str();
   }
 
-  // Same ops, same state — group commit changes durability mechanics, never
-  // semantics.
-  EXPECT_EQ(hercules::save_to_json(gc.value()->manager_for_test()),
-            hercules::save_to_json(plain.value()->manager_for_test()));
+  // Group commit covered the journal lines with fewer flushes.
+  auto stats = shard.value()->committer().stats();
+  EXPECT_GT(stats.lines, 0u);
+  EXPECT_LT(stats.flushes, stats.lines);
 
-  // ... and the same bytes recover on both sides.
-  // The flush accounting: the plain journal flushes once per line by
-  // construction; group commit covered the same lines with fewer flushes.
-  auto gc_stats = gc.value()->committer()->stats();
-  EXPECT_GT(gc_stats.lines, 0u);
-  EXPECT_LT(gc_stats.flushes, gc_stats.lines);
-
-  // ... and the same bytes recover on both sides.
-  gc.value()->simulate_crash();
-  auto gc_recovered = ProjectShard::recover("p", 120, options_in(tmp_gc));
-  ASSERT_TRUE(gc_recovered.ok());
-  EXPECT_EQ(hercules::save_to_json(gc_recovered.value()->manager_for_test()),
-            hercules::save_to_json(plain.value()->manager_for_test()));
+  const std::string expected =
+      hercules::save_to_json(shard.value()->manager_for_test());
+  shard.value()->simulate_crash();
+  auto recovered = ProjectShard::recover("p", 120, options_in(tmp));
+  ASSERT_TRUE(recovered.ok()) << recovered.error().str();
+  EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()),
+            expected);
 }
 
 TEST(SrvRecovery, GroupCommitFlushesFewerThanLines) {
@@ -235,8 +226,7 @@ TEST(SrvRecovery, GroupCommitFlushesFewerThanLines) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(shard.value()->apply(execute_request(i, "pat")).ok);
   }
-  ASSERT_NE(shard.value()->committer(), nullptr);
-  auto stats = shard.value()->committer()->stats();
+  auto stats = shard.value()->committer().stats();
   EXPECT_GT(stats.lines, 0u);
   EXPECT_GT(stats.flushes, 0u);
   // One execute journals a whole flow of runs; the committer batches them.
@@ -246,9 +236,8 @@ TEST(SrvRecovery, GroupCommitFlushesFewerThanLines) {
 
 TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
   TempDir tmp("durable");
-  auto shard = ProjectShard::create(
-      "p", small_scenario(7), options_in(tmp, /*group_commit=*/true,
-                                         /*durable=*/true));
+  auto shard = ProjectShard::create("p", small_scenario(7),
+                                    options_in(tmp, /*durable=*/true));
   ASSERT_TRUE(shard.ok()) << shard.error().str();
   std::int64_t runs = 0;
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -257,7 +246,7 @@ TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
     runs += response.result.as_object().at("runs").as_int();
   }
   // Durable mode fsyncs every batch.
-  auto stats = shard.value()->committer()->stats();
+  auto stats = shard.value()->committer().stats();
   EXPECT_GT(stats.synced, 0u);
   EXPECT_EQ(stats.synced, stats.flushes);
 
@@ -265,8 +254,8 @@ TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
   ASSERT_TRUE(shard.value()->shutdown().ok());
   shard.value().reset();
 
-  auto recovered = ProjectShard::recover(
-      "p", 120, options_in(tmp, /*group_commit=*/true, /*durable=*/true));
+  auto recovered =
+      ProjectShard::recover("p", 120, options_in(tmp, /*durable=*/true));
   ASSERT_TRUE(recovered.ok()) << recovered.error().str();
   EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()),
             expected);
@@ -274,20 +263,72 @@ TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
   EXPECT_EQ(stats2.as_object().at("run_count").as_int(), runs);
 }
 
-TEST(SrvRecovery, PlainDurableJournalSurvivesCrash) {
-  TempDir tmp("plaindur");
-  auto shard = ProjectShard::create(
-      "p", small_scenario(8), options_in(tmp, /*group_commit=*/false,
-                                         /*durable=*/true));
-  ASSERT_TRUE(shard.ok()) << shard.error().str();
-  ASSERT_TRUE(shard.value()->apply(execute_request(1, "pat")).ok);
-  std::string expected = hercules::save_to_json(shard.value()->manager_for_test());
-  shard.value()->simulate_crash();
+// Once a flush fails, nothing queued behind it may reach the file: recovery
+// replays records strictly in order, so a batch written after a lost one
+// leaves a WAL it refuses, and its waiters could be acknowledged for lines
+// that never landed.  Two appenders race the flusher while the k-th IO
+// (the first is the open) fails; each one's lines on disk must be a
+// gap-free prefix of what it appended.
+TEST(SrvRecovery, GroupCommitWritesNothingAfterAFailedFlush) {
+  TempDir tmp("hole");
+  const std::string path = (tmp.dir / "p.wal").string();
+  constexpr int kLinesPerAppender = 4000;
+  int trials_with_hole = 0;
+  for (std::uint64_t k = 2; k <= 31; ++k) {
+    {
+      util::FsFaultPlan plan;
+      plan.path_filter = tmp.dir.string();
+      plan.eio_on = {k};
+      util::ScopedFaultFs faults(1, plan);
+      auto opened =
+          GroupCommitter::open(path, {.window = std::chrono::microseconds(0)});
+      ASSERT_TRUE(opened.ok()) << opened.error().str();
+      auto committer = std::move(opened).take();
+      std::vector<std::thread> appenders;
+      for (int t = 0; t < 2; ++t) {
+        appenders.emplace_back([&committer, t] {
+          for (int i = 0; i < kLinesPerAppender; ++i)
+            if (!committer->append(std::to_string(t) + " " + std::to_string(i))
+                     .ok())
+              return;
+        });
+      }
+      for (auto& appender : appenders) appender.join();
+      (void)committer->sync_now();
+    }
+    std::map<int, int> next;  // appender -> the line number expected next
+    bool hole = false;
+    std::istringstream lines(slurp(path));
+    for (int t, i; lines >> t >> i;) {
+      if (i != next[t]) hole = true;
+      next[t] = i + 1;
+    }
+    if (hole) ++trials_with_hole;
+  }
+  EXPECT_EQ(trials_with_hole, 0);
+}
 
-  auto recovered = ProjectShard::recover("p", 120, options_in(tmp));
-  ASSERT_TRUE(recovered.ok()) << recovered.error().str();
-  EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()),
-            expected);
+// A request that lands after another request's flush failed, but before
+// that request latched the shard read-only, finds a committer that refuses
+// its journal lines.  Nothing of it reached the WAL, so it must not be
+// acknowledged.
+TEST(SrvRecovery, MutationAfterAFailedFlushIsNotAcknowledged) {
+  TempDir tmp("refused");
+  auto shard = ProjectShard::create("p", small_scenario(8), options_in(tmp));
+  ASSERT_TRUE(shard.ok()) << shard.error().str();
+  {
+    util::FsFaultPlan plan;
+    plan.path_filter = shard.value()->wal_path();
+    plan.eio_on = {1};
+    util::ScopedFaultFs faults(1, plan);
+    GroupCommitter& committer = shard.value()->committer();
+    ASSERT_TRUE(committer.append("another request's line").ok());
+    ASSERT_FALSE(committer.wait_durable(committer.last_enqueued()).ok());
+  }
+  auto response = shard.value()->apply(execute_request(1, "pat"));
+  EXPECT_FALSE(response.ok);
+  EXPECT_TRUE(response.error.retryable()) << response.error.str();
+  EXPECT_TRUE(shard.value()->read_only());
 }
 
 // Satellite (a): the fsio primitives underneath the durability contract.

@@ -444,7 +444,6 @@ TEST(Server, ReadMixLaneCountersMatchDriver) {
   const auto& shard =
       stats.as_object().at("shards").as_array().at(0).as_object();
   const util::JsonObject& sn = shard.at("snapshots").as_object();
-  EXPECT_TRUE(sn.at("enabled").as_bool());
   const std::int64_t read_lane = sn.at("read_lane_requests").as_int();
   const std::int64_t write_lane = sn.at("write_lane_requests").as_int();
   EXPECT_EQ(read_lane + write_lane, shard.at("srv_requests").as_int());

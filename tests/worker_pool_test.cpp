@@ -1,10 +1,13 @@
 // Unit tests for the shared worker pool: task coverage, reuse across jobs,
-// caller participation, and the single-thread inline path.
+// caller participation, the single-thread inline path, and back-to-back
+// regions from concurrent callers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/worker_pool.hpp"
@@ -49,6 +52,40 @@ TEST(WorkerPool, MoreTasksThanThreadsAndViceVersa) {
   EXPECT_EQ(count.load(), 100);
   pool.run(0, [&](int) { count++; });  // empty job is a no-op
   EXPECT_EQ(count.load(), 100);
+}
+
+// Regions that end while a worker is still waking up: with two callers
+// queueing thousands of tiny regions, a worker often wakes after its region
+// finished and must neither run a later region's indices through the old
+// function nor count them into the later region.
+TEST(WorkerPool, BackToBackRegionsFromTwoCallers) {
+  WorkerPool pool(4);
+  constexpr int kRegions = 20000;
+  constexpr int kMaxTasks = 3;
+  auto caller = [&pool](int salt, std::vector<int>& hits) {
+    hits.assign(static_cast<std::size_t>(kRegions * kMaxTasks), 0);
+    for (int r = 0; r < kRegions; ++r) {
+      const int tasks = 1 + (r + salt) % kMaxTasks;
+      int* slots = &hits[static_cast<std::size_t>(r * kMaxTasks)];
+      pool.run(tasks, [slots](int t) { ++slots[t]; });
+    }
+  };
+  std::vector<int> hits_a, hits_b;
+  std::thread a(caller, 0, std::ref(hits_a));
+  std::thread b(caller, 1, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (int salt : {0, 1}) {
+    const std::vector<int>& hits = salt == 0 ? hits_a : hits_b;
+    int wrong = 0;
+    for (int r = 0; r < kRegions; ++r) {
+      const int tasks = 1 + (r + salt) % kMaxTasks;
+      for (int t = 0; t < kMaxTasks; ++t)
+        if (hits[static_cast<std::size_t>(r * kMaxTasks + t)] != (t < tasks ? 1 : 0))
+          ++wrong;
+    }
+    EXPECT_EQ(wrong, 0) << "caller " << salt;
+  }
 }
 
 TEST(WorkerPool, SharedPoolIsProcessWide) {

@@ -2,7 +2,7 @@
 //
 //   herc_chaos [--dir DIR] [--seed N] [--ops N] [--save-every K]
 //              [--flow-size N] [--max-points N] [--random-trials N]
-//              [--fail-prob P] [--group-commit] [--quiet]
+//              [--fail-prob P] [--quiet]
 //
 // Enumerates the workload's IO points, then replays it once per
 // (IO point, fault kind) — EIO, ENOSPC, short write, torn write, crash —
@@ -25,7 +25,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--dir DIR] [--seed N] [--ops N] [--save-every K]\n"
                "          [--flow-size N] [--max-points N] [--random-trials N]\n"
-               "          [--fail-prob P] [--group-commit] [--quiet]\n",
+               "          [--fail-prob P] [--quiet]\n",
                argv0);
   return 2;
 }
@@ -57,8 +57,6 @@ int main(int argc, char** argv) {
       options.random_trials = std::atoi(v);
     } else if (arg == "--fail-prob" && (v = next())) {
       options.fail_prob = std::atof(v);
-    } else if (arg == "--group-commit") {
-      options.group_commit = true;
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

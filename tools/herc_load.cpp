@@ -2,7 +2,7 @@
 //
 //   herc_load --addr unix:/tmp/herc.sock --projects 8 --designers 4
 //             --duration 10 [--open-arrival --rate 20] [--read-every 5]
-//   herc_load --spawn [--durable] [--no-group-commit]   # in-process server
+//   herc_load --spawn [--durable]  # in-process server
 //   herc_load --bench-json FILE    # append BENCH_BASELINE-format records
 //
 // Reports runs/sec and request latency percentiles; with --bench-json it
@@ -32,8 +32,7 @@ int usage(const char* argv0) {
                "usage: %s (--addr ADDR | --spawn) [--projects N] [--designers M]\n"
                "          [--duration SECS[s]] [--open-arrival] [--rate R]\n"
                "          [--read-every K] [--read-mix PCT] [--seed N]\n"
-               "          [--shape NAME] [--size N] [--durable]\n"
-               "          [--no-group-commit] [--no-snapshot-reads] [--window-us N]\n"
+               "          [--shape NAME] [--size N] [--durable] [--window-us N]\n"
                "          [--dir DIR] [--workers N] [--bench-json FILE] [--quiet]\n",
                argv0);
   return 2;
@@ -83,10 +82,6 @@ int main(int argc, char** argv) {
       options.size = static_cast<std::size_t>(std::atoll(v));
     } else if (arg == "--durable") {
       config.shard.durable = true;
-    } else if (arg == "--no-group-commit") {
-      config.shard.group_commit = false;
-    } else if (arg == "--no-snapshot-reads") {
-      config.shard.snapshot_reads = false;
     } else if (arg == "--window-us" && (v = next())) {
       config.shard.commit_window = std::chrono::microseconds(std::atoll(v));
     } else if (arg == "--dir" && (v = next())) {

@@ -4,7 +4,6 @@
 //   herc_srv --tcp 7421 [--host 0.0.0.0]           # tcp listener (0 = pick)
 //   herc_srv --dir DATA --workers 8                # shard files + pool size
 //   herc_srv --durable --window-us 200             # fsync'd group commit
-//   herc_srv --no-group-commit                     # plain per-run journal
 //   herc_srv --open NAME=SEED[:shape:size] ...     # pre-open projects
 //
 // Runs until SIGINT/SIGTERM or a `shutdown` wire op, then drains in-flight
@@ -33,8 +32,7 @@ using namespace herc;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--unix PATH] [--tcp PORT] [--host HOST] [--dir DIR]\n"
-               "          [--workers N] [--durable] [--window-us N]\n"
-               "          [--no-group-commit] [--tool-minutes N]\n"
+               "          [--workers N] [--durable] [--window-us N] [--tool-minutes N]\n"
                "          [--open NAME=SEED[:shape:size]]...\n",
                argv0);
   return 2;
@@ -113,8 +111,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       config.shard.commit_window = std::chrono::microseconds(std::atoll(v));
-    } else if (arg == "--no-group-commit") {
-      config.shard.group_commit = false;
     } else if (arg == "--tool-minutes") {
       const char* v = next();
       if (!v) return usage(argv[0]);
