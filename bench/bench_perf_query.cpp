@@ -142,6 +142,45 @@ void BM_PlanLineage(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanLineage)->Arg(4)->Arg(32)->Arg(128);
 
+// --- rendering: dates at a project's age ------------------------------------
+//
+// Every status row, Gantt bar and time-column query cell renders a date, so
+// their cost must not grow with the project's age: the /5000 rows (about
+// 20 years of work days) gate that against the /0 rows.
+
+void BM_CalendarFormat(benchmark::State& state) {
+  cal::WorkCalendar::Config cfg;
+  cfg.epoch = cal::Date(1995, 6, 12);
+  const cal::WorkCalendar calendar(cfg);
+  const std::int64_t per_day = calendar.minutes_per_day();
+  const std::int64_t base = state.range(0) * per_day;
+  std::int64_t minute = 0;
+  for (auto _ : state) {
+    std::string text = calendar.format(cal::WorkInstant(base + minute));
+    benchmark::DoNotOptimize(text.data());
+    minute = (minute + 7) % per_day;
+  }
+}
+BENCHMARK(BM_CalendarFormat)->Arg(0)->Arg(5000);
+
+// A dashboard drill-down: ~150 `select runs` rows, two time columns each,
+// rendered with the project clock 5,000 work days past the epoch.
+void BM_QueryRenderRuns(benchmark::State& state) {
+  auto m = bench::make_manager(bench::chain_schema(8), "d8",
+                               cal::WorkDuration::minutes(7));
+  m->clock().advance(cal::WorkDuration::minutes(5000 * m->calendar().minutes_per_day()));
+  m->plan_task("job", {.anchor = m->clock().now()}).value();
+  for (int i = 0; i < 19; ++i) m->execute_task("job", i % 2 ? "alice" : "bob").value();
+  query::QueryEngine engine(m->db(), m->schedule_space());
+  const query::QueryResult runs = engine.execute("select runs").value();
+  for (auto _ : state) {
+    std::string text = runs.render(&m->calendar());
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(runs.rows.size()));
+}
+BENCHMARK(BM_QueryRenderRuns);
+
 }  // namespace
 
 HERC_BENCH_MAIN(print_artifact)

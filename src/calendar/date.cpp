@@ -108,9 +108,18 @@ std::string Date::str() const {
   int y;
   unsigned m, d;
   civil_from_days(days_, y, m, d);
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%04d-%02u-%02u", y, m, d);
-  return buf;
+  if (y < 0 || y > 9999) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%04d-%02u-%02u", y, m, d);
+    return buf;
+  }
+  std::string out = "0000-00-00";
+  for (std::size_t i = 4; i-- > 0; y /= 10) out[i] = static_cast<char>('0' + y % 10);
+  out[5] = static_cast<char>('0' + m / 10);
+  out[6] = static_cast<char>('0' + m % 10);
+  out[8] = static_cast<char>('0' + d / 10);
+  out[9] = static_cast<char>('0' + d % 10);
+  return out;
 }
 
 }  // namespace herc::cal

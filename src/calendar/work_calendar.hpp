@@ -9,8 +9,8 @@
 // non-workdays and holidays, exactly like the calendars in MacProject /
 // Microsoft Project that the paper cites.
 
+#include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -93,6 +93,16 @@ struct CivilTime {
 
 /// Calendar configuration + conversion.  Immutable after construction except
 /// for holiday registration.
+///
+/// Every conversion is closed-form: whole weeks are counted through a
+/// per-calendar weekday table and holidays are subtracted by binary search,
+/// so rendering a date costs the same at any project age.  Holidays on
+/// non-working weekdays or before the epoch remove no workday.  Dates render
+/// up to last_day(); instants past it render as that day.
+///
+/// Thread-safety: ReadViews share one calendar across reader threads, so the
+/// const methods keep no mutable state (no caches); add_holiday must not race
+/// with them.
 class WorkCalendar {
  public:
   struct Config {
@@ -109,26 +119,33 @@ class WorkCalendar {
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] std::int64_t minutes_per_day() const { return cfg_.minutes_per_day; }
 
-  /// Marks a date as a non-working holiday.  Adding a holiday invalidates no
-  /// WorkInstant values (they are counts of *work* minutes), only their civil
-  /// rendering; the WorkflowManager re-renders rather than re-plans.
-  void add_holiday(Date d) { holidays_.insert(d); }
-  [[nodiscard]] bool is_holiday(Date d) const { return holidays_.count(d) > 0; }
-  [[nodiscard]] const std::set<Date>& holidays() const { return holidays_; }
+  /// Marks a date as a non-working holiday (again is a no-op).  Adding a
+  /// holiday invalidates no WorkInstant values (they are counts of *work*
+  /// minutes), only their civil rendering; the WorkflowManager re-renders
+  /// rather than re-plans.
+  void add_holiday(Date d);
+  [[nodiscard]] bool is_holiday(Date d) const;
+  /// Every registered holiday, ascending.
+  [[nodiscard]] std::vector<Date> holidays() const;
 
   [[nodiscard]] bool is_workday(Date d) const;
 
-  /// First workday on or after `d`.
-  [[nodiscard]] Date next_workday(Date d) const;
+  /// The last day the calendar renders: 9999-12-31, the last four-digit year.
+  [[nodiscard]] static Date last_day();
 
-  /// The n-th workday at or after the epoch (n = 0 is the first).
+  /// The n-th workday at or after the epoch (n = 0 is the first).  An index
+  /// whose workday would fall past last_day() gives last_day().
   [[nodiscard]] Date nth_workday(std::int64_t n) const;
 
   /// Number of whole workdays in [epoch, d) — the inverse of nth_workday.
   [[nodiscard]] std::int64_t workdays_until(Date d) const;
 
+  /// True when `t` falls on a workday past last_day().
+  [[nodiscard]] bool past_last_day(WorkInstant t) const;
+
   /// Converts a work instant to civil time.  Instants before the epoch clamp
-  /// to the epoch's workday start.
+  /// to the epoch's workday start; instants past last_day() render as the
+  /// start of last_day().
   [[nodiscard]] CivilTime to_civil(WorkInstant t) const;
 
   /// Work instant for the *start* of the first workday on or after `d`.
@@ -141,12 +158,35 @@ class WorkCalendar {
   [[nodiscard]] std::string format_date(WorkInstant t) const;
 
   /// Parses durations like "3d", "4h", "90m", "1d 4h" (d = one workday).
+  /// A count or total that overflows 64-bit minutes is a parse error.
   [[nodiscard]] util::Result<WorkDuration> parse_duration(std::string_view text) const;
 
  private:
+  struct Holiday {
+    Date date;
+    /// Workdays removed by the holidays up to and including this one.
+    std::int64_t removed;
+  };
+
+  /// Registered holidays before `d` (binary search).
+  [[nodiscard]] std::size_t holidays_before(Date d) const;
+  /// True when a holiday on `d` would remove a workday: a working weekday
+  /// on or after the epoch.
+  [[nodiscard]] bool removes_workday(Date d) const;
+  /// The n-th workday, 0 <= n < workdays_through_last_day().
+  [[nodiscard]] Date workday(std::int64_t n) const;
+  /// Workdays in [epoch, last_day()].
+  [[nodiscard]] std::int64_t workdays_through_last_day() const;
+  /// Working weekdays in [epoch, d), holidays ignored; d >= epoch.
+  [[nodiscard]] std::int64_t weekdays_until(Date d) const;
+
   Config cfg_;
-  std::set<Date> holidays_;
-  int working_days_per_week_;
+  int working_days_per_week_ = 0;
+  /// working_before_[k]: working weekdays among the k days from the epoch.
+  std::array<std::int8_t, 8> working_before_{};
+  /// working_offset_[r]: days from the epoch to its week's r-th working day.
+  std::array<std::int8_t, 7> working_offset_{};
+  std::vector<Holiday> holidays_;  ///< ascending, unique
 };
 
 }  // namespace herc::cal

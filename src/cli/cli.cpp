@@ -321,7 +321,8 @@ util::Result<std::string> CliSession::dispatch(const Args& args) {
     if (args.size() < 2) return util::invalid("advance <duration>");
     auto d = manager->calendar().parse_duration(join_from(args, 1));
     if (!d.ok()) return d.error();
-    manager->clock().advance(d.value());
+    auto advanced = manager->advance_clock(d.value());
+    if (!advanced.ok()) return advanced.error();
     return "now: " + manager->calendar().format(manager->clock().now()) + "\n";
   }
   if (cmd == "now")

@@ -1,5 +1,7 @@
 #include "hercules/workflow_manager.hpp"
 
+#include <limits>
+
 #include "gantt/gantt.hpp"
 #include "hercules/journal.hpp"
 
@@ -35,6 +37,17 @@ util::Status WorkflowManager::enable_journal_sink(JournalSink& sink) {
 }
 
 void WorkflowManager::disable_journal() { journal_.reset(); }
+
+util::Status WorkflowManager::advance_clock(cal::WorkDuration step) {
+  const cal::WorkInstant now = clock_.now();
+  if (step.count_minutes() >
+          std::numeric_limits<std::int64_t>::max() - now.minutes_since_epoch() ||
+      calendar_.past_last_day(now + step))
+    return util::invalid("advance: the clock would pass " +
+                         cal::WorkCalendar::last_day().str());
+  clock_.advance(step);
+  return util::Status::ok_status();
+}
 
 util::Result<std::unique_ptr<WorkflowManager>> WorkflowManager::create(
     std::string_view schema_dsl, cal::WorkCalendar::Config calendar_config,

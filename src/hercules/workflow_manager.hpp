@@ -67,6 +67,11 @@ class WorkflowManager {
   /// subscribers attached publication is skipped at near-zero cost.
   [[nodiscard]] obs::EventBus& bus() { return bus_; }
 
+  /// Moves the clock forward by a non-negative `step`.  A step that would
+  /// move it past the calendar's last_day() is refused with invalid and
+  /// leaves the clock unchanged.
+  util::Status advance_clock(cal::WorkDuration step);
+
   // --- setup ----------------------------------------------------------------
   util::Status register_tool(exec::ToolSpec spec) { return tools_->add(std::move(spec)); }
   util::ResourceId add_resource(const std::string& name,

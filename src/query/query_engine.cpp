@@ -7,8 +7,10 @@
 //   fast path only changes how few rows are touched.
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <numeric>
+#include <string_view>
 
 #include "query/query.hpp"
 #include "query/query_plan.hpp"
@@ -16,12 +18,35 @@
 
 namespace herc::query {
 
+namespace {
+
+/// Appends the text value_str gives for `v`.
+void append_value(std::string& out, const Value& v) {
+  if (std::holds_alternative<std::monostate>(v)) {
+    out += '-';
+  } else if (const auto* n = std::get_if<std::int64_t>(&v)) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, *n).ptr);
+  } else if (const auto* b = std::get_if<bool>(&v)) {
+    out += *b ? "true" : "false";
+  } else {
+    out += std::get<std::string>(v);
+  }
+}
+
+/// True if the column holds a work instant (formatted as a date on render).
+bool is_time_column(const std::string& name) {
+  return name == "started" || name == "finished" || name == "created" ||
+         name == "linked_at" || util::ends_with(name, "_start") ||
+         util::ends_with(name, "_finish");
+}
+
+}  // namespace
+
 std::string value_str(const Value& v) {
-  if (std::holds_alternative<std::monostate>(v)) return "-";
-  if (std::holds_alternative<std::int64_t>(v))
-    return std::to_string(std::get<std::int64_t>(v));
-  if (std::holds_alternative<bool>(v)) return std::get<bool>(v) ? "true" : "false";
-  return std::get<std::string>(v);
+  std::string out;
+  append_value(out, v);
+  return out;
 }
 
 int compare_values(const Value& a, const Value& b) {
@@ -40,17 +65,6 @@ int compare_values(const Value& a, const Value& b) {
   const auto& y = std::get<std::string>(b);
   return x < y ? -1 : x > y ? 1 : 0;
 }
-
-namespace {
-
-/// True if the column holds a work instant (formatted as a date on render).
-bool is_time_column(const std::string& name) {
-  return name == "started" || name == "finished" || name == "created" ||
-         name == "linked_at" || util::ends_with(name, "_start") ||
-         util::ends_with(name, "_finish");
-}
-
-}  // namespace
 
 std::vector<std::string> QueryEngine::columns_for(Target t) {
   switch (t) {
@@ -412,46 +426,50 @@ QueryResult QueryEngine::plan_lineage(sched::ScheduleRunId plan) const {
 }
 
 std::string QueryResult::render(const cal::WorkCalendar* calendar) const {
-  // Format every cell first, then size columns.
-  std::vector<std::vector<std::string>> cells;
-  cells.reserve(rows.size());
-  for (const auto& row : rows) {
-    std::vector<std::string> line;
-    line.reserve(row.size());
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (calendar && is_time_column(columns[i]) &&
-          std::holds_alternative<std::int64_t>(row[i])) {
-        line.push_back(
-            calendar->format(cal::WorkInstant(std::get<std::int64_t>(row[i]))));
-      } else {
-        line.push_back(value_str(row[i]));
-      }
-    }
-    cells.push_back(std::move(line));
-  }
+  std::vector<char> dates(columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i)
+    dates[i] = calendar != nullptr && is_time_column(columns[i]);
 
+  // Format every cell once into one buffer, remembering where each ends, and
+  // size the columns.
   std::vector<std::size_t> widths;
   widths.reserve(columns.size());
   for (const auto& c : columns) widths.push_back(c.size());
-  for (const auto& line : cells)
-    for (std::size_t i = 0; i < line.size(); ++i)
-      widths[i] = std::max(widths[i], line[i].size());
-
-  std::string out;
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (i) out += "  ";
-    out += util::pad_right(columns[i], widths[i]);
-  }
-  out += "\n";
-  out += util::repeat('-', std::accumulate(widths.begin(), widths.end(),
-                                           widths.empty() ? 0 : 2 * (widths.size() - 1)));
-  out += "\n";
-  for (const auto& line : cells) {
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (i) out += "  ";
-      out += util::pad_right(line[i], widths[i]);
+  std::string cells;
+  std::vector<std::size_t> ends;
+  ends.reserve(rows.size() * columns.size());
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      const std::size_t begin = cells.size();
+      if (dates[i] && std::holds_alternative<std::int64_t>(row[i]))
+        cells += calendar->format(cal::WorkInstant(std::get<std::int64_t>(row[i])));
+      else
+        append_value(cells, row[i]);
+      widths[i] = std::max(widths[i], cells.size() - begin);
+      ends.push_back(cells.size());
     }
-    out += "\n";
+  }
+
+  const std::size_t line = std::accumulate(widths.begin(), widths.end(),
+                                           widths.empty() ? 0 : 2 * (widths.size() - 1));
+  std::string out;
+  out.reserve((rows.size() + 2) * (line + 1) + 16);
+  auto put = [&](std::size_t i, std::string_view text) {
+    if (i) out += "  ";
+    out += text;
+    out.append(widths[i] - text.size(), ' ');
+  };
+  for (std::size_t i = 0; i < columns.size(); ++i) put(i, columns[i]);
+  out += '\n';
+  out.append(line, '-');
+  out += '\n';
+  const std::string_view text = cells;
+  std::size_t cell = 0;
+  std::size_t begin = 0;
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i, begin = ends[cell++])
+      put(i, text.substr(begin, ends[cell] - begin));
+    out += '\n';
   }
   out += "(" + std::to_string(rows.size()) + " row" + (rows.size() == 1 ? "" : "s") +
          ")\n";

@@ -332,7 +332,8 @@ wire::Response ProjectShard::dispatch(const wire::Request& request) {
     if (minutes < 0)
       return wire::Response::failure(
           request.id, util::invalid("advance: missing non-negative 'minutes'"));
-    m.clock().advance(cal::WorkDuration::minutes(minutes));
+    auto advanced = m.advance_clock(cal::WorkDuration::minutes(minutes));
+    if (!advanced.ok()) return wire::Response::failure(request.id, advanced.error());
     auto persisted = snapshot_locked();
     if (!persisted.ok()) return wire::Response::failure(request.id, persisted.error());
     JsonObject o;

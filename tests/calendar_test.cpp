@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <limits>
+#include <set>
+
 #include "calendar/date.hpp"
 #include "calendar/work_calendar.hpp"
 #include "util/rng.hpp"
@@ -191,6 +196,13 @@ TEST(WorkCalendar, ParseDuration) {
   EXPECT_FALSE(cal.parse_duration("3x").ok());
   EXPECT_FALSE(cal.parse_duration("d").ok());
   EXPECT_FALSE(cal.parse_duration("1.5d").ok());
+  EXPECT_FALSE(cal.parse_duration("-3d").ok());
+  // A count or a total past 64-bit minutes is a parse error, not a throw.
+  EXPECT_FALSE(cal.parse_duration("99999999999999999999d").ok());
+  EXPECT_FALSE(cal.parse_duration("9223372036854775807d").ok());
+  EXPECT_FALSE(cal.parse_duration("9223372036854775807m 1m").ok());
+  EXPECT_EQ(cal.parse_duration("9223372036854775807m").value().count_minutes(),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 TEST(WorkCalendar, CustomWorkweek) {
@@ -209,6 +221,165 @@ TEST(WorkCalendar, RejectsDegenerateConfigs) {
   WorkCalendar::Config zero_minutes;
   zero_minutes.minutes_per_day = 0;
   EXPECT_THROW(WorkCalendar{zero_minutes}, std::invalid_argument);
+}
+
+TEST(WorkCalendar, InstantsPastTheLastDayRenderAsIt) {
+  const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(WorkCalendar::last_day(), Date(9999, 12, 31));
+  for (std::int64_t minutes_per_day : {1, 480, 1440}) {
+    WorkCalendar::Config cfg;
+    cfg.epoch = Date(1995, 6, 12);
+    cfg.minutes_per_day = minutes_per_day;
+    WorkCalendar cal(cfg);
+    cal.add_holiday(Date(1995, 7, 4));
+    EXPECT_EQ(cal.format(WorkInstant(kMax)), "9999-12-31 09:00");
+    EXPECT_EQ(cal.format_date(WorkInstant(kMax)), "9999-12-31");
+    EXPECT_EQ(cal.format(WorkInstant(kMin)), "1995-06-12 09:00");
+    EXPECT_EQ(cal.nth_workday(kMax), WorkCalendar::last_day());
+    EXPECT_TRUE(cal.past_last_day(WorkInstant(kMax)));
+    EXPECT_FALSE(cal.past_last_day(WorkInstant(kMin)));
+    // The last workday on or before 9999-12-31 (a Friday) still renders.
+    const std::int64_t last = cal.workdays_until(Date(10000, 1, 1)) - 1;
+    EXPECT_EQ(cal.nth_workday(last), Date(9999, 12, 31));
+    EXPECT_EQ(cal.format_date(WorkInstant(last * minutes_per_day)), "9999-12-31");
+    EXPECT_FALSE(cal.past_last_day(WorkInstant(last * minutes_per_day)));
+    EXPECT_TRUE(cal.past_last_day(WorkInstant((last + 1) * minutes_per_day)));
+  }
+}
+
+/// The day walk the closed form replaced, kept as the reference: the seed's
+/// WorkCalendar conversions, one day at a time from the epoch.
+struct DayWalk {
+  WorkCalendar::Config cfg;
+  std::set<Date> holidays;
+
+  bool is_workday(Date d) const {
+    return cfg.workweek[static_cast<int>(d.weekday())] && holidays.count(d) == 0;
+  }
+  Date nth_workday(std::int64_t n) const {
+    for (Date d = cfg.epoch;; d = d.plus_days(1)) {
+      if (!is_workday(d)) continue;
+      if (n == 0) return d;
+      --n;
+    }
+  }
+  std::int64_t workdays_until(Date d) const {
+    std::int64_t n = 0;
+    for (Date x = cfg.epoch; x < d; x = x.plus_days(1))
+      if (is_workday(x)) ++n;
+    return n;
+  }
+  CivilTime to_civil(WorkInstant t) const {
+    const std::int64_t m = std::max<std::int64_t>(t.minutes_since_epoch(), 0);
+    return CivilTime{nth_workday(m / cfg.minutes_per_day),
+                     static_cast<int>(m % cfg.minutes_per_day)};
+  }
+  WorkInstant at_start_of(Date d) const {
+    Date w = d < cfg.epoch ? cfg.epoch : d;
+    while (!is_workday(w)) w = w.plus_days(1);
+    return WorkInstant(workdays_until(w) * cfg.minutes_per_day);
+  }
+};
+
+/// Differential: the closed form matches the day walk on random calendars
+/// covering every epoch weekday, workweeks of 1-7 days, and holidays before
+/// the epoch, on non-working days, registered twice and in runs.
+TEST(WorkCalendar, ClosedFormMatchesTheDayWalk) {
+  util::Rng rng(20260101);
+  std::int64_t compared = 0;
+  for (int c = 0; c < 3000; ++c) {
+    DayWalk walk;
+    walk.cfg.epoch = Date(1995, 6, 12).plus_days(c % 7 + 7 * rng.uniform_int(0, 520));
+    walk.cfg.minutes_per_day =
+        rng.uniform_int(1, 3) == 1 ? 1 : rng.uniform_int(60, 1440);
+    int days[7] = {0, 1, 2, 3, 4, 5, 6};
+    for (int i = 6; i > 0; --i)
+      std::swap(days[i], days[rng.uniform_int(0, i)]);
+    const int working = 1 + (c / 7) % 7;
+    for (int i = 0; i < 7; ++i) walk.cfg.workweek[days[i]] = i < working;
+    WorkCalendar cal(walk.cfg);
+
+    std::vector<Date> added;
+    const std::int64_t holidays = rng.uniform_int(0, 12);
+    for (std::int64_t h = 0; h < holidays; ++h) {
+      Date d = walk.cfg.epoch.plus_days(rng.uniform_int(-30, 400));
+      if (!added.empty() && rng.uniform_int(0, 4) == 0) {
+        const auto last = static_cast<std::int64_t>(added.size()) - 1;
+        d = added[static_cast<std::size_t>(rng.uniform_int(0, last))];
+      }
+      const std::int64_t run = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(2, 10) : 1;
+      for (std::int64_t k = 0; k < run; ++k) {
+        added.push_back(d.plus_days(k));
+        walk.holidays.insert(d.plus_days(k));
+        cal.add_holiday(d.plus_days(k));
+      }
+    }
+    ASSERT_EQ(cal.holidays(),
+              std::vector<Date>(walk.holidays.begin(), walk.holidays.end()));
+
+    for (int probe = 0; probe < 45; ++probe) {
+      const std::int64_t n = rng.uniform_int(0, 300);
+      const Date nth = cal.nth_workday(n);
+      ASSERT_EQ(nth, walk.nth_workday(n)) << "calendar " << c << " n=" << n;
+      ASSERT_EQ(cal.workdays_until(nth), n) << "calendar " << c << " n=" << n;
+
+      const Date d = walk.cfg.epoch.plus_days(rng.uniform_int(-40, 450));
+      ASSERT_EQ(cal.workdays_until(d), walk.workdays_until(d))
+          << "calendar " << c << " date " << d.str();
+      ASSERT_EQ(cal.at_start_of(d), walk.at_start_of(d))
+          << "calendar " << c << " date " << d.str();
+
+      const WorkInstant t(rng.uniform_int(-1000, 300 * walk.cfg.minutes_per_day));
+      const CivilTime got = cal.to_civil(t);
+      const CivilTime want = walk.to_civil(t);
+      ASSERT_EQ(got.date, want.date)
+          << "calendar " << c << " t=" << t.minutes_since_epoch();
+      ASSERT_EQ(got.minute_of_day, want.minute_of_day);
+      compared += 4;
+    }
+  }
+  EXPECT_EQ(compared, 3000 * 45 * 4);
+}
+
+/// format/format_date agree with printf's "%04d-%02d-%02d %02d:%02d" over
+/// four-digit years and beyond them, and over day starts whose hour is not
+/// two digits.
+TEST(WorkCalendar, FormatMatchesPrintf) {
+  auto reference = [](const CivilTime& c, int day_start, bool with_time) {
+    char buf[64];
+    const int total = day_start + c.minute_of_day;
+    if (with_time)
+      std::snprintf(buf, sizeof buf, "%04d-%02d-%02d %02d:%02d", c.date.year(),
+                    c.date.month(), c.date.day(), total / 60, total % 60);
+    else
+      std::snprintf(buf, sizeof buf, "%04d-%02d-%02d", c.date.year(), c.date.month(),
+                    c.date.day());
+    return std::string(buf);
+  };
+  util::Rng rng(7);
+  for (int c = 0; c < 400; ++c) {
+    WorkCalendar::Config cfg;
+    // Mostly years 0-9999; some before year 0, where printf's fallback runs.
+    const int year = c % 8 == 0 ? static_cast<int>(rng.uniform_int(-2000, -1))
+                                : static_cast<int>(rng.uniform_int(0, 9997));
+    cfg.epoch = Date(year, static_cast<int>(rng.uniform_int(1, 12)),
+                     static_cast<int>(rng.uniform_int(1, 28)));
+    cfg.minutes_per_day = c % 5 == 0 ? 10000 : rng.uniform_int(1, 1440);
+    cfg.day_start_minute = static_cast<int>(rng.uniform_int(-120, 26 * 60));
+    WorkCalendar cal(cfg);
+    for (int probe = 0; probe < 20; ++probe) {
+      const WorkInstant t(rng.uniform_int(0, 400 * cfg.minutes_per_day));
+      const CivilTime civil = cal.to_civil(t);
+      ASSERT_EQ(cal.format(t), reference(civil, cfg.day_start_minute, true));
+      ASSERT_EQ(cal.format_date(t), reference(civil, cfg.day_start_minute, false));
+    }
+  }
+  for (int year : {-1, 0, 1, 999, 1000, 9999, 10000, 12345, 99999}) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%04d-%02d-%02d", year, 3, 4);
+    EXPECT_EQ(Date(year, 3, 4).str(), buf);
+  }
 }
 
 /// Property: to_civil is monotone and never lands on a non-workday.

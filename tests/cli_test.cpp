@@ -197,6 +197,9 @@ TEST(Cli, ClockCommands) {
   auto after = ok(s, "now");
   EXPECT_NE(before, after);
   fail(s, "advance xyz");
+  // Past 9999-12-31 the clock cannot go; the refusal leaves it unchanged.
+  fail(s, "advance 4611686018427387904m");
+  EXPECT_EQ(ok(s, "now"), after);
 }
 
 TEST(Cli, WhatIfDelayAndCrash) {

@@ -36,10 +36,13 @@ TEST(WorkflowManager, SchemaEstimatesSeedTheEstimator) {
 }
 
 TEST(WorkflowManager, BadSchemaEstimateRejected) {
-  auto bad = WorkflowManager::create(
-      "schema x { data a; tool t; rule A: a <- t() [est 2x]; }");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code, util::Error::Code::kParse);
+  for (const char* estimate : {"2x", "99999999999999999999d"}) {
+    auto bad = WorkflowManager::create(
+        std::string("schema x { data a; tool t; rule A: a <- t() [est ") + estimate +
+        "]; }");
+    ASSERT_FALSE(bad.ok()) << estimate;
+    EXPECT_EQ(bad.error().code, util::Error::Code::kParse) << estimate;
+  }
 }
 
 TEST(WorkflowManager, TaskManagement) {

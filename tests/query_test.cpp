@@ -264,6 +264,46 @@ TEST_F(QueryEngineTest, RenderFormatsTable) {
   EXPECT_NE(with_dates.find("1995-06-"), std::string::npos);
 }
 
+TEST(QueryResult, RenderPinsEveryValueKind) {
+  QueryResult r;
+  r.columns = {"id", "name", "ok", "note", "started", "wide_column_header", "x"};
+  r.rows = {
+      {std::int64_t{7}, std::string("alpha"), true, std::monostate{},
+       std::int64_t{480 * 5 + 90}, std::int64_t{3}, std::string("a cell wider than x")},
+      {std::int64_t{-1234567890123}, std::string("b"), false, std::string("n"),
+       std::monostate{}, std::int64_t{-4}, std::string("")},
+  };
+  cal::WorkCalendar::Config cfg;
+  cfg.epoch = cal::Date(1995, 6, 12);
+  const cal::WorkCalendar calendar(cfg);
+  EXPECT_EQ(r.render(&calendar),
+            "id              name   ok     note  started           wide_column_header  x"
+            "                  \n"
+            "---------------------------------------------------------------------------"
+            "------------------\n"
+            "7               alpha  true   -     1995-06-19 10:30  3                   "
+            "a cell wider than x\n"
+            "-1234567890123  b      false  n     -                 -4                  "
+            "                   \n"
+            "(2 rows)\n");
+  EXPECT_EQ(r.render(),
+            "id              name   ok     note  started  wide_column_header  x          "
+            "        \n"
+            "---------------------------------------------------------------------------"
+            "---------\n"
+            "7               alpha  true   -     2490     3                   a cell wider "
+            "than x\n"
+            "-1234567890123  b      false  n     -        -4                             "
+            "        \n"
+            "(2 rows)\n");
+  QueryResult one;
+  one.columns = {"finished"};
+  one.rows = {{std::int64_t{0}}};
+  EXPECT_EQ(one.render(&calendar),
+            "finished        \n----------------\n1995-06-12 09:00\n(1 row)\n");
+  EXPECT_EQ(QueryResult{}.render(&calendar), "\n\n(0 rows)\n");
+}
+
 TEST_F(QueryEngineTest, OrFilterUnionsRows) {
   // Create (1 run) or designer bob (1 run) = 2 distinct rows.
   auto r = run("select runs where activity = \"Create\" or designer = \"bob\"");

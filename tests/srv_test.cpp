@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +151,64 @@ TEST(Server, UnknownOpsAndProjectsGetErrorResponses) {
   // The connection survived both errors.
   auto pong = client.value()->invoke("", "ping");
   EXPECT_TRUE(pong.ok());
+  server.value()->stop();
+}
+
+TEST(Server, OverflowingSchemaEstimateIsRefusedNotFatal) {
+  TempServerDir tmp("estimate");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok());
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+
+  JsonObject args;
+  args.set("name", "big");
+  args.set("schema",
+           "schema x { data a; tool t; rule A: a <- t() [est 99999999999999999999d]; }");
+  auto opened = client.value()->call("", "open", std::move(args));
+  ASSERT_TRUE(opened.ok()) << opened.error().str();
+  ASSERT_FALSE(opened.value().ok);
+  EXPECT_EQ(opened.value().error.code, util::Error::Code::kParse);
+
+  auto pong = client.value()->invoke("", "ping");
+  EXPECT_TRUE(pong.ok());
+  server.value()->stop();
+}
+
+TEST(Server, AdvancePastTheLastRenderedDayIsRefused) {
+  TempServerDir tmp("advance");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok());
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("chip", 7)).ok());
+  ASSERT_TRUE(client.value()->invoke("chip", "plan").ok());
+
+  auto advance = [&](std::int64_t minutes) {
+    JsonObject args;
+    args.set("minutes", Json(minutes));
+    return client.value()->call("chip", "advance", std::move(args));
+  };
+  auto before = advance(0);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before.value().ok);
+  const std::int64_t clock =
+      before.value().result.as_object().at("clock_minutes").as_int();
+
+  for (std::int64_t minutes : {std::int64_t{4611686018427387904},
+                               std::numeric_limits<std::int64_t>::max()}) {
+    auto refused = advance(minutes);
+    ASSERT_TRUE(refused.ok()) << refused.error().str();
+    ASSERT_FALSE(refused.value().ok) << minutes;
+    EXPECT_EQ(refused.value().error.code, util::Error::Code::kInvalid);
+  }
+
+  auto status = client.value()->invoke("chip", "status");
+  ASSERT_TRUE(status.ok()) << status.error().str();
+  auto after = advance(0);
+  ASSERT_TRUE(after.ok());
+  ASSERT_TRUE(after.value().ok);
+  EXPECT_EQ(after.value().result.as_object().at("clock_minutes").as_int(), clock);
   server.value()->stop();
 }
 
