@@ -8,7 +8,6 @@
 #include "bench_main.hpp"
 #include "core/cpm_solver.hpp"
 #include "core/resources.hpp"
-#include "core/worker_pool.hpp"
 #include "util/strings.hpp"
 #include "workloads.hpp"
 
@@ -104,12 +103,11 @@ void print_artifact() {
                "network size — what-if loops and Monte Carlo sampling run on the\n"
                "re-solve path.\n\n";
 
-  std::cout << "Mega-graph: streamed compile + level-parallel re-solve\n"
-               "(layered mega-graph, width 1024, "
-            << sched::WorkerPool::shared().threads() << " pool threads)\n\n";
+  std::cout << "Mega-graph: streamed compile + re-solve\n"
+               "(layered mega-graph, width 1024)\n\n";
   std::cout << util::pad_right("activities", 12) << util::pad_right("compile", 12)
-            << util::pad_right("serial", 12) << util::pad_right("parallel", 12)
-            << "1M budget\n" << util::repeat('-', 58) << "\n";
+            << util::pad_right("re-solve", 12) << "1M budget\n"
+            << util::repeat('-', 46) << "\n";
   for (std::size_t n : {std::size_t{262144}, std::size_t{1048576}}) {
     gen::MegaGraphSpec spec{.seed = 42, .activities = n, .width = 1024};
     auto t0 = std::chrono::steady_clock::now();
@@ -124,30 +122,23 @@ void print_artifact() {
                           .count();
     sched::CpmResult r;
     solver.solve(r);  // warm-up: result buffers allocate once, here
-    auto solve_ms = [&](const sched::SolveOptions& opts) {
-      auto s0 = std::chrono::steady_clock::now();
-      solver.solve(r, opts);
-      benchmark::DoNotOptimize(r.makespan);
-      return std::chrono::duration_cast<std::chrono::milliseconds>(
-                 std::chrono::steady_clock::now() - s0)
-          .count();
-    };
-    auto serial = solve_ms({});
-    auto parallel = solve_ms({.pool = &sched::WorkerPool::shared()});
-    const bool in_budget = n < 1048576 || parallel < 1000;
+    auto s0 = std::chrono::steady_clock::now();
+    solver.solve(r);
+    benchmark::DoNotOptimize(r.makespan);
+    auto solve_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - s0)
+                        .count();
+    const bool in_budget = n < 1048576 || solve_ms < 1000;
     std::cout << util::pad_right(std::to_string(n), 12)
               << util::pad_right(std::to_string(compile_ms) + " ms", 12)
-              << util::pad_right(std::to_string(serial) + " ms", 12)
-              << util::pad_right(std::to_string(parallel) + " ms", 12)
+              << util::pad_right(std::to_string(solve_ms) + " ms", 12)
               << (n == 1048576 ? (in_budget ? "PASS (< 1 s)" : "OVER BUDGET") : "-")
               << "\n";
   }
   std::cout << "\nExpected shape: compile streams the generator twice (count +\n"
-               "fill), so no intermediate adjacency lists are materialized; the\n"
-               "level-parallel passes split each topological level into chunks\n"
-               "over the shared worker pool and stay bit-identical to the serial\n"
-               "solver, so the full 1M-activity re-solve fits inside a second\n"
-               "even single-threaded.\n\n";
+               "fill), so no intermediate adjacency lists are materialized, and\n"
+               "both passes sweep the flat arrays once in index order, so the\n"
+               "full 1M-activity re-solve fits inside a second on one thread.\n\n";
 }
 
 void BM_CpmChain(benchmark::State& state) {
@@ -216,52 +207,33 @@ sched::CpmSolver mega_solver(std::size_t n) {
       .take();
 }
 
-void BM_CpmParallelResolve(benchmark::State& state) {
-  // Full forward+backward re-solve of a layered mega-graph through the
-  // shared worker pool (level-parallel above the serial threshold; on a
-  // single-core host this measures the serial fallback on the same graph).
+void BM_CpmMegaResolve(benchmark::State& state) {
+  // Full forward+backward re-solve of a layered mega-graph.
   auto solver = mega_solver(static_cast<std::size_t>(state.range(0)));
-  sched::SolveOptions opts{.pool = &sched::WorkerPool::shared()};
   sched::CpmResult r;
   std::size_t flip = 0;
   for (auto _ : state) {
     solver.set_duration(flip, solver.duration(flip) ^ 1);
     flip = (flip + 1) % solver.size();
-    solver.solve(r, opts);
+    solver.solve(r);
     benchmark::DoNotOptimize(r.makespan);
   }
 }
-BENCHMARK(BM_CpmParallelResolve)->Arg(65536)->Arg(262144)->Arg(1048576)
+BENCHMARK(BM_CpmMegaResolve)->Arg(65536)->Arg(262144)->Arg(1048576)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_CpmParallelMakespan(benchmark::State& state) {
+void BM_CpmMegaMakespan(benchmark::State& state) {
   // Forward-only mega re-solve: the what-if / crash loop at mega scale.
   auto solver = mega_solver(static_cast<std::size_t>(state.range(0)));
-  sched::SolveOptions opts{.pool = &sched::WorkerPool::shared()};
   std::size_t flip = 0;
   for (auto _ : state) {
     solver.set_duration(flip, solver.duration(flip) ^ 1);
     flip = (flip + 1) % solver.size();
-    benchmark::DoNotOptimize(solver.solve_makespan(opts));
+    benchmark::DoNotOptimize(solver.solve_makespan());
   }
 }
-BENCHMARK(BM_CpmParallelMakespan)->Arg(65536)->Arg(262144)->Arg(1048576)
+BENCHMARK(BM_CpmMegaMakespan)->Arg(65536)->Arg(262144)->Arg(1048576)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_SgsSchedule(benchmark::State& state) {
-  // Priority-rule SGS on a contended random network (cf. BM_LevelSerial:
-  // same input family, event-indexed profiles instead of O(bookings) scans).
-  sched::LevelingInput in;
-  in.activities =
-      bench::random_cpm_network(static_cast<std::size_t>(state.range(0)), 0.5, 7);
-  in.requirements.resize(in.activities.size());
-  in.capacities = {2, 2};
-  for (std::size_t i = 0; i < in.activities.size(); ++i)
-    in.requirements[i] = {i % 2};
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sched::sgs_schedule(in).value().makespan);
-}
-BENCHMARK(BM_SgsSchedule)->Range(16, 16384);
 
 void BM_LevelSerial(benchmark::State& state) {
   sched::LevelingInput in;

@@ -35,10 +35,8 @@ struct CpmResult {
   std::vector<std::int64_t> late_finish;
   std::vector<std::int64_t> total_slack;  ///< LS - ES
   std::vector<std::int64_t> free_slack;   ///< min(succ ES) - EF (makespan for sinks)
-  /// total_slack == 0, one byte per activity (not vector<bool>: the
-  /// level-parallel backward pass writes flags at scattered activity
-  /// indices, which must be distinct memory locations, and bytes are what
-  /// the batched Monte Carlo lane kernel emits).
+  /// total_slack == 0, one byte per activity (not vector<bool>: bytes are
+  /// what the batched Monte Carlo lane kernel emits).
   std::vector<std::uint8_t> critical;
   std::int64_t makespan = 0;              ///< max early_finish (0 if empty)
   /// One longest (critical) path, source to sink, by activity index.

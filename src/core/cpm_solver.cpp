@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
-#include "core/worker_pool.hpp"
 #include "util/topo.hpp"
 
 namespace herc::sched {
@@ -173,40 +173,35 @@ util::Result<CpmSolver> CpmSolver::finalize(CpmSolver s) {
     }
   }
 
-  // Levels.  Forward-indexed networks (every predecessor index below the
-  // activity's own — what every generator and the planner's creation-order
-  // networks produce) are cycle-free by construction and level-computable
-  // in one index-order pass, skipping Kahn's random-access queue entirely.
-  // Blocks are sorted, so "largest pred < v" is one comparison per block.
+  // Topological order.  Forward-indexed networks (every predecessor index
+  // below the activity's own — what every generator and the planner's
+  // creation-order networks produce) are cycle-free by construction and
+  // index order is already topological, so Kahn's random-access queue is
+  // skipped entirely.  Blocks are sorted, so "largest pred < v" is one
+  // comparison per block.
   bool forward_indexed = true;
   for (std::size_t v = 0; v < n && forward_indexed; ++v) {
     const std::uint32_t lo = s.pred_off_[v], hi = s.pred_off_[v + 1];
     if (hi > lo && s.pred_[hi - 1] >= v) forward_indexed = false;
   }
 
-  std::vector<std::uint32_t> level(n, 0);
   if (forward_indexed) {
-    for (std::size_t v = 0; v < n; ++v)
-      for (std::uint32_t e = s.pred_off_[v]; e < s.pred_off_[v + 1]; ++e)
-        level[v] = std::max(level[v], level[s.pred_[e]] + 1);
+    s.order_.resize(n);
+    std::iota(s.order_.begin(), s.order_.end(), std::uint32_t{0});
   } else {
-    // FIFO Kahn over the CSR arrays; levels fall out of the relaxation.
-    std::vector<std::uint32_t> queue;
-    queue.reserve(n);
+    // FIFO Kahn over the CSR arrays; the queue is the order.
+    s.order_.reserve(n);
     std::vector<std::uint32_t> indeg(n);
     for (std::size_t v = 0; v < n; ++v) {
       indeg[v] = s.pred_off_[v + 1] - s.pred_off_[v];
-      if (indeg[v] == 0) queue.push_back(static_cast<std::uint32_t>(v));
+      if (indeg[v] == 0) s.order_.push_back(static_cast<std::uint32_t>(v));
     }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      std::uint32_t v = queue[head];
-      for (std::uint32_t e = s.succ_off_[v]; e < s.succ_off_[v + 1]; ++e) {
-        std::uint32_t t = s.succ_[e];
-        level[t] = std::max(level[t], level[v] + 1);
-        if (--indeg[t] == 0) queue.push_back(t);
-      }
+    for (std::size_t head = 0; head < s.order_.size(); ++head) {
+      const std::uint32_t v = s.order_[head];
+      for (std::uint32_t e = s.succ_off_[v]; e < s.succ_off_[v + 1]; ++e)
+        if (--indeg[s.succ_[e]] == 0) s.order_.push_back(s.succ_[e]);
     }
-    if (queue.size() != n) {
+    if (s.order_.size() != n) {
       // Rare path: rebuild the adjacency form only to name the cycle.
       util::Digraph g(n);
       for (std::size_t i = 0; i < n; ++i)
@@ -218,24 +213,11 @@ util::Result<CpmSolver> CpmSolver::finalize(CpmSolver s) {
     }
   }
 
-  // Level-grouped topological order: counting sort by level, ascending
-  // activity index within each level (stable over the v-ascending fill).
-  std::size_t depth = 0;
-  for (std::size_t v = 0; v < n; ++v)
-    depth = std::max<std::size_t>(depth, level[v] + 1);
-  s.level_off_.assign(depth + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) ++s.level_off_[level[v] + 1];
-  for (std::size_t l = 0; l < depth; ++l) s.level_off_[l + 1] += s.level_off_[l];
-  s.order_.resize(n);
-  std::vector<std::uint32_t> at(s.level_off_.begin(), s.level_off_.end() - 1);
-  for (std::size_t v = 0; v < n; ++v)
-    s.order_[at[level[v]]++] = static_cast<std::uint32_t>(v);
-
   s.stats_.compiles = 1;
   return s;
 }
 
-void CpmSolver::solve(CpmResult& out, const SolveOptions& options) {
+void CpmSolver::solve(CpmResult& out) {
   count_solve();
   const std::size_t n = n_;
   // Every element of every buffer is written unconditionally below, so a
@@ -251,115 +233,34 @@ void CpmSolver::solve(CpmResult& out, const SolveOptions& options) {
   out.critical.resize(n);
   out.makespan = 0;
 
-  const bool parallel = options.pool != nullptr && options.pool->threads() > 1 &&
-                        n >= options.serial_threshold && n > 0;
-  if (!parallel) {
-    // Forward pass: ES = max(release, max pred EF).
-    for (std::uint32_t v : order_) {
-      std::int64_t es = releases_[v];
-      for (std::uint32_t e = pred_off_[v]; e < pred_off_[v + 1]; ++e)
-        es = std::max(es, out.early_finish[pred_[e]]);
-      out.early_start[v] = es;
-      out.early_finish[v] = es + durations_[v];
-      out.makespan = std::max(out.makespan, out.early_finish[v]);
-    }
+  // Forward pass: ES = max(release, max pred EF).
+  for (std::uint32_t v : order_) {
+    std::int64_t es = releases_[v];
+    for (std::uint32_t e = pred_off_[v]; e < pred_off_[v + 1]; ++e)
+      es = std::max(es, out.early_finish[pred_[e]]);
+    out.early_start[v] = es;
+    out.early_finish[v] = es + durations_[v];
+    out.makespan = std::max(out.makespan, out.early_finish[v]);
+  }
 
-    // Backward pass: LF = min succ LS; sinks anchor at the makespan.  Slack
-    // and criticality fall out of the same successor scan (free slack needs
-    // min succ ES, fetched alongside LS), so one traversal covers all of it.
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      std::uint32_t v = *it;
-      std::int64_t lf = out.makespan;
-      std::int64_t min_succ_es = out.makespan;
-      for (std::uint32_t e = succ_off_[v]; e < succ_off_[v + 1]; ++e) {
-        std::uint32_t t = succ_[e];
-        lf = std::min(lf, out.late_start[t]);
-        min_succ_es = std::min(min_succ_es, out.early_start[t]);
-      }
-      const std::int64_t ls = lf - durations_[v];
-      out.late_finish[v] = lf;
-      out.late_start[v] = ls;
-      out.total_slack[v] = ls - out.early_start[v];
-      out.free_slack[v] = min_succ_es - out.early_finish[v];
-      out.critical[v] = ls == out.early_start[v];
+  // Backward pass: LF = min succ LS; sinks anchor at the makespan.  Slack
+  // and criticality fall out of the same successor scan (free slack needs
+  // min succ ES, fetched alongside LS), so one traversal covers all of it.
+  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+    std::uint32_t v = *it;
+    std::int64_t lf = out.makespan;
+    std::int64_t min_succ_es = out.makespan;
+    for (std::uint32_t e = succ_off_[v]; e < succ_off_[v + 1]; ++e) {
+      std::uint32_t t = succ_[e];
+      lf = std::min(lf, out.late_start[t]);
+      min_succ_es = std::min(min_succ_es, out.early_start[t]);
     }
-  } else {
-    ++stats_.parallel_solves;
-    WorkerPool& pool = *options.pool;
-    const std::size_t chunk = std::max<std::size_t>(options.chunk, 1);
-    const std::size_t depth = levels();
-
-    // Level-parallel forward pass.  Every predecessor of a level-L activity
-    // is in a level < L and already final, so chunks of one level write
-    // disjoint slots and read only frozen data.  The makespan folds
-    // per-chunk maxima in ascending chunk order — a fixed reduction order,
-    // independent of which thread ran which chunk.
-    std::int64_t makespan = 0;
-    for (std::size_t l = 0; l < depth; ++l) {
-      const std::size_t lo = level_off_[l], hi = level_off_[l + 1];
-      const std::size_t width = hi - lo;
-      auto run_span = [&](std::size_t b, std::size_t e) {
-        std::int64_t local = 0;
-        for (std::size_t k = b; k < e; ++k) {
-          const std::uint32_t v = order_[k];
-          std::int64_t es = releases_[v];
-          for (std::uint32_t ed = pred_off_[v]; ed < pred_off_[v + 1]; ++ed)
-            es = std::max(es, out.early_finish[pred_[ed]]);
-          out.early_start[v] = es;
-          out.early_finish[v] = es + durations_[v];
-          local = std::max(local, out.early_finish[v]);
-        }
-        return local;
-      };
-      if (width <= chunk) {
-        makespan = std::max(makespan, run_span(lo, hi));
-      } else {
-        const std::size_t chunks = (width + chunk - 1) / chunk;
-        chunk_max_.assign(chunks, 0);
-        pool.run(static_cast<int>(chunks), [&](int c) {
-          const std::size_t b = lo + static_cast<std::size_t>(c) * chunk;
-          chunk_max_[static_cast<std::size_t>(c)] =
-              run_span(b, std::min(hi, b + chunk));
-        });
-        for (std::size_t c = 0; c < chunks; ++c)
-          makespan = std::max(makespan, chunk_max_[c]);
-      }
-    }
-    out.makespan = makespan;
-
-    // Level-parallel backward pass, highest level first: every successor is
-    // in a later (already finalized) level.
-    for (std::size_t l = depth; l-- > 0;) {
-      const std::size_t lo = level_off_[l], hi = level_off_[l + 1];
-      const std::size_t width = hi - lo;
-      auto run_span = [&](std::size_t b, std::size_t e) {
-        for (std::size_t k = b; k < e; ++k) {
-          const std::uint32_t v = order_[k];
-          std::int64_t lf = makespan;
-          std::int64_t min_succ_es = makespan;
-          for (std::uint32_t ed = succ_off_[v]; ed < succ_off_[v + 1]; ++ed) {
-            const std::uint32_t t = succ_[ed];
-            lf = std::min(lf, out.late_start[t]);
-            min_succ_es = std::min(min_succ_es, out.early_start[t]);
-          }
-          const std::int64_t ls = lf - durations_[v];
-          out.late_finish[v] = lf;
-          out.late_start[v] = ls;
-          out.total_slack[v] = ls - out.early_start[v];
-          out.free_slack[v] = min_succ_es - out.early_finish[v];
-          out.critical[v] = ls == out.early_start[v];
-        }
-      };
-      if (width <= chunk) {
-        run_span(lo, hi);
-      } else {
-        const std::size_t chunks = (width + chunk - 1) / chunk;
-        pool.run(static_cast<int>(chunks), [&](int c) {
-          const std::size_t b = lo + static_cast<std::size_t>(c) * chunk;
-          run_span(b, std::min(hi, b + chunk));
-        });
-      }
-    }
+    const std::int64_t ls = lf - durations_[v];
+    out.late_finish[v] = lf;
+    out.late_start[v] = ls;
+    out.total_slack[v] = ls - out.early_start[v];
+    out.free_slack[v] = min_succ_es - out.early_finish[v];
+    out.critical[v] = ls == out.early_start[v];
   }
 
   // One critical path: walk forward from a critical source, always stepping
@@ -407,56 +308,16 @@ void CpmSolver::solve(CpmResult& out, const SolveOptions& options) {
   }
 }
 
-std::int64_t CpmSolver::solve_makespan(const SolveOptions& options) {
+std::int64_t CpmSolver::solve_makespan() {
   count_solve();
   scratch_ef_.resize(n_);
-  const bool parallel = options.pool != nullptr && options.pool->threads() > 1 &&
-                        n_ >= options.serial_threshold && n_ > 0;
-  if (!parallel) {
-    std::int64_t makespan = 0;
-    for (std::uint32_t v : order_) {
-      std::int64_t es = releases_[v];
-      for (std::uint32_t e = pred_off_[v]; e < pred_off_[v + 1]; ++e)
-        es = std::max(es, scratch_ef_[pred_[e]]);
-      scratch_ef_[v] = es + durations_[v];
-      makespan = std::max(makespan, scratch_ef_[v]);
-    }
-    return makespan;
-  }
-
-  ++stats_.parallel_solves;
-  WorkerPool& pool = *options.pool;
-  const std::size_t chunk = std::max<std::size_t>(options.chunk, 1);
-  const std::size_t depth = levels();
   std::int64_t makespan = 0;
-  for (std::size_t l = 0; l < depth; ++l) {
-    const std::size_t lo = level_off_[l], hi = level_off_[l + 1];
-    const std::size_t width = hi - lo;
-    auto run_span = [&](std::size_t b, std::size_t e) {
-      std::int64_t local = 0;
-      for (std::size_t k = b; k < e; ++k) {
-        const std::uint32_t v = order_[k];
-        std::int64_t es = releases_[v];
-        for (std::uint32_t ed = pred_off_[v]; ed < pred_off_[v + 1]; ++ed)
-          es = std::max(es, scratch_ef_[pred_[ed]]);
-        scratch_ef_[v] = es + durations_[v];
-        local = std::max(local, scratch_ef_[v]);
-      }
-      return local;
-    };
-    if (width <= chunk) {
-      makespan = std::max(makespan, run_span(lo, hi));
-    } else {
-      const std::size_t chunks = (width + chunk - 1) / chunk;
-      chunk_max_.assign(chunks, 0);
-      pool.run(static_cast<int>(chunks), [&](int c) {
-        const std::size_t b = lo + static_cast<std::size_t>(c) * chunk;
-        chunk_max_[static_cast<std::size_t>(c)] =
-            run_span(b, std::min(hi, b + chunk));
-      });
-      for (std::size_t c = 0; c < chunks; ++c)
-        makespan = std::max(makespan, chunk_max_[c]);
-    }
+  for (std::uint32_t v : order_) {
+    std::int64_t es = releases_[v];
+    for (std::uint32_t e = pred_off_[v]; e < pred_off_[v + 1]; ++e)
+      es = std::max(es, scratch_ef_[pred_[e]]);
+    scratch_ef_[v] = es + durations_[v];
+    makespan = std::max(makespan, scratch_ef_[v]);
   }
   return makespan;
 }

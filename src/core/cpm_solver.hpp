@@ -9,22 +9,14 @@
 //
 //   compile()  — once per network: validate, build flat CSR successor /
 //                predecessor arrays (predecessor blocks sorted ascending,
-//                successor lists pre-sorted by activity index), partition
-//                the activities into topological *levels*, run the cycle
-//                check.  compile_stream() is the bounded-memory variant for
-//                mega-graphs: activities stream in, only the flat SoA/CSR
-//                arrays are ever materialized.
+//                successor lists pre-sorted by activity index), fix one
+//                topological order, run the cycle check.  compile_stream()
+//                is the bounded-memory variant for mega-graphs: activities
+//                stream in, only the flat SoA/CSR arrays are ever
+//                materialized.
 //   solve()    — per scenario: forward/backward passes plus critical-path
 //                extraction into a caller-owned CpmResult.  After the first
 //                solve every buffer is reused: zero allocation per solve.
-//                With a SolveOptions::pool, each level is chunked across a
-//                WorkerPool — every activity in a level depends only on
-//                strictly earlier levels, so chunks write disjoint slots and
-//                the result is bit-identical to the serial pass at any
-//                thread count (the makespan reduction folds per-chunk
-//                maxima in fixed chunk order).  Networks below
-//                serial_threshold take the serial path unchanged, so small
-//                solves never pay fork/join latency.
 //   solve_batch() — the Monte Carlo lane kernel: W duration scenarios laid
 //                out lane-contiguous ([activity * lanes + lane]) solved in
 //                one forward/backward sweep.  The inner loops are plain
@@ -50,21 +42,6 @@
 
 namespace herc::sched {
 
-class WorkerPool;
-
-/// Per-solve execution knobs.  Defaults reproduce the serial kernel; pass a
-/// pool to opt into the level-parallel path on big networks.
-struct SolveOptions {
-  /// Worker pool for the level-parallel passes; nullptr = always serial.
-  WorkerPool* pool = nullptr;
-  /// Networks smaller than this stay serial even with a pool — fork/join
-  /// latency would swamp the pass itself (16k activities solve in ~0.5 ms).
-  std::size_t serial_threshold = 32768;
-  /// Activities per parallel task within one level; levels at most one
-  /// chunk wide are processed inline on the calling thread.
-  std::size_t chunk = 4096;
-};
-
 class CpmSolver {
  public:
   /// Counters since construction or the last take_stats().  A solve is
@@ -74,16 +51,14 @@ class CpmSolver {
     std::uint64_t compiles = 0;
     std::uint64_t solves = 0;
     std::uint64_t incremental_solves = 0;
-    std::uint64_t parallel_solves = 0;  ///< solves that took the level-parallel path
-    std::uint64_t batched_lanes = 0;    ///< Monte Carlo lanes solved via solve_batch
+    std::uint64_t batched_lanes = 0;  ///< Monte Carlo lanes solved via solve_batch
   };
 
   CpmSolver() = default;
 
-  /// Compiles `activities` into level-partitioned CSR form.  Fails
-  /// (kInvalid) on a negative duration or release, an out-of-range
-  /// predecessor, or a precedence cycle — the same conditions as
-  /// compute_cpm, checked exactly once.
+  /// Compiles `activities` into CSR form.  Fails (kInvalid) on a negative
+  /// duration or release, an out-of-range predecessor, or a precedence
+  /// cycle — the same conditions as compute_cpm, checked exactly once.
   [[nodiscard]] static util::Result<CpmSolver> compile(
       const std::vector<CpmActivity>& activities);
 
@@ -105,11 +80,6 @@ class CpmSolver {
       std::size_t n, const std::function<void(const ActivitySink&)>& stream);
 
   [[nodiscard]] std::size_t size() const { return n_; }
-  /// Topological depth of the compiled network (0 for an empty one): the
-  /// number of levels the parallel passes sweep.
-  [[nodiscard]] std::size_t levels() const {
-    return level_off_.empty() ? 0 : level_off_.size() - 1;
-  }
   [[nodiscard]] std::int64_t duration(std::size_t i) const { return durations_[i]; }
   [[nodiscard]] std::int64_t release(std::size_t i) const { return releases_[i]; }
 
@@ -122,18 +92,11 @@ class CpmSolver {
 
   /// Full CPM solution into `out`, reusing its buffers.  Infallible: the
   /// compiled structure is acyclic and values are non-negative.
-  void solve(CpmResult& out) { solve(out, SolveOptions{}); }
-  /// As above; with options.pool set and the network at or above
-  /// options.serial_threshold, runs the level-parallel passes.  Output is
-  /// bit-identical to the serial path at any thread count.
-  void solve(CpmResult& out, const SolveOptions& options);
+  void solve(CpmResult& out);
 
   /// Forward pass only (early dates internally, returns the makespan).
   /// The cheapest probe for duration-swap loops like drag.
-  [[nodiscard]] std::int64_t solve_makespan() {
-    return solve_makespan(SolveOptions{});
-  }
-  [[nodiscard]] std::int64_t solve_makespan(const SolveOptions& options);
+  [[nodiscard]] std::int64_t solve_makespan();
 
   /// Monte Carlo lane kernel.  `durations` holds `lanes` duration scenarios
   /// laid out lane-contiguous: durations[i * lanes + l] is activity i's
@@ -155,9 +118,9 @@ class CpmSolver {
   }
 
  private:
-  /// Shared compile tail: pred blocks sorted, levels computed (index-order
-  /// fast path for forward-indexed networks, CSR Kahn otherwise), cycle
-  /// check, level-grouped topological order built.
+  /// Shared compile tail: pred blocks sorted, topological order fixed
+  /// (index order for forward-indexed networks, CSR Kahn otherwise), cycle
+  /// check.
   [[nodiscard]] static util::Result<CpmSolver> finalize(CpmSolver s);
 
   void count_solve() {
@@ -183,14 +146,9 @@ class CpmSolver {
   // on random shapes.
   std::vector<std::uint32_t> succ_off_, succ_;
   std::vector<std::uint32_t> pred_off_, pred_;
-  // Topological order grouped by level: order_[level_off_[L] ..
-  // level_off_[L+1]) is level L, ascending activity index within the level.
-  // Every predecessor of a level-L activity lives in a level < L, which is
-  // the invariant the parallel passes rely on.
+  // Topological order: every predecessor of order_[k] appears before k.
   std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> level_off_;
   std::vector<std::int64_t> scratch_ef_;  ///< solve_makespan early finishes
-  std::vector<std::int64_t> chunk_max_;   ///< per-chunk makespan maxima
   std::vector<std::int64_t> batch_es_, batch_ef_, batch_ls_;  ///< lane scratch
   Stats stats_;
   bool solved_once_ = false;
@@ -198,9 +156,8 @@ class CpmSolver {
 
 /// Publishes a solver's taken Stats as one `cpm.solver` scope event (the
 /// MetricsRegistry turns it into solver_compiles / solver_solves /
-/// solver_incremental_solves / solver_parallel_solves /
-/// solver_batched_lanes counters).  No-op when the bus is off or the stats
-/// are empty, so hot paths pay one atomic load.
+/// solver_incremental_solves / solver_batched_lanes counters).  No-op when
+/// the bus is off or the stats are empty, so hot paths pay one atomic load.
 inline void publish_solver_stats(obs::EventBus* bus, std::string category,
                                  const CpmSolver::Stats& stats) {
   if (!obs::on(bus)) return;
@@ -212,8 +169,6 @@ inline void publish_solver_stats(obs::EventBus* bus, std::string category,
   e.args = {{"compiles", std::to_string(stats.compiles)},
             {"solves", std::to_string(stats.solves)},
             {"resolves", std::to_string(stats.incremental_solves)}};
-  if (stats.parallel_solves > 0)
-    e.args.push_back({"parallel", std::to_string(stats.parallel_solves)});
   if (stats.batched_lanes > 0)
     e.args.push_back({"batched", std::to_string(stats.batched_lanes)});
   bus->publish(std::move(e));

@@ -115,9 +115,7 @@ util::Result<ScheduleRunId> Planner::plan(const flow::TaskTree& tree,
     for (std::size_t i = 0; i < created.size(); ++i)
       for (util::ResourceId r : space_->node(created[i]).resources)
         lvl.requirements[i].push_back(r.value() - 1);
-    auto leveled = request.leveling_rule
-                       ? sgs_schedule(lvl, {.rule = *request.leveling_rule})
-                       : level_serial(lvl);
+    auto leveled = level_serial(lvl);
     if (!leveled.ok()) return leveled.error();
     start = leveled.value().start;
     finish = leveled.value().finish;

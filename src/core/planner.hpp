@@ -35,11 +35,6 @@ struct PlanRequest {
   /// Apply serial resource leveling after CPM (requires assignments to refer
   /// to resources registered in the database, whose capacities are used).
   bool level_resources = false;
-  /// When set (and level_resources is true), level through the
-  /// priority-rule RCPSP SGS (sgs_schedule) with this rule instead of the
-  /// legacy CPM-early-start level_serial — the scalable path for large
-  /// resource-constrained plans.
-  std::optional<PriorityRule> leveling_rule;
   /// Plan-evolution metadata: the plan this one refines (paper Fig. 5 shows
   /// several schedule-instance versions from successive plans).
   ScheduleRunId derived_from;

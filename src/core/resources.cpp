@@ -1,12 +1,8 @@
 #include "core/resources.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <queue>
 #include <set>
-
-#include "core/cpm_solver.hpp"
 
 namespace herc::sched {
 
@@ -16,17 +12,31 @@ namespace {
 struct ResourceTimeline {
   struct Interval {
     std::int64_t start, finish;
+    int units;
   };
   std::vector<Interval> booked;
 
-  /// Concurrent bookings covering instant t (intervals are half-open).
+  /// Units booked across instant t (intervals are half-open).
   [[nodiscard]] int usage_at(std::int64_t t) const {
     int n = 0;
     for (const auto& iv : booked)
-      if (iv.start <= t && t < iv.finish) ++n;
+      if (iv.start <= t && t < iv.finish) n += iv.units;
     return n;
   }
 };
+
+/// Units per distinct resource in one requirement list, in first-appearance
+/// order: a repeated entry is another unit of the same resource.
+void count_units(const std::vector<std::size_t>& reqs,
+                 std::vector<std::pair<std::size_t, int>>& out) {
+  out.clear();
+  for (std::size_t r : reqs) {
+    auto it = std::find_if(out.begin(), out.end(),
+                           [r](const auto& d) { return d.first == r; });
+    if (it == out.end()) out.emplace_back(r, 1);
+    else ++it->second;
+  }
+}
 
 }  // namespace
 
@@ -36,10 +46,20 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
     return util::invalid("leveling: requirements size mismatch");
   for (int c : input.capacities)
     if (c <= 0) return util::invalid("leveling: capacities must be positive");
-  for (const auto& reqs : input.requirements)
-    for (std::size_t r : reqs)
+  std::vector<std::pair<std::size_t, int>> need;  // (resource, units), reused
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r : input.requirements[i])
       if (r >= input.capacities.size())
         return util::invalid("leveling: unknown resource index " + std::to_string(r));
+    // No instant can fit demand above capacity; placing it would over-book.
+    count_units(input.requirements[i], need);
+    for (auto [r, units] : need)
+      if (units > input.capacities[r])
+        return util::invalid("leveling: activity " + std::to_string(i) + " requires " +
+                             std::to_string(units) + " units of resource " +
+                             std::to_string(r) + " but its capacity is " +
+                             std::to_string(input.capacities[r]));
+  }
   if (!input.blocked.empty() && input.blocked.size() != input.capacities.size())
     return util::invalid("leveling: blocked windows must cover every resource");
 
@@ -60,14 +80,13 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
   out.finish.assign(n, 0);
   std::vector<bool> placed(n, false);
   std::vector<ResourceTimeline> timelines(input.capacities.size());
-  // Time-off windows saturate the resource: book them capacity times so no
+  // Time-off windows saturate the resource: book all of its capacity so no
   // activity can be placed across them.
   if (!input.blocked.empty()) {
     for (std::size_t r = 0; r < timelines.size(); ++r)
       for (auto [s, e] : input.blocked[r]) {
         if (e <= s) return util::invalid("leveling: empty blocked window");
-        for (int k = 0; k < input.capacities[r]; ++k)
-          timelines[r].booked.push_back({s, e});
+        timelines[r].booked.push_back({s, e, input.capacities[r]});
       }
   }
 
@@ -94,32 +113,33 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
     if (chosen == n) return util::invalid("leveling: precedence cycle");
 
     const CpmActivity& act = input.activities[chosen];
+    count_units(input.requirements[chosen], need);
     std::int64_t earliest = act.release;
     for (std::size_t p : act.preds) earliest = std::max(earliest, out.finish[p]);
 
     // Candidate start times: `earliest` plus every booked-interval finish
     // after it on a required resource (capacity can only free up there).
     std::set<std::int64_t> candidates{earliest};
-    for (std::size_t r : input.requirements[chosen])
+    for (auto [r, units] : need)
       for (const auto& iv : timelines[r].booked)
         if (iv.finish > earliest) candidates.insert(iv.finish);
 
     std::int64_t start = earliest;
     for (std::int64_t t : candidates) {
-      // Feasible iff every required resource stays under capacity across
+      // Feasible iff every required resource has `units` spare across
       // [t, t+dur).  Usage only changes at booked-interval starts, so check
       // t and each booked start inside the window.
       bool feasible = true;
-      for (std::size_t r : input.requirements[chosen]) {
+      for (auto [r, units] : need) {
         const auto& tl = timelines[r];
-        int cap = input.capacities[r];
-        if (tl.usage_at(t) >= cap) {
+        const int room = input.capacities[r] - units;
+        if (tl.usage_at(t) > room) {
           feasible = false;
           break;
         }
         for (const auto& iv : tl.booked) {
           if (iv.start > t && iv.start < t + act.duration &&
-              tl.usage_at(iv.start) >= cap) {
+              tl.usage_at(iv.start) > room) {
             feasible = false;
             break;
           }
@@ -137,197 +157,10 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
     out.start[chosen] = start;
     out.finish[chosen] = start + act.duration;
     out.makespan = std::max(out.makespan, out.finish[chosen]);
-    for (std::size_t r : input.requirements[chosen])
-      timelines[r].booked.push_back({start, out.finish[chosen]});
+    for (auto [r, units] : need)
+      timelines[r].booked.push_back({start, out.finish[chosen], units});
     placed[chosen] = true;
   }
-
-  return out;
-}
-
-namespace {
-
-/// Piecewise-constant usage level of one resource, keyed by the instants
-/// where it changes: steps_[t] = usage from t (inclusive) until the next
-/// key; level before the first key and after the last is 0 (bookings are
-/// finite, and ensure() preserves that invariant).  Queries and bookings
-/// are O(log events + events touched) instead of level_serial's
-/// O(bookings) rescans — the difference between planning-sized and
-/// mega-project-sized networks.
-class UsageProfile {
- public:
-  [[nodiscard]] int at(std::int64_t t) const {
-    auto it = steps_.upper_bound(t);
-    return it == steps_.begin() ? 0 : std::prev(it)->second;
-  }
-
-  /// Adds `units` over [s, e).
-  void add(std::int64_t s, std::int64_t e, int units) {
-    if (s >= e) return;
-    ensure(s);
-    ensure(e);
-    for (auto it = steps_.find(s); it->first < e; ++it) it->second += units;
-  }
-
-  /// Earliest t >= from where usage + units <= cap holds throughout
-  /// [t, t + dur).  Precondition: units <= cap (the trailing level is 0, so
-  /// the search always terminates).  dur == 0 never conflicts.
-  [[nodiscard]] std::int64_t find_slot(std::int64_t from, std::int64_t dur,
-                                       int units, int cap) const {
-    if (dur == 0) return from;
-    std::int64_t t = from;
-    for (;;) {
-      if (at(t) + units > cap) {
-        // Conflict at t itself: jump to the next instant the level drops
-        // far enough.
-        auto it = steps_.upper_bound(t);
-        while (it != steps_.end() && it->second + units > cap) ++it;
-        if (it == steps_.end()) return t;  // unreachable when units <= cap
-        t = it->first;
-        continue;
-      }
-      // Level at t fits; scan the boundaries inside (t, t + dur).
-      auto it = steps_.upper_bound(t);
-      while (it != steps_.end() && it->first < t + dur &&
-             it->second + units <= cap)
-        ++it;
-      if (it == steps_.end() || it->first >= t + dur) return t;
-      while (it != steps_.end() && it->second + units > cap) ++it;
-      if (it == steps_.end()) return t + dur;  // unreachable when units <= cap
-      t = it->first;
-    }
-  }
-
- private:
-  /// Materializes a boundary at t carrying the level already in effect.
-  void ensure(std::int64_t t) {
-    auto it = steps_.find(t);
-    if (it == steps_.end()) steps_.emplace(t, at(t));
-  }
-
-  std::map<std::int64_t, int> steps_;
-};
-
-}  // namespace
-
-const char* priority_rule_name(PriorityRule rule) {
-  switch (rule) {
-    case PriorityRule::kLst: return "lst";
-    case PriorityRule::kLft: return "lft";
-    case PriorityRule::kMinSlack: return "minslack";
-  }
-  return "?";
-}
-
-util::Result<LevelingResult> sgs_schedule(const LevelingInput& input,
-                                          const SgsOptions& options) {
-  const std::size_t n = input.activities.size();
-  if (input.requirements.size() != n)
-    return util::invalid("leveling: requirements size mismatch");
-  for (int c : input.capacities)
-    if (c <= 0) return util::invalid("leveling: capacities must be positive");
-  for (const auto& reqs : input.requirements)
-    for (std::size_t r : reqs)
-      if (r >= input.capacities.size())
-        return util::invalid("leveling: unknown resource index " + std::to_string(r));
-  if (!input.blocked.empty() && input.blocked.size() != input.capacities.size())
-    return util::invalid("leveling: blocked windows must cover every resource");
-
-  // One unconstrained CPM solve supplies the cycle check and every
-  // priority key the rules draw from.
-  auto compiled = CpmSolver::compile(input.activities);
-  if (!compiled.ok()) return compiled.error();
-  CpmResult cpm;
-  compiled.value().solve(cpm);
-
-  // Aggregate per-activity resource demand (a repeated requirement entry
-  // means another unit) and reject demand no instant can ever satisfy —
-  // level_serial silently over-books in that corner; SGS refuses.
-  std::vector<std::map<std::size_t, int>> demand(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r : input.requirements[i]) ++demand[i][r];
-    for (const auto& [r, units] : demand[i])
-      if (units > input.capacities[r])
-        return util::invalid("leveling: activity " + std::to_string(i) +
-                             " requires " + std::to_string(units) +
-                             " units of resource " + std::to_string(r) +
-                             " but its capacity is " +
-                             std::to_string(input.capacities[r]));
-  }
-
-  std::vector<UsageProfile> profiles(input.capacities.size());
-  if (!input.blocked.empty()) {
-    for (std::size_t r = 0; r < profiles.size(); ++r)
-      for (auto [s, e] : input.blocked[r]) {
-        if (e <= s) return util::invalid("leveling: empty blocked window");
-        // Saturate the pool across the window: nothing fits inside it.
-        profiles[r].add(std::max<std::int64_t>(0, s), e, input.capacities[r]);
-      }
-  }
-
-  // Priority key per rule; smaller schedules earlier, ties by index.
-  auto key = [&](std::size_t i) {
-    switch (options.rule) {
-      case PriorityRule::kLst: return cpm.late_start[i];
-      case PriorityRule::kLft: return cpm.late_finish[i];
-      case PriorityRule::kMinSlack: return cpm.total_slack[i];
-    }
-    return cpm.late_finish[i];
-  };
-
-  // Serial SGS: a min-heap of eligible activities (all predecessors
-  // placed), popped in (key, index) order.  Successor lists mirror the
-  // predecessor multiset so duplicate edges stay balanced.
-  std::vector<std::uint32_t> indeg(n, 0);
-  std::vector<std::vector<std::uint32_t>> succs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    indeg[i] = static_cast<std::uint32_t>(input.activities[i].preds.size());
-    for (std::size_t p : input.activities[i].preds)
-      succs[p].push_back(static_cast<std::uint32_t>(i));
-  }
-  using Entry = std::pair<std::int64_t, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> eligible;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) eligible.emplace(key(i), i);
-
-  LevelingResult out;
-  out.start.assign(n, 0);
-  out.finish.assign(n, 0);
-  std::size_t placed = 0;
-  while (!eligible.empty()) {
-    const std::size_t i = eligible.top().second;
-    eligible.pop();
-    const CpmActivity& act = input.activities[i];
-
-    std::int64_t t = act.release;
-    for (std::size_t p : act.preds) t = std::max(t, out.finish[p]);
-    // Fixed-point across the required pools: each pool pushes t to its own
-    // earliest feasible slot until every pool agrees.  t only grows and is
-    // bounded by the last booked instant (all profiles drop to 0 there), so
-    // the loop terminates.
-    for (bool settled = false; !settled;) {
-      settled = true;
-      for (const auto& [r, units] : demand[i]) {
-        const std::int64_t slot = profiles[r].find_slot(
-            t, act.duration, units, input.capacities[r]);
-        if (slot != t) {
-          t = slot;
-          settled = false;
-          break;
-        }
-      }
-    }
-
-    out.start[i] = t;
-    out.finish[i] = t + act.duration;
-    out.makespan = std::max(out.makespan, out.finish[i]);
-    for (const auto& [r, units] : demand[i])
-      profiles[r].add(t, out.finish[i], units);
-    ++placed;
-    for (std::uint32_t s : succs[i])
-      if (--indeg[s] == 0) eligible.emplace(key(s), s);
-  }
-  if (placed != n) return util::invalid("leveling: precedence cycle");
 
   return out;
 }

@@ -21,8 +21,9 @@ namespace herc::sched {
 
 struct LevelingInput {
   std::vector<CpmActivity> activities;
-  /// requirements[i] = indices of resources activity i occupies (1 unit each
-  /// for its whole duration).  May be empty (no constraint).
+  /// requirements[i] = indices of resources activity i occupies for its
+  /// whole duration, one unit per entry (a repeated index takes another
+  /// unit).  May be empty (no constraint).
   std::vector<std::vector<std::size_t>> requirements;
   /// capacities[r] = units of resource r available concurrently (>= 1).
   std::vector<int> capacities;
@@ -39,47 +40,12 @@ struct LevelingResult {
 };
 
 /// Serial schedule-generation scheme.  Fails (kInvalid) on a precedence
-/// cycle, an unknown resource index, or a non-positive capacity.
+/// cycle, an unknown resource index, a non-positive capacity, or an activity
+/// needing more units of a resource than its capacity.
 ///
 /// Guarantees: precedence respected; per-resource concurrent usage never
 /// exceeds capacity; every start >= the activity's release and CPM early
 /// start; result is deterministic (ties broken by activity index).
 [[nodiscard]] util::Result<LevelingResult> level_serial(const LevelingInput& input);
-
-/// Priority rule for the RCPSP serial schedule-generation scheme: which
-/// eligible activity is placed next.  All three are computed from one CPM
-/// solve of the unconstrained network — the classic heuristics from the
-/// RCPSP literature (mega-project scheduling is resource-constrained;
-/// priority-rule SGS is the standard scalable heuristic family for it).
-enum class PriorityRule {
-  kLst,       ///< smallest CPM late start first
-  kLft,       ///< smallest CPM late finish first (usually the strongest)
-  kMinSlack,  ///< smallest total slack first (most critical first)
-};
-[[nodiscard]] const char* priority_rule_name(PriorityRule rule);
-
-struct SgsOptions {
-  PriorityRule rule = PriorityRule::kLft;
-};
-
-/// Resource-constrained serial SGS over the same LevelingInput (resource
-/// pools, 1 unit per requirement, calendar time-off as blocked windows).
-/// Repeatedly places the highest-priority *eligible* activity (all
-/// predecessors placed) at the earliest time every required resource has
-/// spare capacity for its whole duration.
-///
-/// Differences from level_serial: the placement order follows the chosen
-/// priority rule instead of CPM early start, and the resource timelines are
-/// event-indexed usage profiles instead of O(bookings) scans — the
-/// placement loop is O(n log n + conflict events), which is what lets
-/// resource pools constrain six-figure activity networks.
-///
-/// Guarantees: precedence respected; per-resource concurrent usage never
-/// exceeds capacity at any instant; every start >= the activity's release;
-/// makespan >= the CPM (resource-unconstrained) lower bound; deterministic
-/// (priority ties broken by activity index).  Same error conditions as
-/// level_serial.
-[[nodiscard]] util::Result<LevelingResult> sgs_schedule(
-    const LevelingInput& input, const SgsOptions& options = {});
 
 }  // namespace herc::sched

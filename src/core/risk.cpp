@@ -187,7 +187,6 @@ util::Result<RiskReport> analyze_risk(const ScheduleSpace& space,
     stats.compiles += acc.stats.compiles;
     stats.solves += acc.stats.solves;
     stats.incremental_solves += acc.stats.incremental_solves;
-    stats.parallel_solves += acc.stats.parallel_solves;
     stats.batched_lanes += acc.stats.batched_lanes;
   }
   publish_solver_stats(options.bus, "risk", stats);

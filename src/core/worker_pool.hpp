@@ -1,11 +1,10 @@
 #pragma once
 // Reusable worker pool for data-parallel scheduling kernels.
 //
-// PR 2's analyze_risk spawned a fresh std::thread per worker on every call;
-// at server rates that is thousands of thread creations per second, and the
-// level-parallel CPM passes need sub-millisecond fork/join, which thread
-// spawn latency (tens of microseconds each) would dominate.  WorkerPool
-// keeps its threads parked on a condition variable between regions.
+// Spawning a fresh std::thread per worker on every analyze_risk call would
+// mean thousands of thread creations per second at server rates, each
+// costing tens of microseconds.  WorkerPool keeps its threads parked on a
+// condition variable between regions.
 //
 // The only primitive is run(tasks, fn): execute fn(0..tasks-1), each task
 // exactly once, across the pool *and the calling thread*, returning when
@@ -15,9 +14,9 @@
 // Which thread runs which task is nondeterministic — determinism is the
 // caller's contract: tasks must write results only at task-indexed slots
 // (disjoint per task) and any reduction must happen on the caller's thread
-// in task-index order after run() returns.  Every kernel in this repo
-// (level-chunked CPM passes, Monte Carlo sample blocks) follows that rule,
-// which is how results stay bit-identical at any thread count.
+// in task-index order after run() returns.  analyze_risk's Monte Carlo
+// sample blocks follow that rule, which is how its report stays
+// bit-identical at any thread count.
 //
 // run() is serialized internally (concurrent callers queue on a mutex) and
 // must not be re-entered from inside a task.  Tasks must not throw.

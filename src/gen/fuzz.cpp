@@ -13,7 +13,6 @@
 
 #include "core/cpm_solver.hpp"
 #include "core/risk.hpp"
-#include "core/worker_pool.hpp"
 #include "gen/conformance.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/persist.hpp"
@@ -123,20 +122,6 @@ void check_cpm(const Scenario& scenario, Mutation mutation, Failures& fail) {
       incremental.critical_path != full.value().critical_path)
     fail.add(kOracleCpm, "cpm.incremental",
              "incrementally re-solved CpmSolver diverged from compute_cpm");
-
-  // Level-parallel leg: the blocked passes over a multi-thread pool must be
-  // byte-identical to the serial solve (threshold forced to 0 so even the
-  // fuzzer's small networks take the parallel path, with a tiny chunk so
-  // every level actually splits).
-  {
-    static sched::WorkerPool pool(4);
-    sched::CpmResult par;
-    solver.solve(par, {.pool = &pool, .serial_threshold = 0, .chunk = 3});
-    if (!same_cpm(par, full.value()) ||
-        par.critical_path != full.value().critical_path)
-      fail.add(kOracleCpm, "cpm.parallel",
-               "level-parallel solve diverged from the serial solver");
-  }
 
   // Batched leg: identical durations in every lane must reproduce the
   // serial makespan and criticality per lane.

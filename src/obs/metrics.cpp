@@ -145,7 +145,6 @@ void MetricsRegistry::on_event(const Event& event) {
           if (key == "compiles") counters_["solver_compiles"] += delta;
           else if (key == "solves") counters_["solver_solves"] += delta;
           else if (key == "resolves") counters_["solver_incremental_solves"] += delta;
-          else if (key == "parallel") counters_["solver_parallel_solves"] += delta;
           else if (key == "batched") counters_["solver_batched_lanes"] += delta;
         }
       }

@@ -5,15 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/cpm_solver.hpp"
-#include "core/worker_pool.hpp"
 #include "gen/gen.hpp"
 #include "util/rng.hpp"
 
 namespace herc::sched {
 namespace {
 
-void expect_same_result(const CpmResult& got, const CpmResult& want) {
+/// Every field except the critical path.
+void expect_same_dates(const CpmResult& got, const CpmResult& want) {
   EXPECT_EQ(got.early_start, want.early_start);
   EXPECT_EQ(got.early_finish, want.early_finish);
   EXPECT_EQ(got.late_start, want.late_start);
@@ -22,6 +24,10 @@ void expect_same_result(const CpmResult& got, const CpmResult& want) {
   EXPECT_EQ(got.free_slack, want.free_slack);
   EXPECT_EQ(got.critical, want.critical);
   EXPECT_EQ(got.makespan, want.makespan);
+}
+
+void expect_same_result(const CpmResult& got, const CpmResult& want) {
+  expect_same_dates(got, want);
   EXPECT_EQ(got.critical_path, want.critical_path);
 }
 
@@ -134,6 +140,23 @@ TEST(CpmSolver, StatsCountCompileSolveAndIncrementals) {
 
 class CpmSolverProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// `r`, solved on a copy whose activity i sits at label[i], mapped back to
+/// the original indices.  The critical path is left as solved: its
+/// tie-breaks follow index order, so it may differ between the two.
+CpmResult unrelabel(const CpmResult& r, const std::vector<std::size_t>& label) {
+  CpmResult back = r;
+  for (std::size_t i = 0; i < label.size(); ++i) {
+    back.early_start[i] = r.early_start[label[i]];
+    back.early_finish[i] = r.early_finish[label[i]];
+    back.late_start[i] = r.late_start[label[i]];
+    back.late_finish[i] = r.late_finish[label[i]];
+    back.total_slack[i] = r.total_slack[label[i]];
+    back.free_slack[i] = r.free_slack[label[i]];
+    back.critical[i] = r.critical[label[i]];
+  }
+  return back;
+}
+
 TEST_P(CpmSolverProperty, IncrementalSolveMatchesFreshComputeCpm) {
   util::Rng rng(GetParam());
   auto acts = gen::random_cpm_dag(rng, 50, 0.08);
@@ -142,22 +165,51 @@ TEST_P(CpmSolverProperty, IncrementalSolveMatchesFreshComputeCpm) {
   solver.solve(incremental);
   expect_same_result(incremental, compute_cpm(acts).take());
 
+  // The same network randomly relabelled: activity i moves to label[i].
+  // The copy is not forward-indexed, so compile orders it by Kahn's queue
+  // instead of by index; the dates must not depend on that order.
+  util::Rng shuffle(GetParam() + 1000);
+  std::vector<std::size_t> label(acts.size());
+  std::iota(label.begin(), label.end(), std::size_t{0});
+  for (std::size_t i = label.size() - 1; i > 0; --i)
+    std::swap(label[i], label[static_cast<std::size_t>(shuffle.uniform_int(0, i))]);
+  std::vector<CpmActivity> copy(acts.size());
+  bool forward_indexed = true;
+  for (std::size_t i = 0; i < acts.size(); ++i) {
+    copy[label[i]] = acts[i];
+    for (std::size_t& p : copy[label[i]].preds) {
+      p = label[p];
+      forward_indexed = forward_indexed && p < label[i];
+    }
+  }
+  ASSERT_FALSE(forward_indexed);
+  auto relabelled = CpmSolver::compile(copy).take();
+  CpmResult shuffled;
+  relabelled.solve(shuffled);
+  expect_same_dates(unrelabel(shuffled, label), incremental);
+
   for (int round = 0; round < 20; ++round) {
-    // Mutate a few durations/releases, keeping the mirror `acts` in sync.
+    // Mutate a few durations/releases, keeping the mirror `acts` and the
+    // relabelled solver in sync.
     for (int k = 0; k < 5; ++k) {
       auto i = static_cast<std::size_t>(rng.uniform_int(0, 49));
       if (rng.chance(0.7)) {
         acts[i].duration = rng.uniform_int(0, 500);
         solver.set_duration(i, acts[i].duration);
+        relabelled.set_duration(label[i], acts[i].duration);
       } else {
         acts[i].release = rng.uniform_int(0, 300);
         solver.set_release(i, acts[i].release);
+        relabelled.set_release(label[i], acts[i].release);
       }
     }
     solver.solve(incremental);
     auto fresh = compute_cpm(acts).take();
     expect_same_result(incremental, fresh);
     EXPECT_EQ(solver.solve_makespan(), fresh.makespan);
+    relabelled.solve(shuffled);
+    expect_same_dates(unrelabel(shuffled, label), fresh);
+    EXPECT_EQ(relabelled.solve_makespan(), fresh.makespan);
   }
 }
 
@@ -180,70 +232,6 @@ TEST_P(CpmSolverProperty, DragMatchesBruteForceResolve) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CpmSolverProperty,
                          ::testing::Values(1, 2, 3, 7, 11, 23));
 
-// --- level-parallel equivalence ----------------------------------------------
-// The contract: the parallel passes are byte-identical to the serial solver
-// at any thread count and chunk size, on any shape.  serial_threshold = 0
-// forces the parallel path even on the small networks the tests can afford.
-
-TEST(CpmSolverParallel, ByteIdenticalToSerialAcrossShapesAndThreadCounts) {
-  std::vector<std::vector<CpmActivity>> networks;
-  networks.push_back(gen::chain_cpm_network(257));
-  networks.push_back(gen::random_cpm_network(1000, 0.4, 42));
-  {
-    util::Rng rng(7);
-    networks.push_back(gen::random_cpm_dag(rng, 300, 0.05));
-  }
-  networks.push_back(gen::mega_cpm_network(
-      {.seed = 9, .shape = gen::Shape::kLayered, .activities = 900, .width = 30}));
-  networks.push_back(gen::mega_cpm_network(
-      {.seed = 10, .shape = gen::Shape::kRandom, .activities = 800,
-       .release_p = 0.2}));
-
-  for (const auto& acts : networks) {
-    auto solver = CpmSolver::compile(acts).take();
-    CpmResult serial;
-    solver.solve(serial);
-    for (int threads : {1, 2, 4, 8}) {
-      WorkerPool pool(threads);
-      for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
-        SolveOptions opts{.pool = &pool, .serial_threshold = 0, .chunk = chunk};
-        CpmResult par;
-        solver.solve(par, opts);
-        expect_same_result(par, serial);
-        EXPECT_EQ(solver.solve_makespan(opts), serial.makespan);
-      }
-    }
-  }
-}
-
-TEST(CpmSolverParallel, ThresholdKeepsSmallNetworksSerial) {
-  auto solver = CpmSolver::compile(gen::chain_cpm_network(100)).take();
-  WorkerPool pool(4);
-  CpmResult r;
-  solver.solve(r, {.pool = &pool, .serial_threshold = 1000});
-  EXPECT_EQ(solver.stats().parallel_solves, 0u);
-  solver.solve(r, {.pool = &pool, .serial_threshold = 0});
-  EXPECT_EQ(solver.stats().parallel_solves, 1u);
-}
-
-TEST(CpmSolverParallel, MutationsResolveInParallelToo) {
-  auto acts = gen::random_cpm_network(2000, 0.5, 77);
-  auto solver = CpmSolver::compile(acts).take();
-  WorkerPool pool(4);
-  SolveOptions opts{.pool = &pool, .serial_threshold = 0, .chunk = 128};
-  CpmResult par;
-  util::Rng rng(3);
-  for (int round = 0; round < 5; ++round) {
-    for (int k = 0; k < 10; ++k) {
-      auto i = static_cast<std::size_t>(rng.uniform_int(0, 1999));
-      acts[i].duration = rng.uniform_int(0, 500);
-      solver.set_duration(i, acts[i].duration);
-    }
-    solver.solve(par, opts);
-    expect_same_result(par, compute_cpm(acts).take());
-  }
-}
-
 // --- streaming compile -------------------------------------------------------
 
 TEST(CpmSolverStream, CompileStreamMatchesCompile) {
@@ -257,7 +245,6 @@ TEST(CpmSolverStream, CompileStreamMatchesCompile) {
         [&](const CpmSolver::ActivitySink& sink) { gen::stream_mega_cpm(spec, sink); })
         .take();
     EXPECT_EQ(streamed.size(), acts.size());
-    EXPECT_EQ(streamed.levels(), classic.levels());
     CpmResult a, b;
     classic.solve(a);
     streamed.solve(b);

@@ -175,6 +175,29 @@ TEST(Leveling, ValidationErrors) {
   EXPECT_FALSE(level_serial(cycle).ok());
 }
 
+TEST(Leveling, RepeatedRequirementConsumesMultipleUnits) {
+  // Activity 1 takes both units of the pool, so it must wait for activity 0
+  // even though one of its requirement entries would fit beside it.
+  LevelingInput in;
+  in.activities = {{.duration = 10, .preds = {}}, {.duration = 10, .preds = {}}};
+  in.requirements = {{0}, {0, 0}};
+  in.capacities = {2};
+  auto r = level_serial(in).take();
+  bool overlap = r.start[0] < r.finish[1] && r.start[1] < r.finish[0];
+  EXPECT_FALSE(overlap);
+}
+
+TEST(Leveling, RejectsDemandAboveCapacity) {
+  LevelingInput in;
+  in.activities = {{.duration = 10, .preds = {}}};
+  in.requirements = {{0, 0, 0}};
+  in.capacities = {2};
+  auto r = level_serial(in);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, util::Error::Code::kInvalid);
+  EXPECT_NE(r.error().message.find("capacity"), std::string::npos);
+}
+
 // --- property: random contention never violates capacity or precedence -------
 
 class LevelingProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -190,8 +213,12 @@ TEST_P(LevelingProperty, CapacityAndPrecedenceInvariants) {
     in.activities[i].duration = rng.uniform_int(1, 60);
     for (std::size_t j = 0; j < i; ++j)
       if (rng.chance(0.06)) in.activities[i].preds.push_back(j);
-    for (std::size_t r = 0; r < in.capacities.size(); ++r)
-      if (rng.chance(0.4)) in.requirements[i].push_back(r);
+    for (std::size_t r = 0; r < in.capacities.size(); ++r) {
+      if (!rng.chance(0.4)) continue;
+      in.requirements[i].push_back(r);
+      // A repeated entry takes a second unit of the wider pools.
+      if (in.capacities[r] > 1 && rng.chance(0.25)) in.requirements[i].push_back(r);
+    }
   }
   auto result = level_serial(in).take();
   auto cpm = compute_cpm(in.activities).take();
@@ -217,171 +244,6 @@ TEST_P(LevelingProperty, CapacityAndPrecedenceInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LevelingProperty,
-                         ::testing::Values(1, 2, 3, 7, 11, 13, 17, 19));
-
-// --- priority-rule SGS -------------------------------------------------------
-
-TEST(Sgs, NoResourcesEqualsCpm) {
-  LevelingInput in;
-  in.activities = {{.duration = 10, .preds = {}},
-                   {.duration = 20, .preds = {0}},
-                   {.duration = 5, .preds = {0}}};
-  in.requirements = {{}, {}, {}};
-  for (auto rule : {PriorityRule::kLst, PriorityRule::kLft, PriorityRule::kMinSlack}) {
-    auto r = sgs_schedule(in, {.rule = rule}).take();
-    auto cpm = compute_cpm(in.activities).take();
-    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(r.start[i], cpm.early_start[i]);
-    EXPECT_EQ(r.makespan, cpm.makespan);
-  }
-}
-
-TEST(Sgs, SingleResourceSerializesAndPrefersCritical) {
-  // Two independent jobs on one unit pool.  Both late-finish at the
-  // makespan, so kLft ties and falls back to index order; kLst and
-  // kMinSlack both rank the longer (critical) job first.
-  LevelingInput in;
-  in.activities = {{.duration = 10, .preds = {}}, {.duration = 20, .preds = {}}};
-  in.requirements = {{0}, {0}};
-  in.capacities = {1};
-  auto lft = sgs_schedule(in, {.rule = PriorityRule::kLft}).take();
-  EXPECT_EQ(lft.start[0], 0);
-  EXPECT_EQ(lft.start[1], 10);
-  EXPECT_EQ(lft.makespan, 30);
-  for (auto rule : {PriorityRule::kLst, PriorityRule::kMinSlack}) {
-    auto r = sgs_schedule(in, {.rule = rule}).take();
-    EXPECT_EQ(r.start[1], 0);
-    EXPECT_EQ(r.start[0], 20);
-    EXPECT_EQ(r.makespan, 30);
-  }
-}
-
-TEST(Sgs, RepeatedRequirementConsumesMultipleUnits) {
-  // Activity 0 takes both units of the pool; 1 must wait even though one
-  // requirement entry would have fit.
-  LevelingInput in;
-  in.activities = {{.duration = 10, .preds = {}}, {.duration = 10, .preds = {}}};
-  in.requirements = {{0, 0}, {0}};
-  in.capacities = {2};
-  auto r = sgs_schedule(in).take();
-  bool overlap = r.start[0] < r.finish[1] && r.start[1] < r.finish[0];
-  EXPECT_FALSE(overlap);
-}
-
-TEST(Sgs, RejectsDemandAboveCapacity) {
-  LevelingInput in;
-  in.activities = {{.duration = 10, .preds = {}}};
-  in.requirements = {{0, 0, 0}};
-  in.capacities = {2};
-  auto r = sgs_schedule(in);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().message.find("capacity"), std::string::npos);
-}
-
-TEST(Sgs, BlockedWindowsDelayWork) {
-  LevelingInput in;
-  in.activities = {{.duration = 10, .preds = {}}};
-  in.requirements = {{0}};
-  in.capacities = {1};
-  in.blocked = {{{5, 25}}};
-  auto r = sgs_schedule(in).take();
-  EXPECT_EQ(r.start[0], 25);
-}
-
-TEST(Sgs, WorkFitsBeforeBlockedWindow) {
-  LevelingInput in;
-  in.activities = {{.duration = 5, .preds = {}}};
-  in.requirements = {{0}};
-  in.capacities = {1};
-  in.blocked = {{{5, 25}}};
-  auto r = sgs_schedule(in).take();
-  EXPECT_EQ(r.start[0], 0);
-}
-
-TEST(Sgs, ValidationMatchesLevelSerial) {
-  LevelingInput bad_req;
-  bad_req.activities = {{.duration = 1, .preds = {}}};
-  bad_req.requirements = {{5}};
-  bad_req.capacities = {1};
-  EXPECT_FALSE(sgs_schedule(bad_req).ok());
-
-  LevelingInput cycle;
-  cycle.activities = {{.duration = 1, .preds = {1}}, {.duration = 1, .preds = {0}}};
-  cycle.requirements = {{}, {}};
-  EXPECT_FALSE(sgs_schedule(cycle).ok());
-
-  LevelingInput empty_window;
-  empty_window.activities = {{.duration = 1, .preds = {}}};
-  empty_window.requirements = {{0}};
-  empty_window.capacities = {1};
-  empty_window.blocked = {{{5, 5}}};
-  EXPECT_FALSE(sgs_schedule(empty_window).ok());
-}
-
-// Property: every rule yields a feasible schedule — precedence, releases,
-// capacity at *every* instant usage changes (not just starts), makespan at
-// or above the unconstrained CPM bound — and is deterministic.
-class SgsProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SgsProperty, FeasibilityInvariantsUnderEveryRule) {
-  util::Rng rng(GetParam() * 131 + 5);
-  const std::size_t n = 60;
-  LevelingInput in;
-  in.activities.resize(n);
-  in.requirements.resize(n);
-  in.capacities = {1, 2, 3};
-  in.blocked = {{}, {{40, 90}}, {}};
-  for (std::size_t i = 0; i < n; ++i) {
-    in.activities[i].duration = rng.uniform_int(0, 60);
-    if (rng.chance(0.2)) in.activities[i].release = rng.uniform_int(0, 100);
-    for (std::size_t j = 0; j < i; ++j)
-      if (rng.chance(0.05)) in.activities[i].preds.push_back(j);
-    for (std::size_t r = 0; r < in.capacities.size(); ++r)
-      if (rng.chance(0.35)) in.requirements[i].push_back(r);
-    // Occasionally demand two units of the wide pool.
-    if (rng.chance(0.1)) in.requirements[i].push_back(2), in.requirements[i].push_back(2);
-  }
-  auto cpm = compute_cpm(in.activities).take();
-
-  for (auto rule : {PriorityRule::kLst, PriorityRule::kLft, PriorityRule::kMinSlack}) {
-    auto result = sgs_schedule(in, {.rule = rule}).take();
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(result.finish[i], result.start[i] + in.activities[i].duration);
-      EXPECT_GE(result.start[i], in.activities[i].release);
-      EXPECT_GE(result.start[i], cpm.early_start[i]);
-      for (std::size_t p : in.activities[i].preds)
-        EXPECT_GE(result.start[i], result.finish[p]);
-    }
-    EXPECT_GE(result.makespan, cpm.makespan);
-
-    // Usage only changes at starts and blocked-window starts; check
-    // capacity at every such instant, counting repeated requirements and
-    // saturated vacation windows.
-    std::vector<std::int64_t> instants;
-    for (std::size_t i = 0; i < n; ++i) instants.push_back(result.start[i]);
-    for (std::size_t r = 0; r < in.blocked.size(); ++r)
-      for (auto [s, e] : in.blocked[r]) instants.push_back(s);
-    for (std::int64_t t : instants) {
-      std::map<std::size_t, int> usage;
-      for (std::size_t j = 0; j < n; ++j)
-        if (result.start[j] <= t && t < result.finish[j])
-          for (std::size_t r : in.requirements[j]) ++usage[r];
-      for (std::size_t r = 0; r < in.blocked.size(); ++r)
-        for (auto [s, e] : in.blocked[r])
-          if (s <= t && t < e) usage[r] += in.capacities[r];
-      for (const auto& [r, u] : usage)
-        EXPECT_LE(u, in.capacities[r])
-            << "rule " << priority_rule_name(rule) << " resource " << r
-            << " at t=" << t;
-    }
-
-    // Determinism: a second run reproduces the schedule exactly.
-    auto again = sgs_schedule(in, {.rule = rule}).take();
-    EXPECT_EQ(again.start, result.start);
-    EXPECT_EQ(again.makespan, result.makespan);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SgsProperty,
                          ::testing::Values(1, 2, 3, 7, 11, 13, 17, 19));
 
 }  // namespace

@@ -18,8 +18,8 @@ namespace {
 TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
   WorkerPool pool(4);
   EXPECT_EQ(pool.threads(), 4);
-  // Distinct task indices write disjoint slots — the same contract the
-  // level-parallel passes rely on.
+  // Distinct task indices write disjoint slots — the same contract
+  // analyze_risk's sample blocks rely on.
   std::vector<int> hits(1000, 0);
   pool.run(1000, [&](int t) { hits[static_cast<std::size_t>(t)]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
