@@ -40,6 +40,28 @@
 
 namespace herc::hercules {
 
+/// Rendered-response memo of one epoch, keyed "<op>\n<operand>": one
+/// once-cell per key.  The mutex covers only finding or inserting a cell;
+/// the first caller of a key computes it outside the mutex, concurrent
+/// callers of that key wait for that one computation, and callers of other
+/// keys never wait for it.
+class ResponseMemo {
+ public:
+  [[nodiscard]] util::Result<std::string> get(
+      std::string key, const std::function<util::Result<std::string>()>& compute);
+
+ private:
+  struct Cell {
+    std::once_flag once;
+    std::optional<util::Result<std::string>> value;
+  };
+
+  std::mutex mu_;
+  /// Node-based and never erased from, so a Cell stays put after mu_ is
+  /// released.
+  std::unordered_map<std::string, Cell> cells_;
+};
+
 class ReadView {
  public:
   ReadView(std::uint64_t epoch, const meta::Database& db,
@@ -81,10 +103,6 @@ class ReadView {
   [[nodiscard]] util::Result<std::string> explain(std::string_view statement) const;
 
  private:
-  [[nodiscard]] util::Result<std::string> memoized(
-      std::string key,
-      const std::function<util::Result<std::string>()>& compute) const;
-
   const std::uint64_t epoch_;
   const meta::Database db_;
   const sched::ScheduleSpace space_;
@@ -93,11 +111,7 @@ class ReadView {
   const cal::WorkCalendar* calendar_;
   const query::QueryEngine* engine_;
 
-  /// Rendered-response memo ("<op>\n<operand>" -> result).  The mutex only
-  /// covers the map; a miss computes under it (concurrent first-touchers of
-  /// the same epoch would serialize on the data anyway).
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::string, util::Result<std::string>> memo_;
+  mutable ResponseMemo memo_;
 };
 
 /// Snapshot-health counters, shared by the manager and the deleter of every

@@ -1,5 +1,7 @@
 #include "srv/group_commit.hpp"
 
+#include <utility>
+
 namespace herc::srv {
 
 GroupCommitter::GroupCommitter(std::string path, Options options)
@@ -33,12 +35,47 @@ util::Status GroupCommitter::append(std::string line) {
     std::lock_guard<std::mutex> lock(mu_);
     if (crashed_) return util::invalid("group commit: crashed");
     if (!status_.ok()) return status_;
-    pending_.push_back(std::move(line));
+    if (in_mutation_) {
+      mutation_ += line;
+      ++mutation_lines_;
+      return util::Status::ok_status();
+    }
+    if (pending_.empty()) oldest_began_ = std::chrono::steady_clock::now();
+    pending_ += line;
+    ++pending_tickets_;
+    ++pending_lines_;
     ++enqueued_;
     ++stats_.lines;
   }
   work_cv_.notify_one();
   return util::Status::ok_status();
+}
+
+void GroupCommitter::begin_mutation() {
+  std::lock_guard<std::mutex> lock(mu_);
+  in_mutation_ = true;
+  mutation_.clear();
+  mutation_lines_ = 0;
+  mutation_began_ = std::chrono::steady_clock::now();
+}
+
+util::Result<std::uint64_t> GroupCommitter::end_mutation() {
+  std::uint64_t ticket = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    in_mutation_ = false;
+    if (crashed_) return util::invalid("group commit: crashed");
+    if (!status_.ok()) return status_.error();
+    if (mutation_lines_ == 0) return std::uint64_t{0};
+    if (pending_.empty()) oldest_began_ = mutation_began_;
+    pending_ += mutation_;
+    ++pending_tickets_;
+    pending_lines_ += mutation_lines_;
+    stats_.lines += mutation_lines_;
+    ticket = ++enqueued_;
+  }
+  work_cv_.notify_one();
+  return ticket;
 }
 
 std::uint64_t GroupCommitter::last_enqueued() const {
@@ -86,6 +123,9 @@ util::Status GroupCommitter::restart() {
   // dropping it IS its commit.
   committed_ = enqueued_;
   pending_.clear();
+  pending_tickets_ = pending_lines_ = 0;
+  mutation_.clear();
+  mutation_lines_ = 0;
   auto st = file_.open_trunc(path_);
   if (!st.ok()) {
     // Keep a storage fault recognizable (kIoError => retryable / shard
@@ -113,14 +153,20 @@ void GroupCommitter::simulate_crash() {
     crashed_ = true;
     stop_ = true;
     pending_.clear();
-    file_.close();  // nothing further reaches the file, no final fsync
+    pending_tickets_ = pending_lines_ = 0;
   }
   work_cv_.notify_all();
   done_cv_.notify_all();
   if (flusher_.joinable()) flusher_.join();
+  // Only now: the flusher writes outside mu_, so closing earlier would race
+  // a write in flight.  That write lands, as it may in a real crash; nothing
+  // after it does, and there is no final fsync.
+  file_.close();
 }
 
 void GroupCommitter::flusher_main() {
+  // Swapped with pending_ each batch, so the two buffers keep their capacity.
+  std::string batch;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     work_cv_.wait(lock, [&] { return !pending_.empty() || stop_; });
@@ -129,8 +175,9 @@ void GroupCommitter::flusher_main() {
       // Drain what was enqueued before stop; new appends are rejected.
     } else if (options_.window.count() > 0) {
       // Bounded accumulation: let concurrent appenders join this batch.
+      const auto due = oldest_began_ + options_.window;
       lock.unlock();
-      std::this_thread::sleep_for(options_.window);
+      std::this_thread::sleep_until(due);
       lock.lock();
       if (crashed_) return;
     }
@@ -141,21 +188,19 @@ void GroupCommitter::flusher_main() {
       // and nothing is written until restart() truncates the file.  The
       // waiters already see the error.
       pending_.clear();
+      pending_tickets_ = pending_lines_ = 0;
       if (stop_) return;
       continue;
     }
-    std::vector<std::string> batch;
+    batch.clear();
     batch.swap(pending_);
+    const std::uint64_t tickets = std::exchange(pending_tickets_, 0);
+    const std::uint64_t lines = std::exchange(pending_lines_, 0);
     flushing_ = true;
     lock.unlock();
 
-    std::string buffer;
-    std::size_t bytes = 0;
-    for (const auto& line : batch) bytes += line.size();
-    buffer.reserve(bytes);
-    for (const auto& line : batch) buffer += line;
     // One write per group commit keeps crash loss whole-batch granular.
-    auto st = file_.append(buffer);
+    auto st = file_.append(batch);
     bool synced = false;
     if (st.ok() && options_.durable) {
       st = file_.sync();
@@ -166,11 +211,11 @@ void GroupCommitter::flusher_main() {
     flushing_ = false;
     if (crashed_) return;
     if (st.ok()) {
-      committed_ += batch.size();
+      committed_ += tickets;
       ++stats_.flushes;
       if (synced) ++stats_.synced;
-      stats_.lines_flushed += batch.size();
-      if (batch.size() > stats_.batch_max) stats_.batch_max = batch.size();
+      stats_.lines_flushed += lines;
+      if (lines > stats_.batch_max) stats_.batch_max = lines;
     } else if (status_.ok()) {
       status_ = st;
     }

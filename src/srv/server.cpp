@@ -150,6 +150,15 @@ void Server::reader_main(std::shared_ptr<Session> session) {
         send_response(*session, wire::Response::failure(0, request.error()));
         continue;
       }
+      // A read runs to completion here, on a pinned epoch: it needs no shard
+      // lock, so a hand-off to a worker would gain it nothing.  The next
+      // frame is parsed only after it is answered, so a connection has at
+      // most one read in flight and reads never count against the queue.
+      if (!request.value().project.empty() &&
+          ProjectShard::is_read_op(request.value().op)) {
+        handle(*session, request.value());
+        continue;
+      }
       bool shed = false;
       std::uint64_t request_id = 0;
       {
@@ -213,7 +222,7 @@ void Server::worker_main() {
       queue_depth_.store(static_cast<std::int64_t>(queue_.size()));
       ++busy_workers_;
     }
-    handle(job);
+    handle(*job.session, job.request);
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       --busy_workers_;
@@ -222,9 +231,8 @@ void Server::worker_main() {
   }
 }
 
-void Server::handle(Job& job) {
+void Server::handle(Session& session, const wire::Request& request) {
   requests_total_.fetch_add(1);
-  const wire::Request& request = job.request;
   wire::Response response;
   if (request.project.empty()) {
     response = handle_server_op(request);
@@ -243,7 +251,7 @@ void Server::handle(Job& job) {
       response = shard->apply(request);
     }
   }
-  send_response(*job.session, response);
+  send_response(session, response);
 }
 
 wire::Response Server::handle_server_op(const wire::Request& request) {
@@ -451,7 +459,8 @@ void Server::stop() {
 
   // 2. No new requests: shut the read side of every session.  Readers see
   // EOF after parsing whatever already arrived, so nothing parsed is lost —
-  // and the write side stays open for the drain's responses.
+  // and the write side stays open for the drain's responses.  A reader
+  // answers its reads itself, so once it is joined its reads are done.
   std::vector<std::shared_ptr<Session>> sessions;
   std::vector<std::thread> readers;
   {

@@ -4,21 +4,27 @@
 // Topology:
 //
 //   listeners (tcp / unix) -> accept thread -> one reader thread per session
-//        -> bounded job queue -> worker pool -> ProjectShard registry
+//        reads:  -> ProjectShard read lane, on the reader thread
+//        writes and server ops:  -> bounded job queue -> worker pool
+//                                -> ProjectShard registry
 //        -> responses written back on the session socket
 //
-// Sessions only PARSE; every request — server ops (open/projects/stats/...)
-// and project ops alike — executes on the worker pool, so a slow flow
-// execution on one connection never starves another connection's reads, and
-// `id`-tagged responses may return out of request order (clients pipeline).
-// Project requests route to the shard registry; shards serialize internally
-// (see shard.hpp), so workers need no shard-awareness, and requests against
+// A session's reader thread parses each request.  A project read (query,
+// explain, status, gantt: ProjectShard::is_read_op) runs right there on a
+// pinned epoch and is answered before the next frame is parsed, so a request
+// pipelined behind a read waits for that read.  Everything else — mutations,
+// `stats`, and the server ops (open/projects/stats/...) — is queued for the
+// worker pool, so a slow flow execution on one connection never stalls that
+// connection's reader, and `id`-tagged responses may return out of request
+// order (clients pipeline).  Shards serialize their writes internally (see
+// shard.hpp), so workers need no shard-awareness, and requests against
 // different projects execute fully in parallel.
 //
 // Graceful shutdown (stop(), also triggered by the `shutdown` op or a signal
-// in tools/herc_srv): stop accepting, stop reading, finish every request
-// already parsed, then per shard a final group commit + snapshot.  A
-// SIGKILL instead loses nothing acknowledged: recovery replays each shard's
+// in tools/herc_srv): stop accepting, stop reading — joining the reader
+// threads finishes every read already parsed — then finish every queued
+// request, then per shard a final group commit + snapshot.  A SIGKILL
+// instead loses nothing acknowledged: recovery replays each shard's
 // snapshot + WAL (tests assert byte-identity).
 
 #include <atomic>
@@ -45,12 +51,13 @@ struct ServerConfig {
   int tcp_port = -1;
   std::string tcp_host = "127.0.0.1";
   int workers = 4;
-  /// Overload shedding: maximum parsed-but-unexecuted requests queued for
-  /// the worker pool.  A request arriving past the bound is answered
+  /// Overload shedding: maximum parsed-but-unexecuted writes and server ops
+  /// queued for the worker pool.  One arriving past the bound is answered
   /// immediately with a RETRYABLE `overloaded` error instead of being
   /// queued — bounding memory and queueing latency under a request storm
   /// (shed work is cheap for the client to retry; an unbounded queue would
-  /// instead time everyone out).
+  /// instead time everyone out).  Reads never queue and are never shed: each
+  /// session runs at most one at a time on its own thread.
   std::size_t max_queue_depth = 1024;
   /// Applied to every shard (data directory, fsync policy, commit window).
   ShardOptions shard;
@@ -131,7 +138,9 @@ class Server {
   void accept_main();
   void reader_main(std::shared_ptr<Session> session);
   void worker_main();
-  void handle(Job& job);
+  /// Executes one request and writes its response: project reads on the
+  /// session's reader thread, everything else on a worker.
+  void handle(Session& session, const wire::Request& request);
   /// Server-level ops (empty `project`): ping/open/close/projects/stats/
   /// shutdown.
   [[nodiscard]] wire::Response handle_server_op(const wire::Request& request);

@@ -45,10 +45,6 @@ Json execution_json(const exec::ExecutionResult& result,
   return Json(std::move(o));
 }
 
-bool is_read_op(const std::string& op) {
-  return op == "query" || op == "explain" || op == "status" || op == "gantt";
-}
-
 // Writer-priority backoff for the read lane: while a write dispatch holds the
 // write lane, arriving readers sleep-poll in kReaderBackoff steps instead of
 // competing with the mutator for cores, which keeps the writer's latency
@@ -58,6 +54,10 @@ constexpr std::chrono::microseconds kReaderBackoff{150};
 constexpr std::chrono::microseconds kReaderBackoffCap{8000};
 
 }  // namespace
+
+bool ProjectShard::is_read_op(std::string_view op) {
+  return op == "query" || op == "explain" || op == "status" || op == "gantt";
+}
 
 ProjectShard::ProjectShard(std::string name, ShardOptions options)
     : name_(std::move(name)), options_(std::move(options)) {}
@@ -182,11 +182,10 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
       return wire::Response::failure(
           request.id, util::unsupported("shard '" + name_ + "' crashed"));
     read_lane_requests_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->add("srv_requests");  // MetricsRegistry is thread-safe
     return dispatch_read(request, *view);
   }
 
-  std::uint64_t before = 0, after = 0;
+  util::Result<std::uint64_t> ticket = std::uint64_t{0};
   wire::Response response;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -199,35 +198,35 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
     if (read_only_.load(std::memory_order_relaxed) && request.op != "stats")
       return wire::Response::failure(request.id, read_only_error_locked());
     write_lane_requests_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->add("srv_requests");
-    before = committer_->last_enqueued();
     write_dispatching_.store(true, std::memory_order_relaxed);
+    // Every journal line the op produces goes to the committer as one entry
+    // under one ticket, so an op's lines always share a flush.
+    committer_->begin_mutation();
     response = dispatch(request);
-    after = committer_->last_enqueued();
+    ticket = committer_->end_mutation();
     // Publish the post-op epoch before the durability wait (and thus before
     // the ack): once a client holds an ack, the published snapshot already
     // contains its write.
     publish_view_locked();
     write_dispatching_.store(false, std::memory_order_relaxed);
-    // The committer refuses appends once a flush failed, and a request can
+    // The committer refuses lines once a flush failed, and a request can
     // land between that failure and the failed request's read-only latch
     // below.  Its runs then reached no ticket, so there is nothing to wait
     // for: never acknowledge it.  (`stats` appends nothing and must keep
     // answering on a degraded shard.)
-    const util::Status journal = manager_->journal()->status();
-    if (response.ok && request.op != "stats" && !journal.ok()) {
-      enter_read_only_locked(journal.error());
+    if (response.ok && request.op != "stats" && !ticket.ok()) {
+      enter_read_only_locked(ticket.error());
       return wire::Response::failure(
           request.id, util::io_error("shard '" + name_ + "': " +
-                                     journal.error().message +
+                                     ticket.error().message +
                                      " (not acknowledged)"));
     }
   }
   // Acknowledge only once this request's journal lines are durable — but
   // wait OUTSIDE the shard lock, so the next request's mutation overlaps
   // this commit (that overlap is what builds multi-line batches).
-  if (response.ok && after > before) {
-    auto st = committer_->wait_durable(after);
+  if (response.ok && ticket.ok() && ticket.value() > 0) {
+    auto st = committer_->wait_durable(ticket.value());
     if (!st.ok()) {
       // The WAL can no longer durably record runs: never ack this mutation,
       // and stop accepting new ones (the in-memory state stays serveable
@@ -427,7 +426,11 @@ Json ProjectShard::stats_json() const {
 Json ProjectShard::stats_json_locked() const {
   JsonObject o;
   o.set("project", name_);
-  o.set("srv_requests", metrics_->counter("srv_requests"));
+  // The two lanes partition every request the shard served.
+  o.set("srv_requests",
+        static_cast<std::int64_t>(
+            read_lane_requests_.load(std::memory_order_relaxed) +
+            write_lane_requests_.load(std::memory_order_relaxed)));
   o.set("runs_executed", metrics_->counter("runs_executed"));
   o.set("run_count", manager_->db().run_count());
   o.set("clock_minutes", manager_->clock().now().minutes_since_epoch());

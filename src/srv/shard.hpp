@@ -30,8 +30,9 @@
 // Scaling still also comes from shard independence — requests for different
 // projects never contend — and from group commit, the shard's only journal
 // path: a mutation enqueues its journal lines with the shard's
-// GroupCommitter under the lock but waits for durability AFTER releasing
-// it, so the next request's mutation overlaps this one's fsync.
+// GroupCommitter under the lock, as one entry under one ticket, but waits
+// for durability AFTER releasing it, so the next request's mutation
+// overlaps this one's fsync.
 //
 // Files: <dir>/<name>.snapshot.json (atomic replace) and <dir>/<name>.wal.
 // An acknowledged mutation is always recoverable from snapshot + WAL.
@@ -40,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "gen/gen.hpp"
 #include "hercules/journal.hpp"
@@ -88,6 +90,11 @@ class ProjectShard {
   ProjectShard(const ProjectShard&) = delete;
   ProjectShard& operator=(const ProjectShard&) = delete;
 
+  /// The read lane's ops (query, explain, status, gantt): they run on a
+  /// pinned epoch without the shard lock.  The server serves them on the
+  /// session's own thread; every other op takes the write lane.
+  [[nodiscard]] static bool is_read_op(std::string_view op);
+
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::string snapshot_path() const;
   [[nodiscard]] std::string wal_path() const;
@@ -104,8 +111,9 @@ class ProjectShard {
   /// routing to it.
   [[nodiscard]] util::Status shutdown();
 
-  /// Per-shard counters: srv_requests, runs_executed (from the manager's
-  /// bus), group-commit stats, journal lines.
+  /// Per-shard counters: srv_requests (the sum of the two lane counters),
+  /// runs_executed (from the manager's bus), group-commit stats, journal
+  /// lines.
   [[nodiscard]] util::Json stats_json() const;
 
   /// The shard's group committer — tests read its flush counters.

@@ -6,13 +6,18 @@
 //   - a view pinned before the clock advances stays at its snapshot instant
 //     (renders are byte-stable) while the manager moves on;
 //   - recovery rebuilds into a fresh epoch sequence: the recovered shard's
-//     first published view is epoch 1, with no retired epochs carried over.
+//     first published view is epoch 1, with no retired epochs carried over;
+//   - the per-epoch response memo computes a cold key once however many
+//     readers race on it, and never makes a reader of one key wait for
+//     another key's computation.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
@@ -166,6 +171,68 @@ TEST(SnapshotReclamation, RecoveryRebuildsIntoFreshEpochSequence) {
   EXPECT_TRUE(answer.ok);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(ReadViewMemo, RacingReadersOfAColdKeyComputeItOnce) {
+  auto m = make_circuit_manager();
+  ASSERT_TRUE(m->plan_task("adder", {.anchor = m->clock().now()}).ok());
+  append_failed_run(*m, "racer");
+  std::shared_ptr<const ReadView> view = m->read_view();  // nothing memoized
+
+  // Every engine execute counts one cache hit or one miss, so the sum
+  // counts how often the memo ran its compute.
+  auto executes = [&m] {
+    const query::EngineStats stats = m->query_engine().stats();
+    return stats.cache_hits + stats.cache_misses;
+  };
+  const std::uint64_t before = executes();
+
+  constexpr int kReaders = 8;
+  std::latch start(kReaders);
+  std::vector<std::string> answers(kReaders);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      auto answer = view->query("select runs");
+      answers[i] = answer.ok() ? answer.value() : answer.error().str();
+    });
+  }
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(executes() - before, 1u);
+  for (const std::string& answer : answers) EXPECT_EQ(answer, answers[0]);
+  EXPECT_NE(answers[0].find("racer"), std::string::npos) << answers[0];
+}
+
+TEST(ReadViewMemo, ColdComputeOfOneKeyDoesNotBlockAnotherKey) {
+  ResponseMemo memo;
+  std::latch computing(1);
+  std::latch release(1);
+  std::thread slow([&] {
+    auto answer = memo.get("status\nslow", [&]() -> util::Result<std::string> {
+      computing.count_down();
+      release.wait();
+      return std::string("slow");
+    });
+    EXPECT_EQ(answer.value(), "slow");
+  });
+  computing.wait();
+  // The slow key's compute is parked until `release`.  A memo that computed
+  // under its mutex would never return from this call.
+  auto fast = memo.get("status\nfast",
+                       []() -> util::Result<std::string> { return std::string("fast"); });
+  release.count_down();
+  slow.join();
+  EXPECT_EQ(fast.value(), "fast");
+
+  // Both keys stay memoized: a second get never computes.
+  auto never = []() -> util::Result<std::string> {
+    ADD_FAILURE() << "memoized key computed again";
+    return std::string();
+  };
+  EXPECT_EQ(memo.get("status\nslow", never).value(), "slow");
+  EXPECT_EQ(memo.get("status\nfast", never).value(), "fast");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Durability tests for the server shards: group commit batching, fsync-backed
-// durable mode, the kill-mid-commit model (simulate_crash drops everything
-// unflushed), byte-identical recovery after executes mixed with schedule ops,
-// the WAL prefix sweep (every truncation point must recover cleanly), and
-// what the committer may write after a failed flush.
+// Durability tests for the server shards: group commit batching (one ticket
+// per mutation), fsync-backed durable mode, the kill-mid-commit model
+// (simulate_crash drops everything unflushed), byte-identical recovery after
+// executes mixed with schedule ops, the WAL prefix sweep (every truncation
+// point must recover cleanly), and what the committer may write after a
+// failed flush.
 
 #include <gtest/gtest.h>
 
@@ -232,6 +233,47 @@ TEST(SrvRecovery, GroupCommitFlushesFewerThanLines) {
   // One execute journals a whole flow of runs; the committer batches them.
   EXPECT_LT(stats.flushes, stats.lines);
   EXPECT_GE(stats.batch_max, 2u);
+}
+
+// Every line one mutation appends rides one ticket, so its lines share a
+// flush whatever the flusher's timing: with no accumulation window, 50
+// mutations of 3 lines each take at most 50 flushes.  An empty mutation gets
+// no ticket, an append outside a mutation gets its own, and the file holds
+// every line in append order.
+TEST(SrvRecovery, MutationLinesShareOneTicket) {
+  TempDir tmp("mutation");
+  const std::string path = (tmp.dir / "p.wal").string();
+  auto opened = GroupCommitter::open(path, {.window = std::chrono::microseconds(0)});
+  ASSERT_TRUE(opened.ok()) << opened.error().str();
+  auto committer = std::move(opened).take();
+
+  std::string expected;
+  for (std::uint64_t m = 1; m <= 50; ++m) {
+    committer->begin_mutation();
+    for (int i = 0; i < 3; ++i) {
+      const std::string line = std::to_string(m) + " " + std::to_string(i);
+      ASSERT_TRUE(committer->append(line).ok());
+      expected += line + "\n";
+    }
+    auto ticket = committer->end_mutation();
+    ASSERT_TRUE(ticket.ok()) << ticket.error().str();
+    EXPECT_EQ(ticket.value(), m);
+  }
+  committer->begin_mutation();
+  auto empty = committer->end_mutation();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value(), 0u);
+  ASSERT_TRUE(committer->append("bare").ok());
+  expected += "bare\n";
+  EXPECT_EQ(committer->last_enqueued(), 51u);
+
+  ASSERT_TRUE(committer->wait_durable(51).ok());
+  auto stats = committer->stats();
+  EXPECT_EQ(stats.lines, 151u);
+  EXPECT_EQ(stats.lines_flushed, 151u);
+  EXPECT_LE(stats.flushes, 51u);
+  EXPECT_GE(stats.batch_max, 3u);
+  EXPECT_EQ(slurp(path), expected);
 }
 
 TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {

@@ -570,6 +570,65 @@ TEST(Server, OverloadSheddingBoundsTheQueue) {
   server.value()->stop();
 }
 
+// Reads run on their session's reader thread, so a full write queue never
+// sheds them: with one worker and a depth-1 queue, connection A's pipelined
+// execute burst overflows while connection B's reads all succeed, and the
+// shed counter counts only A's executes.
+TEST(Server, ReadsAreNeverShed) {
+  TempServerDir tmp("readshed");
+  ServerConfig config = base_config(tmp);
+  config.workers = 1;
+  config.max_queue_depth = 1;
+  auto server = Server::start(std::move(config));
+  ASSERT_TRUE(server.ok()) << server.error().str();
+
+  auto writer = Client::connect(server.value()->unix_address());
+  auto reader = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(writer.value()->invoke("", "open", open_args("chip", 3)).ok());
+  ASSERT_TRUE(writer.value()->invoke("chip", "plan").ok());
+
+  constexpr int kBurst = 64;
+  for (int i = 0; i < kBurst; ++i) {
+    JsonObject args;
+    args.set("designer", "pat");
+    ASSERT_TRUE(writer.value()->send("chip", "execute", std::move(args)).ok());
+  }
+  JsonObject query;
+  query.set("statement", std::string("select runs"));
+  int reads = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (const std::string op : {"status", "gantt", "query"}) {
+      auto response =
+          reader.value()->call("chip", op, op == "query" ? query : JsonObject{});
+      ASSERT_TRUE(response.ok()) << response.error().str();
+      EXPECT_TRUE(response.value().ok) << op << ": " << response.value().error.str();
+      ++reads;
+    }
+  }
+
+  int shed = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    auto response = writer.value()->recv_any();
+    ASSERT_TRUE(response.ok()) << response.error().str();
+    if (!response.value().ok) {
+      EXPECT_EQ(response.value().error.code, util::Error::Code::kOverloaded);
+      ++shed;
+    }
+  }
+  ASSERT_GT(shed, 0) << "burst never outran a depth-1 queue";
+
+  auto stats = server.value()->stats_json();
+  const JsonObject& srv = stats.as_object().at("server").as_object();
+  EXPECT_EQ(srv.at("srv_requests_shed").as_int(), shed);
+  const JsonObject& shard =
+      stats.as_object().at("shards").as_array().at(0).as_object();
+  EXPECT_EQ(shard.at("snapshots").as_object().at("read_lane_requests").as_int(),
+            reads);
+  server.value()->stop();
+}
+
 TEST(Server, OpenArrivalLoadDriver) {
   TempServerDir tmp("openload");
   auto server = Server::start(base_config(tmp));
