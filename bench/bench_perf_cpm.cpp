@@ -28,6 +28,12 @@ std::vector<sched::CpmActivity> diamond_network(std::size_t half) {
   return acts;
 }
 
+/// A layered mega-graph (width 1024) of `n` activities, compiled.
+sched::CpmSolver mega_solver(std::size_t n) {
+  gen::MegaGraphSpec spec{.seed = 42, .activities = n, .width = 1024};
+  return sched::CpmSolver::compile(gen::mega_cpm_network(spec)).take();
+}
+
 void print_artifact() {
   std::cout << "P1 — CPM scaling (time per full forward+backward solve)\n\n";
   std::cout << util::pad_right("activities", 12) << util::pad_right("chain", 14)
@@ -103,20 +109,14 @@ void print_artifact() {
                "network size — what-if loops and Monte Carlo sampling run on the\n"
                "re-solve path.\n\n";
 
-  std::cout << "Mega-graph: streamed compile + re-solve\n"
+  std::cout << "Mega-graph: generate + compile, then re-solve\n"
                "(layered mega-graph, width 1024)\n\n";
   std::cout << util::pad_right("activities", 12) << util::pad_right("compile", 12)
             << util::pad_right("re-solve", 12) << "1M budget\n"
             << util::repeat('-', 46) << "\n";
   for (std::size_t n : {std::size_t{262144}, std::size_t{1048576}}) {
-    gen::MegaGraphSpec spec{.seed = 42, .activities = n, .width = 1024};
     auto t0 = std::chrono::steady_clock::now();
-    auto solver =
-        sched::CpmSolver::compile_stream(
-            n, [&](const sched::CpmSolver::ActivitySink& sink) {
-              gen::stream_mega_cpm(spec, sink);
-            })
-            .take();
+    auto solver = mega_solver(n);
     auto compile_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -135,10 +135,9 @@ void print_artifact() {
               << (n == 1048576 ? (in_budget ? "PASS (< 1 s)" : "OVER BUDGET") : "-")
               << "\n";
   }
-  std::cout << "\nExpected shape: compile streams the generator twice (count +\n"
-               "fill), so no intermediate adjacency lists are materialized, and\n"
-               "both passes sweep the flat arrays once in index order, so the\n"
-               "full 1M-activity re-solve fits inside a second on one thread.\n\n";
+  std::cout << "\nExpected shape: the compiled forward and backward passes sweep\n"
+               "flat CSR arrays once in index order, so the full 1M-activity\n"
+               "re-solve fits inside a second on one thread.\n\n";
 }
 
 void BM_CpmChain(benchmark::State& state) {
@@ -197,15 +196,6 @@ void BM_CpmSolverMakespan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CpmSolverMakespan)->Range(16, 16384);
-
-sched::CpmSolver mega_solver(std::size_t n) {
-  gen::MegaGraphSpec spec{.seed = 42, .activities = n, .width = 1024};
-  return sched::CpmSolver::compile_stream(
-             n, [&](const sched::CpmSolver::ActivitySink& sink) {
-               gen::stream_mega_cpm(spec, sink);
-             })
-      .take();
-}
 
 void BM_CpmMegaResolve(benchmark::State& state) {
   // Full forward+backward re-solve of a layered mega-graph.

@@ -56,7 +56,7 @@ void BM_QueryOrderLimit(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryOrderLimit)->Arg(10)->Arg(100)->Arg(1000);
 
-// --- fast path: indexed seek vs full scan vs cached repeat -------------------
+// --- fast path: indexed seek vs full scan ------------------------------------
 //
 // Mixed-designer population: alice/bob alternate per execution, with carol
 // taking every 64th execution, so `designer = "carol"` is a selective
@@ -80,7 +80,6 @@ constexpr const char* kSelective =
 void BM_QueryIndexedEq(benchmark::State& state) {
   auto m = populated_mixed(static_cast<std::size_t>(state.range(0)));
   query::QueryEngine engine(m->db(), m->schedule_space());
-  engine.set_options({.use_index = true, .use_cache = false});
   auto q = query::parse_query(kSelective).take();
   for (auto _ : state) benchmark::DoNotOptimize(engine.execute(q).value().rows.size());
   state.SetItemsProcessed(state.iterations() *
@@ -91,7 +90,7 @@ BENCHMARK(BM_QueryIndexedEq)->Arg(512)->Arg(4096)->Arg(16384);
 void BM_QueryScanResidual(benchmark::State& state) {
   auto m = populated_mixed(static_cast<std::size_t>(state.range(0)));
   query::QueryEngine engine(m->db(), m->schedule_space());
-  engine.set_options({.use_index = false, .use_cache = false});
+  engine.set_options({.use_index = false});
   auto q = query::parse_query(kSelective).take();
   for (auto _ : state) benchmark::DoNotOptimize(engine.execute(q).value().rows.size());
   state.SetItemsProcessed(state.iterations() *
@@ -99,27 +98,16 @@ void BM_QueryScanResidual(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryScanResidual)->Arg(512)->Arg(4096)->Arg(16384);
 
-// First (uncached) execution of the cached-repeat statement: the aggregate
-// scans every run, so this is the cost the result cache amortises away.
+// An aggregate over every run: each execution scans the whole run table.
 constexpr const char* kAggregate = "select avg(duration) from runs";
 
 void BM_QueryFirstExec(benchmark::State& state) {
   auto m = populated_mixed(static_cast<std::size_t>(state.range(0)));
   query::QueryEngine engine(m->db(), m->schedule_space());
-  engine.set_options({.use_index = true, .use_cache = false});
   auto q = query::parse_query(kAggregate).take();
   for (auto _ : state) benchmark::DoNotOptimize(engine.execute(q).value().rows.size());
 }
 BENCHMARK(BM_QueryFirstExec)->Arg(512)->Arg(4096)->Arg(16384);
-
-void BM_QueryCachedRepeat(benchmark::State& state) {
-  auto m = populated_mixed(static_cast<std::size_t>(state.range(0)));
-  query::QueryEngine engine(m->db(), m->schedule_space());
-  auto q = query::parse_query(kAggregate).take();
-  benchmark::DoNotOptimize(engine.execute(q).value().rows.size());  // warm
-  for (auto _ : state) benchmark::DoNotOptimize(engine.execute(q).value().rows.size());
-}
-BENCHMARK(BM_QueryCachedRepeat)->Arg(512)->Arg(4096)->Arg(16384);
 
 void BM_QueryParse(benchmark::State& state) {
   const std::string text =

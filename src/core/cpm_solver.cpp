@@ -68,90 +68,6 @@ util::Result<CpmSolver> CpmSolver::compile(
   return finalize(std::move(s));
 }
 
-util::Result<CpmSolver> CpmSolver::compile_stream(
-    std::size_t n, const std::function<void(const ActivitySink&)>& stream) {
-  if (n > std::numeric_limits<std::uint32_t>::max())
-    return util::invalid("CPM: network too large for the CSR kernel");
-
-  CpmSolver s;
-  s.n_ = n;
-  s.durations_.resize(n);
-  s.releases_.resize(n);
-  s.pred_off_.assign(n + 1, 0);
-  s.succ_off_.assign(n + 1, 0);
-
-  // Pass 1: validate values, count edges per endpoint.
-  std::size_t idx = 0;
-  std::uint64_t edges = 0;
-  std::string err;
-  ActivitySink count_sink = [&](std::int64_t duration, std::int64_t release,
-                                const std::uint32_t* preds, std::size_t n_preds) {
-    const std::size_t i = idx++;
-    if (!err.empty() || i >= n) return;
-    if (duration < 0) {
-      err = "CPM: activity " + std::to_string(i) + " has negative duration";
-      return;
-    }
-    if (release < 0) {
-      err = "CPM: activity " + std::to_string(i) + " has negative release time";
-      return;
-    }
-    s.durations_[i] = duration;
-    s.releases_[i] = release;
-    for (std::size_t k = 0; k < n_preds; ++k) {
-      if (preds[k] >= n) {
-        err = "CPM: activity " + std::to_string(i) +
-              " references unknown predecessor " + std::to_string(preds[k]);
-        return;
-      }
-      ++s.succ_off_[preds[k] + 1];
-    }
-    s.pred_off_[i + 1] = static_cast<std::uint32_t>(n_preds);
-    edges += n_preds;
-  };
-  stream(count_sink);
-  if (!err.empty()) return util::invalid(err);
-  if (idx != n)
-    return util::invalid("CPM: stream emitted " + std::to_string(idx) +
-                         " activities, expected " + std::to_string(n));
-  if (edges > std::numeric_limits<std::uint32_t>::max())
-    return util::invalid("CPM: network too large for the CSR kernel");
-
-  for (std::size_t v = 0; v < n; ++v) {
-    s.pred_off_[v + 1] += s.pred_off_[v];
-    s.succ_off_[v + 1] += s.succ_off_[v];
-  }
-
-  // Pass 2: fill the CSR arrays from a second, identical streaming.
-  s.pred_.resize(edges);
-  s.succ_.resize(edges);
-  std::vector<std::uint32_t> pcursor(s.pred_off_.begin(), s.pred_off_.end() - 1);
-  std::vector<std::uint32_t> scursor(s.succ_off_.begin(), s.succ_off_.end() - 1);
-  idx = 0;
-  ActivitySink fill_sink = [&](std::int64_t, std::int64_t,
-                               const std::uint32_t* preds, std::size_t n_preds) {
-    const std::size_t i = idx++;
-    if (!err.empty() || i >= n) return;
-    if (s.pred_off_[i] + n_preds != s.pred_off_[i + 1]) {
-      err = "CPM: stream is not deterministic (activity " + std::to_string(i) +
-            " changed predecessor count between passes)";
-      return;
-    }
-    for (std::size_t k = 0; k < n_preds; ++k) {
-      s.pred_[pcursor[i]++] = preds[k];
-      s.succ_[scursor[preds[k]]++] = static_cast<std::uint32_t>(i);
-    }
-  };
-  stream(fill_sink);
-  if (!err.empty()) return util::invalid(err);
-  if (idx != n)
-    return util::invalid("CPM: stream is not deterministic (emitted " +
-                         std::to_string(idx) + " then " + std::to_string(n) +
-                         " activities)");
-
-  return finalize(std::move(s));
-}
-
 util::Result<CpmSolver> CpmSolver::finalize(CpmSolver s) {
   const std::size_t n = s.n_;
 

@@ -10,10 +10,7 @@
 //   compile()  — once per network: validate, build flat CSR successor /
 //                predecessor arrays (predecessor blocks sorted ascending,
 //                successor lists pre-sorted by activity index), fix one
-//                topological order, run the cycle check.  compile_stream()
-//                is the bounded-memory variant for mega-graphs: activities
-//                stream in, only the flat SoA/CSR arrays are ever
-//                materialized.
+//                topological order, run the cycle check.
 //   solve()    — per scenario: forward/backward passes plus critical-path
 //                extraction into a caller-owned CpmResult.  After the first
 //                solve every buffer is reused: zero allocation per solve.
@@ -31,7 +28,6 @@
 // analyze_risk shards sample blocks across the shared WorkerPool.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,23 +57,6 @@ class CpmSolver {
   /// cycle — the same conditions as compute_cpm, checked exactly once.
   [[nodiscard]] static util::Result<CpmSolver> compile(
       const std::vector<CpmActivity>& activities);
-
-  /// Receives one activity per call, index implicit and ascending:
-  /// (duration, release, predecessor indices).  The preds pointer need only
-  /// stay valid for the duration of the call.
-  using ActivitySink = std::function<void(
-      std::int64_t duration, std::int64_t release, const std::uint32_t* preds,
-      std::size_t n_preds)>;
-
-  /// Bounded-memory compile for streamed mega-graphs: `stream` must invoke
-  /// the sink exactly `n` times (activity 0..n-1 in order) and is called
-  /// twice — once to size the CSR arrays, once to fill them — so it must be
-  /// deterministic.  Only the solver's flat arrays are allocated: no
-  /// vector-of-vectors AoS network ever exists, which is what makes
-  /// 1M-activity graphs compile in a few hundred MB less than the
-  /// CpmActivity form.  Same validation and errors as compile().
-  [[nodiscard]] static util::Result<CpmSolver> compile_stream(
-      std::size_t n, const std::function<void(const ActivitySink&)>& stream);
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] std::int64_t duration(std::size_t i) const { return durations_[i]; }
@@ -118,7 +97,7 @@ class CpmSolver {
   }
 
  private:
-  /// Shared compile tail: pred blocks sorted, topological order fixed
+  /// The tail of compile: pred blocks sorted, topological order fixed
   /// (index order for forward-indexed networks, CSR Kahn otherwise), cycle
   /// check.
   [[nodiscard]] static util::Result<CpmSolver> finalize(CpmSolver s);

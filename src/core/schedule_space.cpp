@@ -29,7 +29,6 @@ ScheduleRunId ScheduleSpace::create_plan(const std::string& name, cal::WorkInsta
   p.derived_from = derived_from;
   plans_.push_back(std::move(p));
   ++version_;
-  ++plans_version_;
   return plans_.back().id;
 }
 
@@ -43,7 +42,6 @@ ScheduleRun& ScheduleSpace::plan_mut(ScheduleRunId id) {
   if (!id.valid() || id.value() > plans_.size())
     throw std::out_of_range("ScheduleSpace::plan: unknown id " + id.str());
   ++version_;  // conservative: handing out a mutable ref counts as a mutation
-  ++plans_version_;
   return plans_.mutate(id.value() - 1);
 }
 
@@ -77,7 +75,6 @@ ScheduleNodeId ScheduleSpace::create_node(ScheduleRunId plan_id,
   plan_mut(plan_id).nodes.push_back(n.id);
   nodes_.push_back(std::move(n));
   ++version_;
-  ++nodes_version_;
   return nodes_.back().id;
 }
 
@@ -91,7 +88,6 @@ ScheduleNode& ScheduleSpace::node_mut(ScheduleNodeId id) {
   if (!id.valid() || id.value() > nodes_.size())
     throw std::out_of_range("ScheduleSpace::node: unknown id " + id.str());
   ++version_;  // conservative, see plan_mut
-  ++nodes_version_;
   return nodes_.mutate(id.value() - 1);
 }
 
@@ -133,7 +129,6 @@ util::Result<LinkId> ScheduleSpace::add_link(ScheduleNodeId node_id,
   l.linked_at = at;
   links_.push_back(l);
   ++version_;
-  ++links_version_;
   return links_.back().id;
 }
 

@@ -109,8 +109,8 @@ class ScheduleSpace {
   ScheduleRunId create_plan(const std::string& name, cal::WorkInstant at,
                             ScheduleRunId derived_from = ScheduleRunId::invalid());
   [[nodiscard]] const ScheduleRun& plan(ScheduleRunId id) const;
-  /// Mutable plan access.  Conservatively bumps version() / plans_version()
-  /// — callers (planner, tracker, recovery) use it precisely to mutate.
+  /// Mutable plan access.  Conservatively bumps version() — callers
+  /// (planner, tracker, recovery) use it precisely to mutate.
   [[nodiscard]] ScheduleRun& plan_mut(ScheduleRunId id);
   [[nodiscard]] const util::CowVec<ScheduleRun>& plans() const { return plans_; }
 
@@ -124,7 +124,7 @@ class ScheduleSpace {
   ScheduleNodeId create_node(ScheduleRunId plan, const std::string& activity,
                              schema::RuleId rule);
   [[nodiscard]] const ScheduleNode& node(ScheduleNodeId id) const;
-  /// Mutable node access; bumps version() / nodes_version() like plan_mut.
+  /// Mutable node access; bumps version() like plan_mut.
   [[nodiscard]] ScheduleNode& node_mut(ScheduleNodeId id);
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
 
@@ -157,17 +157,8 @@ class ScheduleSpace {
 
   /// Monotonic mutation counter.  Bumped by every mutating entry point,
   /// including plan_mut/node_mut (the tracker and planner mutate through
-  /// those).  Coarse dirtiness check; the query cache validates on the
-  /// per-table versions below.
+  /// those).  Dirtiness check for snapshot publication.
   [[nodiscard]] std::uint64_t version() const { return version_; }
-
-  /// Per-table mutation counters (see meta::Database for the contract):
-  /// plans_version covers plan fields + node/dep membership lists,
-  /// nodes_version covers node fields and the per-activity containers,
-  /// links_version covers completion links.
-  [[nodiscard]] std::uint64_t plans_version() const { return plans_version_; }
-  [[nodiscard]] std::uint64_t nodes_version() const { return nodes_version_; }
-  [[nodiscard]] std::uint64_t links_version() const { return links_version_; }
 
  private:
   util::CowVec<ScheduleRun> plans_;   // index = id - 1
@@ -176,9 +167,6 @@ class ScheduleSpace {
   std::unordered_map<util::SymbolId, util::CowVec<ScheduleNodeId>> containers_;
   util::SymbolPool symbols_;
   std::uint64_t version_ = 0;
-  std::uint64_t plans_version_ = 0;
-  std::uint64_t nodes_version_ = 0;
-  std::uint64_t links_version_ = 0;
 };
 
 }  // namespace herc::sched

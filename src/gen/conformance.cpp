@@ -634,7 +634,7 @@ std::vector<ConformanceFailure> run_adversarial(const Scenario& scenario,
   // Query fast path stays coherent over the stormed state.
   query::QueryEngine fast(m2->db(), m2->schedule_space());
   query::QueryEngine slow(m2->db(), m2->schedule_space());
-  slow.set_options({.use_index = false, .use_cache = false});
+  slow.set_options({.use_index = false});
   for (const char* s : {"select count from runs group by activity",
                         "select count from runs group by designer",
                         "select count from instances group by type"}) {

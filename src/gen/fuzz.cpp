@@ -10,6 +10,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/cpm_solver.hpp"
 #include "core/risk.hpp"
@@ -569,13 +570,18 @@ std::string query_bytes(util::Result<query::QueryResult> r) {
   return r.value().render();
 }
 
+/// A memoized view response renders its failure like query_bytes does.
+std::string memo_bytes(const util::Result<std::string>& r) {
+  return r.ok() ? r.value() : "error: " + r.error().message;
+}
+
 /// Differential check over the query fast path.  One manager is planned and
 /// executed, then every statement is run three ways — full scan (reference),
-/// index path, and cached re-execution — and the rendered bytes must agree.
-/// Interleaved mutations (an import, a failed run, a replan) must invalidate
-/// the cache; the planted kQueryStaleCache mutation disables cache
-/// validation on the fast engine, so the post-mutation re-execution serves
-/// the stale entry and the oracle must notice.
+/// index path, and twice through the manager's current ReadView (a memo
+/// miss, then a memo hit) — and the bytes must agree.  Interleaved mutations
+/// (an import, a failed run, a replan) must publish a fresh view; the
+/// planted kQueryStaleView mutation answers the view leg from the view
+/// published before the mutation, and the oracle must notice.
 void check_query(const Scenario& scenario, Mutation mutation, Failures& fail) {
   auto made = make_manager(scenario);
   if (!made.ok()) {
@@ -597,16 +603,14 @@ void check_query(const Scenario& scenario, Mutation mutation, Failures& fail) {
     // State up to the crash is still queryable.
   }
 
-  // Fast engine: indexes + cache (the system under test).  The planted
-  // mutation is the deliberate bug: serve cached entries without checking
-  // the spaces' version counters.
+  // Fast engine: indexes (the system under test).  Slow engine: always full
+  // scan (the reference).
   query::QueryEngine fast(m->db(), m->schedule_space());
-  query::EngineOptions fast_options;
-  fast_options.validate_cache = mutation != Mutation::kQueryStaleCache;
-  fast.set_options(fast_options);
-  // Slow engine: always full scan, never cached (the reference).
   query::QueryEngine slow(m->db(), m->schedule_space());
-  slow.set_options({.use_index = false, .use_cache = false});
+  slow.set_options({.use_index = false});
+  // The view published at the previous stage.  The planted mutation is the
+  // deliberate bug: answer the view leg from it instead of the current one.
+  std::shared_ptr<const hercules::ReadView> prior = m->read_view();
 
   const std::string& act = scenario.graph.rules.front().name;
   const std::vector<std::string> statements = {
@@ -623,20 +627,25 @@ void check_query(const Scenario& scenario, Mutation mutation, Failures& fail) {
   };
 
   auto compare_all = [&](const char* stage) {
+    std::shared_ptr<const hercules::ReadView> current = m->read_view();
+    std::shared_ptr<const hercules::ReadView> before = std::exchange(prior, current);
+    const auto& view = mutation == Mutation::kQueryStaleView ? before : current;
     for (const auto& s : statements) {
-      std::string scan = query_bytes(slow.execute(s));
-      std::string indexed = query_bytes(fast.execute(s));
-      std::string cached = query_bytes(fast.execute(s));
-      if (indexed != scan) {
+      auto scan = slow.execute(s);
+      std::string want = query_bytes(scan);
+      std::string rendered = scan.ok() ? scan.value().render(&m->calendar()) : want;
+      if (query_bytes(fast.execute(s)) != want) {
         fail.add(kOracleQuery, "query.path",
                  std::string(stage) + ": index path differs from scan path for '" +
                      s + "'");
         return false;
       }
-      if (cached != scan) {
-        fail.add(kOracleQuery, "query.cache",
-                 std::string(stage) + ": cached re-execution differs from scan for '" +
-                     s + "'");
+      std::string memo1 = memo_bytes(view->query(s));
+      std::string memo2 = memo_bytes(view->query(s));  // the memo hit
+      if (memo1 != rendered || memo2 != rendered) {
+        fail.add(kOracleQuery, "query.memo",
+                 std::string(stage) + ": view memo differs from scan for '" + s +
+                     "'");
         return false;
       }
     }
@@ -673,21 +682,17 @@ void check_query(const Scenario& scenario, Mutation mutation, Failures& fail) {
   (void)m->replan_task("job", {.anchor = m->clock().now()});
   if (!compare_all("after-replan")) return;
 
-  // The repeats above must actually exercise the cache, not just match.
-  if (fast.stats().cache_hits == 0)
-    fail.add(kOracleQuery, "query.stats", "fast engine never served a cache hit");
-
   // --- threaded phase: a real mutator racing real readers -------------------
   //
   // The single-threaded checks above prove the paths agree on quiescent
   // state.  This phase proves the MVCC contract: while one thread mutates
   // the manager and publishes epoch snapshots (the shard's write lane),
   // reader threads pin whatever view is current and re-run the differential
-  // per epoch — scan, index, and cached/memoized paths must render
+  // per epoch — scan, index, and memoized paths must render
   // byte-identical results AGAINST THE PINNED EPOCH no matter what the
   // mutator is doing meanwhile.  Epochs observed by one reader must be
   // monotonic.  Run under TSan this also proves the lanes share no
-  // unsynchronized state (COW snapshots, internally locked engine cache).
+  // unsynchronized state (COW snapshots, the engine's atomic counters).
   hercules::ViewSlot published;
   published.store(m->read_view());
   std::atomic<bool> mutating{true};
@@ -700,9 +705,8 @@ void check_query(const Scenario& scenario, Mutation mutation, Failures& fail) {
 
   auto reader = [&](std::vector<std::string>& errors) {
     query::QueryEngine scan_engine(m->db(), m->schedule_space());
-    scan_engine.set_options({.use_index = false, .use_cache = false});
+    scan_engine.set_options({.use_index = false});
     query::QueryEngine index_engine(m->db(), m->schedule_space());
-    index_engine.set_options({.use_cache = false});
     std::uint64_t last_epoch = 0;
     do {
       std::shared_ptr<const hercules::ReadView> view = published.load();
@@ -717,13 +721,9 @@ void check_query(const Scenario& scenario, Mutation mutation, Failures& fail) {
       for (const auto& s : hot) {
         auto scan = scan_engine.execute(s, view->db(), view->space());
         auto indexed = index_engine.execute(s, view->db(), view->space());
-        auto memo1 = view->query(s);
-        auto memo2 = view->query(s);  // memo hit must replay the same bytes
+        std::string cached1 = memo_bytes(view->query(s));
+        std::string cached2 = memo_bytes(view->query(s));  // memo hit, same bytes
         std::string want = query_bytes(scan);
-        std::string cached1 =
-            memo1.ok() ? memo1.value() : "error: " + memo1.error().message;
-        std::string cached2 =
-            memo2.ok() ? memo2.value() : "error: " + memo2.error().message;
         std::string rendered = want;
         if (scan.ok()) rendered = scan.value().render(&m->calendar());
         if (query_bytes(indexed) != want) {
@@ -844,7 +844,7 @@ const char* mutation_name(Mutation m) {
     case Mutation::kRecoveryDropLine: return "recovery-drop-line";
     case Mutation::kRiskSeedSkew: return "risk-seed-skew";
     case Mutation::kMetamorphicScale: return "metamorphic-scale";
-    case Mutation::kQueryStaleCache: return "query-stale-cache";
+    case Mutation::kQueryStaleView: return "query-stale-view";
     case Mutation::kAdapterDropFiring: return "adapter-drop-firing";
   }
   return "none";
@@ -853,7 +853,7 @@ const char* mutation_name(Mutation m) {
 util::Result<Mutation> parse_mutation(const std::string& name) {
   for (Mutation m : {Mutation::kNone, Mutation::kMirrorDropRun, Mutation::kCpmOffByOne,
                      Mutation::kRecoveryDropLine, Mutation::kRiskSeedSkew,
-                     Mutation::kMetamorphicScale, Mutation::kQueryStaleCache,
+                     Mutation::kMetamorphicScale, Mutation::kQueryStaleView,
                      Mutation::kAdapterDropFiring})
     if (name == mutation_name(m)) return m;
   return util::parse_error("unknown mutation '" + name + "'");

@@ -22,9 +22,10 @@
 //                critical path's completion;
 //   query        differential check over the query fast path: every
 //                statement returns byte-identical rows via the index path,
-//                the full-scan path, and cached re-execution, before and
-//                after interleaved mutations (imports, failed runs,
-//                replans) that must invalidate the result cache;
+//                the full-scan path, and the current epoch's ReadView memo
+//                (miss and hit), before and after interleaved mutations
+//                (imports, failed runs, replans) that must publish a fresh
+//                view;
 //   adapter      cross-adapter conformance: the same scenario materialized
 //                through the native executor, a timed Petri firing replay,
 //                a VOV trace replay and concurrent dispatch lands on
@@ -85,7 +86,7 @@ enum class Mutation {
   kRecoveryDropLine,  ///< journal "loses" its final line before replay
   kRiskSeedSkew,      ///< second risk run silently uses a different seed
   kMetamorphicScale,  ///< relabeled flow gets all durations doubled
-  kQueryStaleCache,   ///< result cache serves entries without validation
+  kQueryStaleView,    ///< view leg answers from the pre-mutation epoch
   kAdapterDropFiring, ///< Petri replay silently drops its final firing
 };
 [[nodiscard]] const char* mutation_name(Mutation m);

@@ -245,25 +245,22 @@ std::vector<sched::CpmActivity> chain_cpm_network(std::size_t n) {
   return acts;
 }
 
-void stream_mega_cpm(const MegaGraphSpec& spec, const MegaCpmSink& sink) {
+std::vector<sched::CpmActivity> mega_cpm_network(const MegaGraphSpec& spec) {
   const std::size_t n = spec.activities;
   const std::size_t width = std::max<std::size_t>(1, spec.width);
   const std::size_t max_preds = std::min<std::size_t>(spec.max_preds, 16);
-  // A fresh Rng per call keeps the stream pure: compile_stream invokes it
-  // twice (count pass + fill pass) and must see identical output.
   util::Rng rng(spec.seed);
-  std::uint32_t preds[18];
+  std::vector<sched::CpmActivity> acts(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t duration = rng.uniform_int(spec.minutes_lo, spec.minutes_hi);
-    std::int64_t release = 0;
+    sched::CpmActivity& a = acts[i];
+    a.duration = rng.uniform_int(spec.minutes_lo, spec.minutes_hi);
     if (spec.release_p > 0 && rng.chance(spec.release_p))
-      release = rng.uniform_int(0, spec.release_hi);
-    std::size_t n_preds = 0;
+      a.release = rng.uniform_int(0, spec.release_hi);
     if (spec.shape == Shape::kRandom) {
       for (std::size_t tries = 0; tries < max_preds && i > 0; ++tries)
         if (rng.chance(spec.edge_p))
-          preds[n_preds++] = static_cast<std::uint32_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+          a.preds.push_back(static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(i) - 1)));
     } else {
       // Layered: level l = i / width depends on two slots of level l - 1,
       // which is always a full level, so every pred index is < i.
@@ -271,26 +268,12 @@ void stream_mega_cpm(const MegaGraphSpec& spec, const MegaCpmSink& sink) {
       const std::size_t slot = i % width;
       if (level > 0) {
         const std::size_t base = (level - 1) * width;
-        preds[n_preds++] = static_cast<std::uint32_t>(base + slot);
+        a.preds.push_back(base + slot);
         const std::size_t wrap = base + (slot + 1) % width;
-        if (wrap != base + slot) preds[n_preds++] = static_cast<std::uint32_t>(wrap);
+        if (wrap != base + slot) a.preds.push_back(wrap);
       }
     }
-    sink(duration, release, preds, n_preds);
   }
-}
-
-std::vector<sched::CpmActivity> mega_cpm_network(const MegaGraphSpec& spec) {
-  std::vector<sched::CpmActivity> acts;
-  acts.reserve(spec.activities);
-  stream_mega_cpm(spec, [&](std::int64_t duration, std::int64_t release,
-                            const std::uint32_t* preds, std::size_t n_preds) {
-    sched::CpmActivity a;
-    a.duration = duration;
-    a.release = release;
-    a.preds.assign(preds, preds + n_preds);
-    acts.push_back(std::move(a));
-  });
   return acts;
 }
 

@@ -18,7 +18,6 @@
 // (scenario_to_json / scenario_from_json) that replays forever.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -282,19 +281,10 @@ struct RequestStreamSpec {
 [[nodiscard]] std::vector<sched::CpmActivity> chain_cpm_network(std::size_t n);
 
 // --- mega-graphs -------------------------------------------------------------
-//
-// Million-activity networks are generated as a *stream*, never materialized
-// as vector-of-vectors: stream_mega_cpm emits each activity once, in index
-// order, through a sink whose signature matches
-// sched::CpmSolver::ActivitySink, so CpmSolver::compile_stream can build its
-// flat CSR directly and the only O(n)-sized allocations are the solver's
-// own arrays.  Emission is pure (a fresh seeded Rng per call), so invoking
-// the stream twice — as compile_stream's two-pass build does — yields
-// byte-identical output.
 
-/// Recipe for a streamed CPM mega-graph.  Only kLayered and kRandom apply;
-/// every pred of activity i has index < i (forward-indexed), which is what
-/// keeps the graphs cycle-free by construction at any scale.
+/// Recipe for a CPM mega-graph.  Only kLayered and kRandom apply; every pred
+/// of activity i has index < i (forward-indexed), which is what keeps the
+/// graphs cycle-free by construction at any scale.
 struct MegaGraphSpec {
   std::uint64_t seed = 1;
   Shape shape = Shape::kLayered;
@@ -311,21 +301,8 @@ struct MegaGraphSpec {
   std::int64_t release_hi = 300; ///< release ~ uniform[0, release_hi]
 };
 
-/// Sink signature (identical to sched::CpmSolver::ActivitySink, duplicated
-/// so gen stays independent of the solver): called once per activity in
-/// index order with its duration, release, and predecessor indices.
-using MegaCpmSink = std::function<void(
-    std::int64_t duration, std::int64_t release, const std::uint32_t* preds,
-    std::size_t n_preds)>;
-
-/// Streams the spec's network through `sink` with O(max_preds) working
-/// memory.  Deterministic: identical specs emit identical streams on every
-/// call and platform.
-void stream_mega_cpm(const MegaGraphSpec& spec, const MegaCpmSink& sink);
-
-/// Materialized form of the same network (byte-identical durations /
-/// releases / preds to the stream) — for small-scale oracles that compare
-/// compile_stream against the classic compile path.
+/// The spec's network, ready for sched::CpmSolver::compile.  Deterministic:
+/// identical specs give identical networks on every call and platform.
 [[nodiscard]] std::vector<sched::CpmActivity> mega_cpm_network(
     const MegaGraphSpec& spec);
 

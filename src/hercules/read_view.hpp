@@ -19,9 +19,9 @@
 //
 // The calendar and query engine are referenced, not copied: both outlive
 // every view (the shard keeps its manager alive while reads are in flight),
-// the calendar is immutable after setup, and the engine's shared result
-// cache is internally synchronized with per-target version stamps keeping
-// epochs straight.
+// the calendar is immutable after setup, and the engine holds no data of
+// its own beyond atomic counters: it runs each statement against the view's
+// spaces.  The view's memo is the read path's only result cache.
 
 #include <atomic>
 #include <functional>

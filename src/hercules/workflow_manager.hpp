@@ -171,10 +171,10 @@ class WorkflowManager {
   [[nodiscard]] util::Result<std::string> status_report(
       const std::string& task_name) const;
   [[nodiscard]] util::Result<std::string> query(std::string_view statement) const;
-  /// `explain` for the query fast path: chosen access path + cache state.
+  /// `explain` for the query fast path: chosen access path and residual filter.
   [[nodiscard]] util::Result<std::string> explain(std::string_view statement) const;
-  /// The manager's persistent query engine (result cache + fast-path
-  /// counters live here; invalidation rides the spaces' version counters).
+  /// The manager's persistent query engine (the fast-path counters live
+  /// here).
   [[nodiscard]] const query::QueryEngine& query_engine() const { return *query_engine_; }
   [[nodiscard]] query::QueryEngine& query_engine() { return *query_engine_; }
   [[nodiscard]] gantt::ScheduleBrowser browser() {

@@ -38,10 +38,7 @@ Database::Database(const Database& other)
       runs_by_tool_(other.runs_by_tool_),
       runs_by_status_(other.runs_by_status_),
       instances_by_name_(other.instances_by_name_),
-      version_(other.version_),
-      instances_version_(other.instances_version_),
-      runs_version_(other.runs_version_),
-      resources_version_(other.resources_version_) {}
+      version_(other.version_) {}
 
 void Database::remove_observer(DatabaseObserver* obs) {
   observers_.erase(std::remove(observers_.begin(), observers_.end(), obs),
@@ -51,7 +48,6 @@ void Database::remove_observer(DatabaseObserver* obs) {
 ResourceId Database::add_resource(const std::string& name, const std::string& kind,
                                   int capacity) {
   ++version_;
-  ++resources_version_;
   Resource r;
   r.id = ResourceId{resources_.size() + 1};
   r.name = name;
@@ -70,7 +66,6 @@ util::Status Database::add_time_off(ResourceId id, cal::WorkInstant from,
   windows.emplace_back(from, to);
   std::sort(windows.begin(), windows.end());
   ++version_;
-  ++resources_version_;
   return util::Status::ok_status();
 }
 
@@ -111,7 +106,6 @@ util::Result<EntityInstanceId> Database::create_instance(const std::string& type
   instances_by_name_[e.name_sym].push_back(e.id);
   instances_.push_back(e);
   ++version_;
-  ++instances_version_;
   notify_instance(instances_.back());
   return instances_.back().id;
 }
@@ -203,17 +197,12 @@ util::Result<RunId> Database::record_run(Run r) {
 
   // Back-link: the output instance's producer is this run.  create_instance
   // may have been called with an invalid RunId when the run id was not yet
-  // known; patch it now.  This is the one in-place rewrite of the instance
-  // table, so it (alone among run mutations) bumps instances_version.
-  if (r.output.valid() &&
-      !instances_[r.output.value() - 1].produced_by.valid()) {
+  // known; patch it now.
+  if (r.output.valid() && !instances_[r.output.value() - 1].produced_by.valid())
     instances_.mutate(r.output.value() - 1).produced_by = r.id;
-    ++instances_version_;
-  }
 
   runs_.push_back(std::move(r));
   ++version_;
-  ++runs_version_;
   notify_run(runs_.back());
   return runs_.back().id;
 }

@@ -218,19 +218,9 @@ class Database {
   [[nodiscard]] const util::SymbolPool& symbols() const { return symbols_; }
 
   /// Monotonic mutation counter: bumped by every create_instance /
-  /// record_run / add_resource / add_time_off.  Coarse dirtiness check
-  /// (snapshot publication); the query cache validates on the fine-grained
-  /// per-table versions below.
+  /// record_run / add_resource / add_time_off.  Dirtiness check for
+  /// snapshot publication.
   [[nodiscard]] std::uint64_t version() const { return version_; }
-
-  /// Per-table mutation counters: a counter moves only when its table (or
-  /// an index derived from it) can have changed, so a run append does not
-  /// invalidate cached instance-only query results.  instances_version also
-  /// covers the container/name indexes and the produced_by back-link patch
-  /// record_run applies to its output instance.
-  [[nodiscard]] std::uint64_t instances_version() const { return instances_version_; }
-  [[nodiscard]] std::uint64_t runs_version() const { return runs_version_; }
-  [[nodiscard]] std::uint64_t resources_version() const { return resources_version_; }
 
  private:
   void notify_instance(const EntityInstance& e);
@@ -255,9 +245,6 @@ class Database {
   std::array<util::CowVec<RunId>, 2> runs_by_status_;  // index = RunStatus
   std::unordered_map<util::SymbolId, util::CowVec<EntityInstanceId>> instances_by_name_;
   std::uint64_t version_ = 0;
-  std::uint64_t instances_version_ = 0;
-  std::uint64_t runs_version_ = 0;
-  std::uint64_t resources_version_ = 0;
 };
 
 }  // namespace herc::meta

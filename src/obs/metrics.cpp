@@ -129,8 +129,6 @@ void MetricsRegistry::on_event(const Event& event) {
         if (end == value.c_str()) continue;
         if (key == "rows_scanned") counters_["rows_scanned"] += delta;
         else if (key == "index_seeks") counters_["index_seeks"] += delta;
-        else if (key == "cache_hits") counters_["query_cache_hits"] += delta;
-        else if (key == "cache_misses") counters_["query_cache_misses"] += delta;
       }
       break;
     case EventKind::kScope:

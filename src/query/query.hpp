@@ -33,9 +33,9 @@
 // Time-valued fields are work minutes since the calendar epoch; the renderer
 // formats them as dates when a calendar is supplied.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <variant>
@@ -117,21 +117,16 @@ struct QueryResult {
   [[nodiscard]] std::string render(const cal::WorkCalendar* calendar = nullptr) const;
 };
 
-class QueryCache;  // query_plan.hpp
-
-/// Fast-path knobs.  Both paths (and cached re-execution) are byte-identical
-/// by construction; the toggles exist for benchmarking and for the
-/// query-differential fuzz oracle.
+/// Fast-path knob.  Both paths are byte-identical by construction; the
+/// toggle exists for benchmarking and for the query-differential fuzz oracle.
 struct EngineOptions {
   bool use_index = true;  ///< false: always full-scan
-  bool use_cache = true;  ///< false: never cache results
-  /// Testing backdoor: serve cached entries without checking the spaces'
-  /// version counters (deliberately WRONG — the fuzz harness plants this
-  /// bug to prove the differential oracle catches stale caches).
-  bool validate_cache = true;
 };
 
 /// Cumulative fast-path counters (also published per query on the event bus).
+/// The engine keeps no result cache (repeats within an epoch are answered by
+/// hercules::ReadView's memo), so cache_hits stays 0 and cache_misses counts
+/// every execution; both names stay for readers of these stats.
 struct EngineStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -142,18 +137,16 @@ struct EngineStats {
 /// Executes queries against one database + schedule space pair.
 ///
 /// Thread-safety: execute()/explain() are safe to call concurrently (the
-/// result cache and counters sit behind an internal mutex) PROVIDED each
+/// counters are relaxed atomics; nothing else is shared) PROVIDED each
 /// call's data is not mutated underneath it — either pass an immutable
 /// epoch snapshot via the explicit (db, space) overloads, or serialize with
-/// mutators externally.  The cache is shared across snapshots; per-target
-/// version stamps keep entries from different epochs straight.
+/// mutators externally.
 class QueryEngine {
  public:
   /// `bus` (optional) receives one query_executed event per execute() call,
   /// carrying the canonical statement and the wall-clock latency.
   QueryEngine(const meta::Database& db, const sched::ScheduleSpace& space,
               obs::EventBus* bus = nullptr);
-  ~QueryEngine();
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
@@ -173,8 +166,8 @@ class QueryEngine {
       const sched::ScheduleSpace& space) const;
 
   /// Describes how the query would execute: chosen access path (index seek
-  /// vs full scan), residual conditions, and whether the result cache would
-  /// serve it.  Validates exactly like execute() without touching any row.
+  /// vs full scan) and residual conditions.  Validates exactly like
+  /// execute() without touching any row.
   [[nodiscard]] util::Result<std::string> explain(const Query& q) const;
   [[nodiscard]] util::Result<std::string> explain(std::string_view text) const;
   [[nodiscard]] util::Result<std::string> explain(
@@ -190,9 +183,6 @@ class QueryEngine {
   /// Cumulative counters since construction (thread-safe snapshot).
   [[nodiscard]] EngineStats stats() const;
 
-  /// Drops every cached result (tests).
-  void clear_cache() const;
-
   /// The plan-evolution query: ancestry of `plan`, newest first.  This is
   /// the paper's "which schedule plans were used to create the present
   /// schedule plan".
@@ -200,8 +190,8 @@ class QueryEngine {
 
  private:
   struct ExecInfo;
-  /// The evaluation itself, unobserved; execute() wraps it with timing,
-  /// caching and stats.
+  /// The evaluation itself, unobserved; execute() wraps it with timing and
+  /// stats.
   [[nodiscard]] util::Result<QueryResult> run(const Query& q, ExecInfo& info,
                                               const meta::Database& db,
                                               const sched::ScheduleSpace& space) const;
@@ -211,9 +201,9 @@ class QueryEngine {
   const sched::ScheduleSpace* space_;
   obs::EventBus* bus_ = nullptr;
   EngineOptions options_;
-  mutable std::mutex mu_;  ///< guards cache_ + stats_
-  std::unique_ptr<QueryCache> cache_;
-  mutable EngineStats stats_;
+  mutable std::atomic<std::uint64_t> executions_{0};
+  mutable std::atomic<std::uint64_t> rows_scanned_{0};
+  mutable std::atomic<std::uint64_t> index_seeks_{0};
 };
 
 }  // namespace herc::query

@@ -1,10 +1,10 @@
 // Evaluation of parsed queries against the database + schedule space.
 //
 // Execution pipeline (see query_plan.hpp for the moving parts):
-//   canonical text -> result-cache probe -> compile predicate -> plan access
-//   path (index seek vs full scan) -> residual filter -> aggregate/order/
-//   limit -> cache fill.  Every path produces byte-identical results; the
-//   fast path only changes how few rows are touched.
+//   compile predicate -> plan access path (index seek vs full scan) ->
+//   residual filter -> aggregate/order/limit.  Every path produces
+//   byte-identical results; the fast path only changes how few rows are
+//   touched.
 
 #include <algorithm>
 #include <charconv>
@@ -88,18 +88,14 @@ std::vector<std::string> QueryEngine::columns_for(Target t) {
 
 QueryEngine::QueryEngine(const meta::Database& db, const sched::ScheduleSpace& space,
                          obs::EventBus* bus)
-    : db_(&db), space_(&space), bus_(bus), cache_(std::make_unique<QueryCache>()) {}
-
-QueryEngine::~QueryEngine() = default;
+    : db_(&db), space_(&space), bus_(bus) {}
 
 EngineStats QueryEngine::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void QueryEngine::clear_cache() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_->clear();
+  EngineStats s;
+  s.cache_misses = executions_.load(std::memory_order_relaxed);
+  s.rows_scanned = rows_scanned_.load(std::memory_order_relaxed);
+  s.index_seeks = index_seeks_.load(std::memory_order_relaxed);
+  return s;
 }
 
 /// Per-execution bookkeeping run() reports back to execute()/explain().
@@ -272,36 +268,17 @@ util::Result<QueryResult> QueryEngine::execute(
     const sched::ScheduleSpace& space) const {
   const bool observed = obs::on(bus_);
   const std::int64_t t0 = observed ? obs::EventBus::wall_now_ns() : 0;
-  const std::string key = q.str();
-  const VersionStamp stamp = target_stamp(q.target, db, space);
 
-  bool cache_hit = false;
   ExecInfo info;
-  util::Result<QueryResult> result = util::Result<QueryResult>(QueryResult{});
-  if (options_.use_cache) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const QueryResult* hit = cache_->find(key, stamp, options_.validate_cache);
-    if (hit) {
-      cache_hit = true;
-      ++stats_.cache_hits;
-      result = *hit;
-    } else {
-      ++stats_.cache_misses;
-    }
-  }
-  if (!cache_hit) {
-    result = run(q, info, db, space);
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.rows_scanned += info.rows_scanned;
-    if (info.index_seek) ++stats_.index_seeks;
-    if (result.ok() && options_.use_cache)
-      cache_->put(key, stamp, result.value());
-  }
+  util::Result<QueryResult> result = run(q, info, db, space);
+  executions_.fetch_add(1, std::memory_order_relaxed);
+  rows_scanned_.fetch_add(info.rows_scanned, std::memory_order_relaxed);
+  if (info.index_seek) index_seeks_.fetch_add(1, std::memory_order_relaxed);
 
   if (observed) {
     obs::Event e;
     e.kind = obs::EventKind::kQueryExecuted;
-    e.name = key;
+    e.name = q.str();
     e.category = "query";
     e.duration_ns = obs::EventBus::wall_now_ns() - t0;
     e.failed = !result.ok();
@@ -311,10 +288,6 @@ util::Result<QueryResult> QueryEngine::execute(
       e.args = {{"error", result.error().message}};
     e.args.emplace_back("rows_scanned", std::to_string(info.rows_scanned));
     e.args.emplace_back("index_seeks", info.index_seek ? "1" : "0");
-    if (options_.use_cache) {
-      e.args.emplace_back("cache_hits", cache_hit ? "1" : "0");
-      e.args.emplace_back("cache_misses", cache_hit ? "0" : "1");
-    }
     bus_->publish(std::move(e));
   }
   return result;
@@ -372,11 +345,10 @@ util::Result<std::string> QueryEngine::explain(
   AccessPath path;
   if (options_.use_index && q.where) path = plan_access(*q.where, q.target, db, space);
 
-  const std::string key = q.str();
   const std::size_t total = src->count();
   const std::size_t leaves = compiled.value().leaf_count();
 
-  std::string out = "query:  " + key + "\n";
+  std::string out = "query:  " + q.str() + "\n";
   if (path.index) {
     out += "access: index seek " + std::string(target_name(q.target)) + "." +
            path.column + " = \"" + path.key + "\" (" +
@@ -386,14 +358,6 @@ util::Result<std::string> QueryEngine::explain(
   } else {
     out += "access: full scan (" + std::to_string(total) + " rows), filter on " +
            std::to_string(leaves) + " condition(s)\n";
-  }
-  if (!options_.use_cache) {
-    out += "cache:  disabled\n";
-  } else {
-    const VersionStamp stamp = target_stamp(q.target, db, space);
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool hit = cache_->find(key, stamp, options_.validate_cache) != nullptr;
-    out += hit ? "cache:  hit\n" : "cache:  cold\n";
   }
   return out;
 }

@@ -383,36 +383,4 @@ AccessPath plan_access(const Expr& where, Target target, const meta::Database& d
   return best;
 }
 
-VersionStamp target_stamp(Target target, const meta::Database& db,
-                          const sched::ScheduleSpace& space) {
-  switch (target) {
-    case Target::kRuns: return {db.runs_version(), 0};
-    case Target::kInstances: return {db.instances_version(), 0};
-    case Target::kSchedule: return {space.nodes_version(), space.links_version()};
-    case Target::kPlans: return {space.plans_version(), 0};
-    case Target::kLinks: return {space.links_version(), 0};
-  }
-  return {};
-}
-
-const QueryResult* QueryCache::find(const std::string& key,
-                                    const VersionStamp& stamp, bool validate) const {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  if (validate && !(it->second.stamp == stamp)) return nullptr;
-  return &it->second.result;
-}
-
-void QueryCache::put(const std::string& key, const VersionStamp& stamp,
-                     QueryResult result) {
-  if (entries_.size() >= kMaxEntries && !entries_.count(key)) {
-    // An entry whose key we are not about to overwrite has to make room.
-    // There is no cheap staleness test against a single stamp anymore (each
-    // entry validates against its own target's tables), so drop everything:
-    // the cache refills in one round of the working set.
-    entries_.clear();
-  }
-  entries_[key] = Entry{stamp, std::move(result)};
-}
-
 }  // namespace herc::query

@@ -1,6 +1,6 @@
 #pragma once
-// The query fast path: row sources, compiled predicates, the access-path
-// planner, and the mutation-invalidated result cache.
+// The query fast path: row sources, compiled predicates and the access-path
+// planner.
 //
 // The seed engine materialized every row of the target space as a
 // std::vector<Value> (string copies included), then re-dispatched each
@@ -18,16 +18,13 @@
 //   plan_access         picks index-seek + residual-filter over full scan
 //                       when a top-level conjunctive equality leaf hits one
 //                       of the database's secondary indexes.
-//   QueryCache          canonical-text -> result map validated against the
-//                       queried target's *per-table* version stamp, so a
-//                       mutation only evicts results whose underlying table
-//                       (or a derived index) actually moved — a run append
-//                       leaves cached plan/instance results servable.
+//
+// There is no result cache here: a repeated statement within one epoch is
+// answered by hercules::ReadView's per-epoch memo, the read path's one cache.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "query/query.hpp"
@@ -119,50 +116,5 @@ struct AccessPath {
 [[nodiscard]] AccessPath plan_access(const Expr& where, Target target,
                                      const meta::Database& db,
                                      const sched::ScheduleSpace& space);
-
-// --- result cache ------------------------------------------------------------
-
-/// Fine-grained validity fingerprint of one query target: the version
-/// counters of exactly the tables its rows read.  Two stamps being equal
-/// means every table the target touches is unchanged, so a cached result is
-/// still byte-correct — regardless of what else mutated.
-struct VersionStamp {
-  std::uint64_t primary = 0;
-  std::uint64_t secondary = 0;
-  [[nodiscard]] bool operator==(const VersionStamp&) const = default;
-};
-
-/// The stamp covering `target` right now.  Dependency sets:
-///   runs      -> db.runs_version            (run fields + run indexes)
-///   instances -> db.instances_version       (covers the produced_by patch)
-///   schedule  -> space nodes + links        (the `linked` column reads links)
-///   plans     -> space plans_version        (plan fields + node membership)
-///   links     -> space links_version        (node activity is immutable)
-[[nodiscard]] VersionStamp target_stamp(Target target, const meta::Database& db,
-                                        const sched::ScheduleSpace& space);
-
-/// Canonical statement text -> finished QueryResult, validated against the
-/// target's VersionStamp.  Entries go stale only when a table the target
-/// reads mutates; stale entries are evicted lazily on lookup/insert.
-class QueryCache {
- public:
-  /// The cached result, or nullptr.  With `validate` false (a testing
-  /// backdoor the fuzz harness uses to plant a stale-cache bug) version
-  /// stamps are ignored.
-  [[nodiscard]] const QueryResult* find(const std::string& key,
-                                        const VersionStamp& stamp,
-                                        bool validate) const;
-  void put(const std::string& key, const VersionStamp& stamp, QueryResult result);
-  void clear() { entries_.clear(); }
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    VersionStamp stamp;
-    QueryResult result;
-  };
-  static constexpr std::size_t kMaxEntries = 128;
-  std::unordered_map<std::string, Entry> entries_;
-};
 
 }  // namespace herc::query

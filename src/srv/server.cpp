@@ -119,14 +119,17 @@ void Server::accept_main() {
       if (client < 0) continue;
       auto session = std::make_shared<Session>();
       session->fd = client;
+      std::vector<std::thread> finished;
       {
         std::lock_guard<std::mutex> lock(sessions_mu_);
         if (stopping_.load()) continue;  // ~Session closes the fd
+        finished.swap(finished_readers_);
         session->id = next_session_id_++;
         sessions_.push_back(session);
-        reader_threads_.emplace_back(
-            [this, session] { reader_main(session); });
+        reader_threads_.emplace(session->id,
+                                std::thread([this, session] { reader_main(session); }));
       }
+      for (auto& reader : finished) reader.join();
       sessions_total_.fetch_add(1);
       active_sessions_.fetch_add(1);
     }
@@ -199,10 +202,14 @@ void Server::reader_main(std::shared_ptr<Session> session) {
   }
   // Deregister.  On a clean EOF `open` stays true: responses for requests
   // this connection already queued are still written (the graceful-shutdown
-  // drain depends on that); the fd closes with the last shared_ptr.
+  // drain depends on that); the fd closes with the last shared_ptr.  This
+  // thread's handle goes to the finished list for accept_main to join,
+  // unless stop() has already taken it.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     std::erase(sessions_, session);
+    if (auto self = reader_threads_.extract(session->id))
+      finished_readers_.push_back(std::move(self.mapped()));
   }
   active_sessions_.fetch_sub(1);
 }
@@ -466,7 +473,9 @@ void Server::stop() {
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions = sessions_;
-    readers.swap(reader_threads_);
+    readers.swap(finished_readers_);
+    for (auto& [id, reader] : reader_threads_) readers.push_back(std::move(reader));
+    reader_threads_.clear();
   }
   for (auto& session : sessions) ::shutdown(session->fd, SHUT_RD);
   for (auto& reader : readers) {

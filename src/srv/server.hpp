@@ -153,9 +153,11 @@ class Server {
 
   std::mutex sessions_mu_;
   std::vector<std::shared_ptr<Session>> sessions_;  ///< currently connected
-  /// Every reader thread ever started; finished ones join instantly at
-  /// stop() (readers remove their session from sessions_ themselves).
-  std::vector<std::thread> reader_threads_;
+  /// Running reader threads by session id.  A reader that ends moves its
+  /// own handle to finished_readers_, which accept_main joins before it
+  /// starts the next reader; stop() joins both.
+  std::map<std::uint64_t, std::thread> reader_threads_;
+  std::vector<std::thread> finished_readers_;
   std::uint64_t next_session_id_ = 1;
 
   std::mutex queue_mu_;

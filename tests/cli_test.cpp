@@ -530,19 +530,14 @@ TEST(Cli, StatsCountsPlansAndRuns) {
   fail(s, "stats verbose");  // usage
 }
 
-TEST(Cli, ExplainShowsAccessPathAndCacheState) {
+TEST(Cli, ExplainShowsAccessPath) {
   CliSession s = circuit_session();
   ok(s, "plan adder");
   ok(s, "execute adder alice");
 
-  // Indexed equality seeks; the cache is cold before the first execution.
-  auto cold = ok(s, "explain select runs where designer = \"alice\"");
-  EXPECT_NE(cold.find("index seek runs.designer = \"alice\""), std::string::npos);
-  EXPECT_NE(cold.find("cache:  cold"), std::string::npos);
-
-  ok(s, "query select runs where designer = \"alice\"");
-  auto hot = ok(s, "explain select runs where designer = \"alice\"");
-  EXPECT_NE(hot.find("cache:  hit"), std::string::npos);
+  // Indexed equality seeks.
+  auto seek = ok(s, "explain select runs where designer = \"alice\"");
+  EXPECT_NE(seek.find("index seek runs.designer = \"alice\""), std::string::npos);
 
   // Non-equality predicates cannot use an index.
   auto scan = ok(s, "explain select runs where duration >= 0");
@@ -562,14 +557,13 @@ TEST(Cli, StatsCountsQueryFastPath) {
   ok(s, "plan adder");
   ok(s, "execute adder alice");
   ok(s, "query select runs where designer = \"alice\"");
-  ok(s, "query select runs where designer = \"alice\"");  // served by the cache
+  ok(s, "query select runs where designer = \"alice\"");
 
   auto parsed = util::Json::parse(ok(s, "stats json"));
   ASSERT_TRUE(parsed.ok()) << parsed.error().str();
   const auto& counters = parsed.value().as_object().at("counters").as_object();
+  EXPECT_GE(counters.at("queries_executed").as_int(), 2);
   EXPECT_GE(counters.at("index_seeks").as_int(), 1);
-  EXPECT_GE(counters.at("query_cache_misses").as_int(), 1);
-  EXPECT_GE(counters.at("query_cache_hits").as_int(), 1);
   EXPECT_GE(counters.at("rows_scanned").as_int(), 1);
 }
 

@@ -232,42 +232,6 @@ TEST_P(CpmSolverProperty, DragMatchesBruteForceResolve) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CpmSolverProperty,
                          ::testing::Values(1, 2, 3, 7, 11, 23));
 
-// --- streaming compile -------------------------------------------------------
-
-TEST(CpmSolverStream, CompileStreamMatchesCompile) {
-  for (auto shape : {gen::Shape::kLayered, gen::Shape::kRandom}) {
-    gen::MegaGraphSpec spec{.seed = 21, .shape = shape, .activities = 1200,
-                            .width = 37, .release_p = 0.15};
-    auto acts = gen::mega_cpm_network(spec);
-    auto classic = CpmSolver::compile(acts).take();
-    auto streamed = CpmSolver::compile_stream(
-        spec.activities,
-        [&](const CpmSolver::ActivitySink& sink) { gen::stream_mega_cpm(spec, sink); })
-        .take();
-    EXPECT_EQ(streamed.size(), acts.size());
-    CpmResult a, b;
-    classic.solve(a);
-    streamed.solve(b);
-    expect_same_result(b, a);
-  }
-}
-
-TEST(CpmSolverStream, ValidatesLikeCompile) {
-  auto bad_pred = CpmSolver::compile_stream(1, [](const CpmSolver::ActivitySink& sink) {
-    std::uint32_t preds[] = {7};
-    sink(1, 0, preds, 1);
-  });
-  EXPECT_FALSE(bad_pred.ok());
-  auto bad_dur = CpmSolver::compile_stream(1, [](const CpmSolver::ActivitySink& sink) {
-    sink(-1, 0, nullptr, 0);
-  });
-  EXPECT_FALSE(bad_dur.ok());
-  auto wrong_count = CpmSolver::compile_stream(2, [](const CpmSolver::ActivitySink& sink) {
-    sink(1, 0, nullptr, 0);
-  });
-  EXPECT_FALSE(wrong_count.ok());
-}
-
 // --- batched lanes -----------------------------------------------------------
 
 TEST(CpmSolverBatch, LanesMatchPerLaneSolves) {

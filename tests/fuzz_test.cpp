@@ -64,7 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
                       MutationCase{Mutation::kRecoveryDropLine, kOracleRecovery},
                       MutationCase{Mutation::kRiskSeedSkew, kOracleRisk},
                       MutationCase{Mutation::kMetamorphicScale, kOracleMetamorphic},
-                      MutationCase{Mutation::kQueryStaleCache, kOracleQuery},
+                      MutationCase{Mutation::kQueryStaleView, kOracleQuery},
                       MutationCase{Mutation::kAdapterDropFiring, kOracleAdapter}),
     [](const auto& info) {
       std::string name = mutation_name(info.param.mutation);

@@ -69,6 +69,25 @@ TEST(Gen, SameSpecIsByteIdentical) {
   EXPECT_EQ(scenario_to_json(a).dump(), scenario_to_json(b).dump());
 }
 
+// Mega-graphs are forward-indexed, so they are acyclic at any scale, and
+// the same spec draws the same network.
+TEST(GenMega, NetworksAreDeterministicAndForwardIndexed) {
+  for (auto shape : {Shape::kLayered, Shape::kRandom}) {
+    MegaGraphSpec spec{.seed = 21, .shape = shape, .activities = 1200, .width = 37,
+                       .release_p = 0.15};
+    auto acts = mega_cpm_network(spec);
+    auto again = mega_cpm_network(spec);
+    ASSERT_EQ(acts.size(), spec.activities);
+    ASSERT_EQ(again.size(), spec.activities);
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      EXPECT_EQ(acts[i].duration, again[i].duration);
+      EXPECT_EQ(acts[i].release, again[i].release);
+      EXPECT_EQ(acts[i].preds, again[i].preds);
+      for (std::size_t p : acts[i].preds) EXPECT_LT(p, i);
+    }
+  }
+}
+
 TEST(Gen, DistinctSeedsVaryDurations) {
   Scenario a = generate({.seed = 1, .shape = Shape::kRandom, .size = 12});
   Scenario b = generate({.seed = 2, .shape = Shape::kRandom, .size = 12});

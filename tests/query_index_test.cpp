@@ -1,8 +1,8 @@
 // Tests for the query fast path: interned metadata, maintained secondary
-// indexes, the compiled-predicate access-path planner, and the
-// mutation-invalidated result cache.  The load-bearing property throughout:
-// the index path, the full-scan path, and cached re-execution are
-// byte-identical — including after snapshot + journal crash recovery.
+// indexes and the compiled-predicate access-path planner.  The load-bearing
+// property throughout: the index path and the full-scan path are
+// byte-identical, and repeating a statement gives the same bytes again —
+// including after snapshot + journal crash recovery.
 
 #include <gtest/gtest.h>
 
@@ -154,10 +154,10 @@ TEST(QueryIndex, IndexesAndInterningRebuildThroughSnapshotJournalRecovery) {
   EXPECT_EQ(r.db().container("performance").size(), 1u);
   EXPECT_GT(r.db().symbols().size(), 0u);
 
-  // And the three execution paths stay byte-identical on the recovered state.
+  // And both execution paths stay byte-identical on the recovered state.
   QueryEngine fast(r.db(), r.schedule_space());
   QueryEngine slow(r.db(), r.schedule_space());
-  slow.set_options({.use_index = false, .use_cache = false});
+  slow.set_options({.use_index = false});
   for (const char* stmt :
        {"select runs where designer = \"alice\"",
         "select runs where activity = \"Simulate\" and duration >= 0",
@@ -166,159 +166,20 @@ TEST(QueryIndex, IndexesAndInterningRebuildThroughSnapshotJournalRecovery) {
         "select plans", "select links"}) {
     std::string reference = bytes(slow.execute(stmt));
     EXPECT_EQ(bytes(fast.execute(stmt)), reference) << stmt;
-    EXPECT_EQ(bytes(fast.execute(stmt)), reference) << stmt << " (cached)";
+    EXPECT_EQ(bytes(fast.execute(stmt)), reference) << stmt << " (repeat)";
   }
-}
-
-// --- result cache ------------------------------------------------------------
-
-/// Warms `stmt`, then asserts a repeat execution is served by the cache.
-void expect_cached(const QueryEngine& engine, const std::string& stmt) {
-  ASSERT_TRUE(engine.execute(stmt).ok());  // warm: hit or miss
-  auto before = engine.stats();
-  ASSERT_TRUE(engine.execute(stmt).ok());
-  auto after = engine.stats();
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 1) << stmt;
-  EXPECT_EQ(after.cache_misses, before.cache_misses) << stmt;
-}
-
-/// Asserts the next execution of `stmt` misses (a mutation invalidated it).
-void expect_invalidated(const QueryEngine& engine, const std::string& stmt,
-                        const char* why) {
-  auto before = engine.stats();
-  ASSERT_TRUE(engine.execute(stmt).ok());
-  auto after = engine.stats();
-  EXPECT_EQ(after.cache_misses, before.cache_misses + 1) << why;
-}
-
-/// Asserts a previously-warmed `stmt` is STILL served from cache — the
-/// preceding mutation touched tables its target does not read.
-void expect_still_cached(const QueryEngine& engine, const std::string& stmt,
-                         const char* why) {
-  auto before = engine.stats();
-  ASSERT_TRUE(engine.execute(stmt).ok());
-  auto after = engine.stats();
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 1) << why;
-  EXPECT_EQ(after.cache_misses, before.cache_misses) << why;
-}
-
-// Invalidation is per-target: a mutation evicts exactly the cached results
-// whose target reads a table that moved, and leaves every other entry
-// servable.  (The coarse predecessor evicted everything on any mutation.)
-TEST(QueryCache, InvalidationIsPerTarget) {
-  auto m = executed_circuit();
-  const QueryEngine& engine = m->query_engine();
-  const std::string runs_q = "select runs where designer = \"alice\"";
-  const std::string inst_q = "select instances where type = \"stimuli\"";
-  const std::string plans_q = "select plans";
-  const std::string sched_q = "select schedule where critical = true";
-  const std::string links_q = "select links";
-
-  // 1. Imported instance: only the instance table moves.
-  expect_cached(engine, runs_q);
-  expect_cached(engine, inst_q);
-  ASSERT_TRUE(m->db()
-                  .create_instance("stimuli", "x.stimuli", meta::RunId{},
-                                   util::DataObjectId{}, m->clock().now())
-                  .ok());
-  expect_invalidated(engine, inst_q, "create_instance vs instances");
-  expect_still_cached(engine, runs_q, "create_instance vs runs");
-
-  // 2. Recorded (failed, no output) run: only the run table moves — the
-  // produced_by back-link patch never fires, so instances stay put.
-  record_failed_run(*m, "Simulate", "bob");
-  expect_invalidated(engine, runs_q, "record_run vs runs");
-  expect_still_cached(engine, inst_q, "record_run (no output) vs instances");
-
-  // 3. Resource mutations touch no query target at all.
-  auto rid = m->db().add_resource("carol");
-  auto from = m->clock().now();
-  ASSERT_TRUE(m->db().add_time_off(rid, from, from + cal::WorkDuration::hours(8)).ok());
-  expect_still_cached(engine, runs_q, "add_resource/add_time_off vs runs");
-  expect_still_cached(engine, inst_q, "add_resource/add_time_off vs instances");
-
-  // 4. Replanning creates a plan + nodes: schedule-space targets go stale,
-  // the metadata-space targets survive.
-  expect_cached(engine, plans_q);
-  expect_cached(engine, sched_q);
-  ASSERT_TRUE(m->replan_task("adder", {.anchor = m->clock().now()}).ok());
-  expect_invalidated(engine, plans_q, "replan vs plans");
-  expect_invalidated(engine, sched_q, "replan vs schedule");
-  expect_still_cached(engine, runs_q, "replan vs runs");
-  expect_still_cached(engine, inst_q, "replan vs instances");
-
-  // 5. A node edit bumps nodes but not plans.
-  auto& space = m->schedule_space();
-  auto plan = space.active_plan();
-  ASSERT_TRUE(plan.has_value());
-  auto node = space.node_in_plan(*plan, "Create");
-  ASSERT_TRUE(node.has_value());
-  expect_cached(engine, plans_q);
-  expect_cached(engine, sched_q);
-  (void)space.node_mut(*node);  // conservative bump through the mutable accessor
-  expect_invalidated(engine, sched_q, "node_mut vs schedule");
-  expect_still_cached(engine, plans_q, "node_mut vs plans");
-
-  // 6. Linking a completion adds a link (and stamps the node): the schedule
-  // and link targets go stale, the metadata space still survives.
-  expect_cached(engine, links_q);
-  expect_cached(engine, sched_q);
-  ASSERT_TRUE(m->link_completion("adder", "Create").ok());
-  expect_invalidated(engine, links_q, "link_completion vs links");
-  expect_invalidated(engine, sched_q, "link_completion vs schedule");
-  expect_still_cached(engine, runs_q, "link_completion vs runs");
-  expect_still_cached(engine, inst_q, "link_completion vs instances");
-}
-
-// The whole point of per-target stamps: a run-append-heavy workload (the
-// server's hot loop) no longer evicts cached schedule-side queries.  Under
-// the coarse predecessor this workload had a 0% hit rate after the first
-// append; now every repeated plans/links read is a hit.
-TEST(QueryCache, ScheduleQueriesSurviveRunAppends) {
-  auto m = executed_circuit();
-  const QueryEngine& engine = m->query_engine();
-  const std::string plans_q = "select plans";
-  const std::string links_q = "select links";
-  ASSERT_TRUE(engine.execute(plans_q).ok());  // warm
-  ASSERT_TRUE(engine.execute(links_q).ok());
-
-  auto before = engine.stats();
-  for (int i = 0; i < 10; ++i) {
-    record_failed_run(*m, "Simulate", "bob");
-    ASSERT_TRUE(engine.execute(plans_q).ok());
-    ASSERT_TRUE(engine.execute(links_q).ok());
-  }
-  auto after = engine.stats();
-  EXPECT_EQ(after.cache_hits, before.cache_hits + 20);
-  EXPECT_EQ(after.cache_misses, before.cache_misses);
-}
-
-TEST(QueryCache, DisabledCacheNeverHits) {
-  auto m = executed_circuit();
-  QueryEngine engine(m->db(), m->schedule_space());
-  engine.set_options({.use_index = true, .use_cache = false});
-  ASSERT_TRUE(engine.execute("select runs").ok());
-  ASSERT_TRUE(engine.execute("select runs").ok());
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
-}
-
-TEST(QueryCache, ClearCacheForcesReexecution) {
-  auto m = executed_circuit();
-  const QueryEngine& engine = m->query_engine();
-  expect_cached(engine, "select runs");
-  engine.clear_cache();
-  expect_invalidated(engine, "select runs", "clear_cache");
 }
 
 // --- byte-identical paths ----------------------------------------------------
 
-TEST(QueryPaths, IndexScanAndCacheAgreeByteForByte) {
+TEST(QueryPaths, IndexAndScanAgreeByteForByte) {
   auto m = executed_circuit();
   record_failed_run(*m, "Simulate", "bob");
+  ASSERT_TRUE(m->link_completion("adder", "Create").ok());  // links + linked column
 
   QueryEngine fast(m->db(), m->schedule_space());
   QueryEngine slow(m->db(), m->schedule_space());
-  slow.set_options({.use_index = false, .use_cache = false});
+  slow.set_options({.use_index = false});
 
   for (const char* stmt :
        {"select runs", "select runs where designer = \"alice\"",
@@ -333,7 +194,7 @@ TEST(QueryPaths, IndexScanAndCacheAgreeByteForByte) {
         "select links"}) {
     std::string reference = bytes(slow.execute(stmt));
     EXPECT_EQ(bytes(fast.execute(stmt)), reference) << stmt;
-    EXPECT_EQ(bytes(fast.execute(stmt)), reference) << stmt << " (cached)";
+    EXPECT_EQ(bytes(fast.execute(stmt)), reference) << stmt << " (repeat)";
   }
 
   // An equality literal that was never interned still matches nothing,
@@ -367,7 +228,7 @@ TEST(QueryParser, UnknownColumnFailsIdenticallyOnBothPaths) {
   auto m = executed_circuit();
   QueryEngine fast(m->db(), m->schedule_space());
   QueryEngine slow(m->db(), m->schedule_space());
-  slow.set_options({.use_index = false, .use_cache = false});
+  slow.set_options({.use_index = false});
 
   for (const char* stmt :
        {"select runs where nonsense = 1", "select runs order by nonsense",
@@ -386,7 +247,7 @@ TEST(QueryParser, EmptyGroupByIsAParseError) {
   EXPECT_FALSE(q.ok());
   auto trailing = query::parse_query("select count from runs group by ");
   EXPECT_FALSE(trailing.ok());
-  // Errors never land in the cache: the same engine still answers afterwards.
+  // A failed statement leaves the engine answering afterwards.
   auto m = executed_circuit();
   EXPECT_FALSE(m->query("select count from runs group by").ok());
   EXPECT_TRUE(m->query("select count from runs").ok());

@@ -9,7 +9,9 @@
 //     first published view is epoch 1, with no retired epochs carried over;
 //   - the per-epoch response memo computes a cold key once however many
 //     readers race on it, and never makes a reader of one key wait for
-//     another key's computation.
+//     another key's computation;
+//   - the memo is the read path's only result cache: a new epoch runs the
+//     query engine again even for a table that did not change.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -203,6 +206,33 @@ TEST(ReadViewMemo, RacingReadersOfAColdKeyComputeItOnce) {
   EXPECT_EQ(executes() - before, 1u);
   for (const std::string& answer : answers) EXPECT_EQ(answer, answers[0]);
   EXPECT_NE(answers[0].find("racer"), std::string::npos) << answers[0];
+}
+
+TEST(ReadViewMemo, EachEpochRunsTheEngineOnceAndRepeatsRunItNever) {
+  auto m = make_circuit_manager();
+  ASSERT_TRUE(m->plan_task("adder", {.anchor = m->clock().now()}).ok());
+  auto executions = [&m] { return m->query_engine().stats().cache_misses; };
+  // (engine executions, bytes) of one `select plans` through `view`.
+  auto query_plans = [&](const ReadView& view) {
+    const std::uint64_t before = executions();
+    auto answer = view.query("select plans");
+    EXPECT_TRUE(answer.ok());
+    return std::make_pair(executions() - before, answer.ok() ? answer.value() : "");
+  };
+
+  std::shared_ptr<const ReadView> first = m->read_view();
+  const auto [cold, plans] = query_plans(*first);
+  EXPECT_EQ(cold, 1u);
+  EXPECT_EQ(query_plans(*first), std::make_pair(std::uint64_t{0}, plans));
+
+  // A run append publishes a new epoch and leaves the plans table as it was;
+  // with no cache across epochs, the new epoch executes the statement again.
+  append_failed_run(*m, "writer");
+  std::shared_ptr<const ReadView> second = m->read_view();
+  ASSERT_GT(second->epoch(), first->epoch());
+  EXPECT_EQ(query_plans(*second), std::make_pair(std::uint64_t{1}, plans));
+  EXPECT_EQ(query_plans(*second), std::make_pair(std::uint64_t{0}, plans));
+  EXPECT_EQ(m->query_engine().stats().cache_hits, 0u);
 }
 
 TEST(ReadViewMemo, ColdComputeOfOneKeyDoesNotBlockAnotherKey) {

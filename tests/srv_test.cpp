@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -427,6 +429,46 @@ TEST(Server, GenRequestStreamDrivesAProject) {
   EXPECT_GT(executes, 0);
   EXPECT_GT(reads, 0);
   EXPECT_EQ(executes + reads + advances + plans, static_cast<int>(spec.count));
+  server.value()->stop();
+}
+
+/// Lines in this process's memory map.  A thread that ended but was never
+/// joined keeps its stack mapped, so unjoined threads show up here.
+std::size_t mapped_regions() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Each connection gets a reader thread.  Once its connection closes, the
+// server joins it at the next accept instead of holding it until stop(), so
+// a long-lived server that sees many short connections keeps no per-
+// connection stack or mapping.  Connections are opened one at a time.
+TEST(Server, ClosedConnectionsLeaveNoReaderThreadBehind) {
+  TempServerDir tmp("readers");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok()) << server.error().str();
+  auto ping_once = [&] {
+    auto client = Client::connect(server.value()->unix_address());
+    ASSERT_TRUE(client.ok()) << client.error().str();
+    EXPECT_TRUE(client.value()->invoke("", "ping").ok());
+  };
+  auto wait_until_no_sessions = [&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.value()->active_sessions() != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.value()->active_sessions(), 0u);
+  };
+
+  ping_once();  // the first reader, worker and client allocations settle
+  wait_until_no_sessions();
+  const std::size_t before = mapped_regions();
+  for (int i = 0; i < 300; ++i) ping_once();
+  wait_until_no_sessions();
+  ping_once();  // this accept joins every reader that has ended
+  EXPECT_LT(mapped_regions(), before + 100);
   server.value()->stop();
 }
 
