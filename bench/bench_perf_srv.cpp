@@ -6,7 +6,7 @@
 // one hot project as the number of readers grows.
 //
 // The timed benchmarks then isolate the layers: pure framing/parsing cost,
-// a ping round trip (wire + queue + worker, no project work), and a full
+// a ping round trip (wire + reader thread, no project work), and a full
 // execute round trip (everything including the flow engine and the journal).
 
 #include <unistd.h>
@@ -30,14 +30,13 @@ namespace fs = std::filesystem;
 
 /// In-process server on a unix socket under a private temp dir.
 struct ServerFixture {
-  explicit ServerFixture(int workers = 4) {
+  ServerFixture() {
     dir = fs::temp_directory_path() /
           ("herc_bench_srv." + std::to_string(::getpid()) + "." +
            std::to_string(counter++));
     fs::create_directories(dir);
     srv::ServerConfig config;
     config.unix_path = (dir / "srv.sock").string();
-    config.workers = workers;
     config.shard.dir = dir.string();
     server = srv::Server::start(config).take();
   }
@@ -83,7 +82,7 @@ srv::LoadReport drive() {
 /// `--read-mix 90` with readers+1 designers dedicates exactly `readers`
 /// threads to the read rotation for every sweep point used here.
 srv::LoadReport drive_read_mix(int readers) {
-  ServerFixture fixture(/*workers=*/readers + 1);
+  ServerFixture fixture;
   srv::LoadOptions options;
   options.address = fixture.server->unix_address();
   options.projects = 1;
@@ -141,7 +140,7 @@ void BM_WireEncodeParse(benchmark::State& state) {
 }
 BENCHMARK(BM_WireEncodeParse);
 
-// Wire + queue + worker round trip with no project work behind it.
+// Wire + reader-thread round trip with no project work behind it.
 void BM_PingRoundTrip(benchmark::State& state) {
   ServerFixture fixture;
   auto client = srv::Client::connect(fixture.server->unix_address()).take();

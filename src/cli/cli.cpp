@@ -70,16 +70,6 @@ constexpr const char* kHelp = R"(commands:
   quit
 )";
 
-util::Result<sched::EstimateStrategy> parse_strategy(const std::string& name) {
-  if (name == "intuition") return sched::EstimateStrategy::kIntuition;
-  if (name == "last") return sched::EstimateStrategy::kLast;
-  if (name == "mean") return sched::EstimateStrategy::kMean;
-  if (name == "ewma") return sched::EstimateStrategy::kEwma;
-  if (name == "pert") return sched::EstimateStrategy::kPert;
-  return util::invalid("unknown strategy '" + name +
-                       "' (intuition|last|mean|ewma|pert)");
-}
-
 std::string join_from(const std::vector<std::string>& args, std::size_t from) {
   std::vector<std::string> rest(args.begin() + static_cast<std::ptrdiff_t>(from),
                                 args.end());
@@ -491,7 +481,7 @@ util::Result<std::string> CliSession::cmd_plan(const Args& args, bool replan) {
   req.anchor = m.value()->clock().now();
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i] == "strategy" && i + 1 < args.size()) {
-      auto s = parse_strategy(args[++i]);
+      auto s = sched::parse_estimate_strategy(args[++i]);
       if (!s.ok()) return s.error();
       req.strategy = s.value();
     } else if (args[i] == "level") {

@@ -15,6 +15,15 @@ const char* estimate_strategy_name(EstimateStrategy s) {
   return "?";
 }
 
+util::Result<EstimateStrategy> parse_estimate_strategy(std::string_view name) {
+  for (auto s : {EstimateStrategy::kIntuition, EstimateStrategy::kLast,
+                 EstimateStrategy::kMean, EstimateStrategy::kEwma,
+                 EstimateStrategy::kPert})
+    if (name == estimate_strategy_name(s)) return s;
+  return util::invalid("unknown estimate strategy '" + std::string(name) +
+                       "' (intuition|last|mean|ewma|pert)");
+}
+
 std::vector<cal::WorkDuration> DurationEstimator::history(const meta::Database& db,
                                                           const std::string& activity) {
   std::vector<cal::WorkDuration> out;

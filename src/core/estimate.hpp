@@ -13,11 +13,13 @@
 // bench/ablation_predictor compares them on synthetic noisy histories.
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "calendar/work_calendar.hpp"
 #include "metadata/database.hpp"
+#include "util/result.hpp"
 
 namespace herc::sched {
 
@@ -30,6 +32,9 @@ enum class EstimateStrategy {
 };
 
 [[nodiscard]] const char* estimate_strategy_name(EstimateStrategy s);
+/// Inverse of estimate_strategy_name; kInvalid for any other name.
+[[nodiscard]] util::Result<EstimateStrategy> parse_estimate_strategy(
+    std::string_view name);
 
 class DurationEstimator {
  public:

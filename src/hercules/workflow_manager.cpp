@@ -1,6 +1,7 @@
 #include "hercules/workflow_manager.hpp"
 
 #include <limits>
+#include <stdexcept>
 
 #include "gantt/gantt.hpp"
 #include "hercules/journal.hpp"
@@ -54,9 +55,15 @@ util::Result<std::unique_ptr<WorkflowManager>> WorkflowManager::create(
     std::uint64_t tool_seed) {
   auto parsed = schema::parse_schema(schema_dsl);
   if (!parsed.ok()) return parsed.error();
-  // Not make_unique: the constructor is private.
-  std::unique_ptr<WorkflowManager> manager(
-      new WorkflowManager(std::move(parsed).take(), calendar_config, tool_seed));
+  // Not make_unique: the constructor is private.  WorkCalendar is the one
+  // place that knows which calendar configs are valid; it throws on a bad one.
+  std::unique_ptr<WorkflowManager> manager;
+  try {
+    manager.reset(
+        new WorkflowManager(std::move(parsed).take(), calendar_config, tool_seed));
+  } catch (const std::invalid_argument& e) {
+    return util::invalid(e.what());
+  }
   // Seed designer intuition from the schema's [est ...] attributes.
   for (const auto& rule : manager->schema().rules()) {
     if (rule.default_estimate.empty()) continue;

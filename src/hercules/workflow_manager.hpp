@@ -38,7 +38,8 @@ namespace herc::hercules {
 class WorkflowManager {
  public:
   /// Builds a manager from schema DSL text.  The schema is parsed and
-  /// validated; the task database is initialized from it.
+  /// validated; the task database is initialized from it.  A calendar
+  /// config WorkCalendar rejects is kInvalid.
   [[nodiscard]] static util::Result<std::unique_ptr<WorkflowManager>> create(
       std::string_view schema_dsl, cal::WorkCalendar::Config calendar_config = {},
       std::uint64_t tool_seed = 1);

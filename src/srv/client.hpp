@@ -6,7 +6,7 @@
 //
 // call() is the simple RPC form (send, then wait for the matching id).
 // send()/recv_any() expose pipelining: queue several requests, then collect
-// responses as the server finishes them (possibly out of order).
+// responses as the server finishes them (in request order).
 
 #include <cstdint>
 #include <map>

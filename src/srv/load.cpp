@@ -29,7 +29,7 @@ struct WorkerTally {
   std::vector<std::int64_t> write_latencies_us;
   std::uint64_t requests = 0;
   std::uint64_t errors = 0;
-  std::uint64_t shed = 0;  ///< retryable refusals (overloaded / io_error)
+  std::uint64_t shed = 0;  ///< retryable refusals (io_error)
   std::uint64_t runs = 0;
 };
 
@@ -135,8 +135,8 @@ void drive_one(const LoadOptions& options, int project, int designer,
       return;  // transport gone; this designer is done
     }
     if (!response.value().ok) {
-      // Retryable refusals (shed under overload, a degraded shard) are the
-      // server working as designed; a closed loop simply tries again.
+      // Retryable refusals (a degraded shard) are the server working as
+      // designed; a closed loop simply tries again.
       if (response.value().error.retryable()) {
         ++tally.shed;
       } else {

@@ -2,8 +2,8 @@
 // Closed-loop load driver for the server: N projects x M simulated designers,
 // each designer a thread with its own connection, all hammering `execute`
 // (plus a sprinkling of reads) until a deadline.  It measures throughput,
-// latency and group-commit batching under real socket + worker-pool + shard
-// contention, which the in-process microbenches cannot.
+// latency and group-commit batching under real socket + shard contention,
+// which the in-process microbenches cannot.
 //
 // Arrival modes:
 //   closed  each designer issues its next request the moment the previous
@@ -69,10 +69,10 @@ struct LoadOptions {
 struct LoadReport {
   std::uint64_t requests = 0;  ///< responses received
   std::uint64_t errors = 0;    ///< transport errors + HARD ok=false responses
-  /// Responses the server declined with a RETRYABLE error (`overloaded`
-  /// shedding, a read-only shard's `io_error`).  Counted apart from `errors`:
-  /// shed work is the server protecting itself, not the workload failing —
-  /// CI asserts errors == 0 while a shed count merely dents throughput.
+  /// Responses the server declined with a RETRYABLE error (a read-only
+  /// shard's `io_error`).  Counted apart from `errors`: a degraded shard is
+  /// the server protecting itself, not the workload failing — CI asserts
+  /// errors == 0 while a shed count merely dents throughput.
   std::uint64_t shed = 0;
   std::uint64_t runs = 0;      ///< tool runs the executes produced
   double elapsed_sec = 0.0;

@@ -170,15 +170,15 @@ util::Status send_all(int fd, std::string_view data) {
   return util::Status::ok_status();
 }
 
-util::Result<std::size_t> recv_some(int fd, std::string& out, std::size_t cap) {
-  std::string chunk(cap, '\0');
+util::Result<std::size_t> recv_some(int fd, std::string& out) {
+  char chunk[64 * 1024];
   for (;;) {
-    ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
+    ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return sys_error("recv");
     }
-    out.append(chunk.data(), static_cast<std::size_t>(n));
+    out.append(chunk, static_cast<std::size_t>(n));
     return static_cast<std::size_t>(n);
   }
 }

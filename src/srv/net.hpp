@@ -45,9 +45,8 @@ struct Address {
 /// Writes all of `data` (loops over partial writes, retries EINTR).
 [[nodiscard]] util::Status send_all(int fd, std::string_view data);
 
-/// Reads up to `cap` bytes into `out` (appended).  Returns the byte count;
-/// 0 = clean EOF.  kInvalid on socket errors.
-[[nodiscard]] util::Result<std::size_t> recv_some(int fd, std::string& out,
-                                                  std::size_t cap = 64 * 1024);
+/// Reads what has arrived, up to 64 KiB, and appends it to `out`.  Returns
+/// the byte count; 0 = clean EOF.  kInvalid on socket errors.
+[[nodiscard]] util::Result<std::size_t> recv_some(int fd, std::string& out);
 
 }  // namespace herc::srv::net

@@ -37,7 +37,6 @@ Result<std::unique_ptr<Server>> Server::start(ServerConfig config) {
   if (config.unix_path.empty() && config.tcp_port < 0) {
     return Error{Error::Code::kInvalid, "server: no listener configured"};
   }
-  if (config.workers < 1) config.workers = 1;
   auto server = std::unique_ptr<Server>(new Server(std::move(config)));
 
   if (::pipe(server->stop_pipe_) != 0) {
@@ -65,9 +64,6 @@ Result<std::unique_ptr<Server>> Server::start(ServerConfig config) {
     server->tcp_port_ = port.value();
   }
 
-  for (int i = 0; i < server->config_.workers; ++i) {
-    server->workers_.emplace_back([s = server.get()] { s->worker_main(); });
-  }
   server->accept_thread_ = std::thread([s = server.get()] { s->accept_main(); });
   return server;
 }
@@ -144,6 +140,9 @@ void Server::reader_main(std::shared_ptr<Session> session) {
     auto n = net::recv_some(session->fd, chunk);
     if (!n.ok() || n.value() == 0) break;  // error or clean EOF / shutdown
     reader.feed(chunk);
+    // Each request runs to completion and is answered before the next frame
+    // is parsed: responses keep request order, and a request pipelined
+    // behind a write sees that write.
     while (auto payload = reader.poll()) {
       auto request = wire::Request::parse(*payload);
       if (!request.ok()) {
@@ -153,58 +152,19 @@ void Server::reader_main(std::shared_ptr<Session> session) {
         send_response(*session, wire::Response::failure(0, request.error()));
         continue;
       }
-      // A read runs to completion here, on a pinned epoch: it needs no shard
-      // lock, so a hand-off to a worker would gain it nothing.  The next
-      // frame is parsed only after it is answered, so a connection has at
-      // most one read in flight and reads never count against the queue.
-      if (!request.value().project.empty() &&
-          ProjectShard::is_read_op(request.value().op)) {
-        handle(*session, request.value());
-        continue;
-      }
-      bool shed = false;
-      std::uint64_t request_id = 0;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        // Overload shedding: past the bound the request is answered (not
-        // queued) with a retryable error, from the reader thread — the
-        // worker pool never sees it, so a storm cannot grow the queue or
-        // its memory without limit.
-        if (queue_.size() >= config_.max_queue_depth) {
-          shed = true;
-          request_id = request.value().id;
-        } else {
-          queue_.push_back(Job{session, std::move(request).take()});
-          queue_depth_.store(static_cast<std::int64_t>(queue_.size()));
-        }
-      }
-      if (shed) {
-        requests_shed_.fetch_add(1);
-        send_response(
-            *session,
-            wire::Response::failure(
-                request_id,
-                util::overloaded("server queue full (" +
-                                 std::to_string(config_.max_queue_depth) +
-                                 " requests pending); retry after backoff")));
-        continue;
-      }
-      queue_cv_.notify_one();
+      handle(*session, request.value());
     }
     if (reader.broken()) {
-      // Framing violations are connection-fatal: stop writes and slam the
-      // connection shut so the peer sees EOF.
+      // Framing violations are connection-fatal: slam the connection shut so
+      // the peer sees EOF.
       protocol_errors_.fetch_add(1);
-      session->open.store(false);
       ::shutdown(session->fd, SHUT_RDWR);
       break;
     }
   }
-  // Deregister.  On a clean EOF `open` stays true: responses for requests
-  // this connection already queued are still written (the graceful-shutdown
-  // drain depends on that); the fd closes with the last shared_ptr.  This
-  // thread's handle goes to the finished list for accept_main to join,
-  // unless stop() has already taken it.
+  // Deregister; the fd closes with the last shared_ptr.  This thread's
+  // handle goes to the finished list for accept_main to join, unless stop()
+  // has already taken it.
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     std::erase(sessions_, session);
@@ -212,30 +172,6 @@ void Server::reader_main(std::shared_ptr<Session> session) {
       finished_readers_.push_back(std::move(self.mapped()));
   }
   active_sessions_.fetch_sub(1);
-}
-
-void Server::worker_main() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return workers_stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (workers_stop_) return;
-        continue;
-      }
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      queue_depth_.store(static_cast<std::int64_t>(queue_.size()));
-      ++busy_workers_;
-    }
-    handle(*job.session, job.request);
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      --busy_workers_;
-      if (queue_.empty() && busy_workers_ == 0) drain_cv_.notify_all();
-    }
-  }
 }
 
 void Server::handle(Session& session, const wire::Request& request) {
@@ -370,16 +306,12 @@ wire::Response Server::handle_server_op(const wire::Request& request) {
 }
 
 void Server::send_response(Session& session, const wire::Response& response) {
-  if (!session.open.load()) return;
-  std::string frame = response.encode();
-  std::lock_guard<std::mutex> lock(session.write_mu);
   // Send failures just mean the peer vanished; the reader notices EOF.
-  [[maybe_unused]] auto status = net::send_all(session.fd, frame);
+  [[maybe_unused]] auto status = net::send_all(session.fd, response.encode());
 }
 
 Json Server::stats_json() {
   JsonObject server;
-  server.set("workers", Json(static_cast<std::int64_t>(config_.workers)));
   server.set("srv_requests", Json(static_cast<std::int64_t>(requests_total_.load())));
   server.set("srv_sessions_total",
              Json(static_cast<std::int64_t>(sessions_total_.load())));
@@ -387,11 +319,6 @@ Json Server::stats_json() {
              Json(static_cast<std::int64_t>(active_sessions_.load())));
   server.set("srv_protocol_errors",
              Json(static_cast<std::int64_t>(protocol_errors_.load())));
-  server.set("srv_requests_shed",
-             Json(static_cast<std::int64_t>(requests_shed_.load())));
-  server.set("srv_queue_depth", Json(queue_depth_.load()));
-  server.set("srv_queue_limit",
-             Json(static_cast<std::int64_t>(config_.max_queue_depth)));
 
   util::JsonArray shard_stats;
   std::int64_t total_requests = 0;
@@ -465,9 +392,9 @@ void Server::stop() {
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 
   // 2. No new requests: shut the read side of every session.  Readers see
-  // EOF after parsing whatever already arrived, so nothing parsed is lost —
-  // and the write side stays open for the drain's responses.  A reader
-  // answers its reads itself, so once it is joined its reads are done.
+  // EOF after parsing whatever already arrived, and the write side stays
+  // open, so every request already parsed is still run and answered.  A
+  // reader answers its requests itself: once it is joined they are done.
   std::vector<std::shared_ptr<Session>> sessions;
   std::vector<std::thread> readers;
   {
@@ -482,19 +409,7 @@ void Server::stop() {
     if (reader.joinable()) reader.join();
   }
 
-  // 3. Drain: every parsed request executes and is answered.
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    drain_cv_.wait(lock, [this] { return queue_.empty() && busy_workers_ == 0; });
-    workers_stop_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-
-  // 4. Per shard: final group commit (fsynced) + clean snapshot.
+  // 3. Per shard: final group commit (fsynced) + clean snapshot.
   {
     std::lock_guard<std::mutex> lock(shards_mu_);
     for (auto& [name, shard] : shards_) {
@@ -503,7 +418,7 @@ void Server::stop() {
     shards_.clear();
   }
 
-  // 5. Now responses are all written; dropping the last references closes
+  // 4. Now responses are all written; dropping the last references closes
   // the sockets (~Session).
   sessions.clear();
   {

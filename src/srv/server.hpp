@@ -4,33 +4,28 @@
 // Topology:
 //
 //   listeners (tcp / unix) -> accept thread -> one reader thread per session
-//        reads:  -> ProjectShard read lane, on the reader thread
-//        writes and server ops:  -> bounded job queue -> worker pool
-//                                -> ProjectShard registry
-//        -> responses written back on the session socket
+//        every request: -> server op, or ProjectShard (read or write lane)
+//        -> response written back on the session socket
 //
-// A session's reader thread parses each request.  A project read (query,
-// explain, status, gantt: ProjectShard::is_read_op) runs right there on a
-// pinned epoch and is answered before the next frame is parsed, so a request
-// pipelined behind a read waits for that read.  Everything else — mutations,
-// `stats`, and the server ops (open/projects/stats/...) — is queued for the
-// worker pool, so a slow flow execution on one connection never stalls that
-// connection's reader, and `id`-tagged responses may return out of request
-// order (clients pipeline).  Shards serialize their writes internally (see
-// shard.hpp), so workers need no shard-awareness, and requests against
-// different projects execute fully in parallel.
+// A session's reader thread parses each request, runs it and answers it
+// before it parses the next frame, so responses on one connection return in
+// request order and a request pipelined behind a write sees that write.  A
+// connection is one designer's ordered session: the server holds at most one
+// parsed request per connection, and frames a client sends beyond that wait
+// in the socket, so the client's own send buffer applies the backpressure.
+// Shards serialize their writes internally (see shard.hpp): writes to
+// different projects run in parallel, one per connection, and a project read
+// (ProjectShard::is_read_op) runs on a pinned epoch without the shard lock.
 //
 // Graceful shutdown (stop(), also triggered by the `shutdown` op or a signal
-// in tools/herc_srv): stop accepting, stop reading — joining the reader
-// threads finishes every read already parsed — then finish every queued
-// request, then per shard a final group commit + snapshot.  A SIGKILL
-// instead loses nothing acknowledged: recovery replays each shard's
-// snapshot + WAL (tests assert byte-identity).
+// in tools/herc_srv): stop accepting, shut the read side of every session,
+// join the readers — each finishes and answers what it has already parsed —
+// then per shard a final group commit + snapshot.  A SIGKILL instead loses
+// nothing acknowledged: recovery replays each shard's snapshot + WAL (tests
+// assert byte-identity).
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,15 +45,6 @@ struct ServerConfig {
   /// TCP listener port; -1 = none, 0 = kernel-assigned (see tcp_port()).
   int tcp_port = -1;
   std::string tcp_host = "127.0.0.1";
-  int workers = 4;
-  /// Overload shedding: maximum parsed-but-unexecuted writes and server ops
-  /// queued for the worker pool.  One arriving past the bound is answered
-  /// immediately with a RETRYABLE `overloaded` error instead of being
-  /// queued — bounding memory and queueing latency under a request storm
-  /// (shed work is cheap for the client to retry; an unbounded queue would
-  /// instead time everyone out).  Reads never queue and are never shed: each
-  /// session runs at most one at a time on its own thread.
-  std::size_t max_queue_depth = 1024;
   /// Applied to every shard (data directory, fsync policy, commit window).
   ShardOptions shard;
   /// Nominal runtime for auto-registered simulated tools (DSL projects and
@@ -68,7 +54,7 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Binds listeners and starts the accept/worker threads.  At least one
+  /// Binds listeners and starts the accept thread.  At least one
   /// listener must be configured.
   [[nodiscard]] static util::Result<std::unique_ptr<Server>> start(
       ServerConfig config);
@@ -78,11 +64,12 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Graceful shutdown; idempotent, callable from any thread except a
-  /// worker (the `shutdown` op uses request_stop() instead).
+  /// session's reader (the `shutdown` op uses request_stop() instead).
   void stop();
 
   /// Asynchronous stop request: wakes whoever blocks on stop_event_fd().
-  /// Safe from workers and (via the self-pipe pattern) signal contexts.
+  /// Safe from reader threads and (via the self-pipe pattern) signal
+  /// contexts.
   void request_stop();
 
   /// Readable fd that becomes ready once request_stop() was called; poll it
@@ -117,29 +104,21 @@ class Server {
   void adopt_shard(std::unique_ptr<ProjectShard> shard);
 
  private:
-  /// One connection.  The fd closes with the LAST reference (registry or an
-  /// in-flight job), so a worker's response write can never hit a recycled
-  /// fd; `open` flips off first, making late writes no-ops.
+  /// One connection.  Its reader thread is the only one that writes to it;
+  /// the fd closes with the last reference (the reader or the registry), so
+  /// stop() can never shut down a recycled fd.
   struct Session {
     ~Session();
     int fd = -1;
     std::uint64_t id = 0;
-    std::mutex write_mu;
-    std::atomic<bool> open{true};
-  };
-
-  struct Job {
-    std::shared_ptr<Session> session;
-    wire::Request request;
   };
 
   explicit Server(ServerConfig config);
 
   void accept_main();
   void reader_main(std::shared_ptr<Session> session);
-  void worker_main();
-  /// Executes one request and writes its response: project reads on the
-  /// session's reader thread, everything else on a worker.
+  /// Executes one request and writes its response, on the session's reader
+  /// thread.
   void handle(Session& session, const wire::Request& request);
   /// Server-level ops (empty `project`): ping/open/close/projects/stats/
   /// shutdown.
@@ -160,18 +139,10 @@ class Server {
   std::vector<std::thread> finished_readers_;
   std::uint64_t next_session_id_ = 1;
 
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::condition_variable drain_cv_;
-  std::deque<Job> queue_;
-  int busy_workers_ = 0;
-  bool workers_stop_ = false;
-
   std::mutex shards_mu_;
   std::map<std::string, std::shared_ptr<ProjectShard>> shards_;
 
   std::thread accept_thread_;
-  std::vector<std::thread> workers_;
 
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> stopping_{false};
@@ -183,8 +154,6 @@ class Server {
   std::atomic<std::uint64_t> sessions_total_{0};
   std::atomic<std::uint64_t> active_sessions_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> requests_shed_{0};
-  std::atomic<std::int64_t> queue_depth_{0};
 };
 
 }  // namespace herc::srv

@@ -25,15 +25,6 @@ std::int64_t arg_int(const JsonObject& args, const std::string& key,
   return v.is_int() ? v.as_int() : fallback;
 }
 
-util::Result<sched::EstimateStrategy> parse_strategy(const std::string& name) {
-  using sched::EstimateStrategy;
-  for (auto s : {EstimateStrategy::kIntuition, EstimateStrategy::kLast,
-                 EstimateStrategy::kMean, EstimateStrategy::kEwma,
-                 EstimateStrategy::kPert})
-    if (name == sched::estimate_strategy_name(s)) return s;
-  return util::invalid("unknown estimate strategy '" + name + "'");
-}
-
 Json execution_json(const exec::ExecutionResult& result,
                     const exec::SimClock& clock) {
   JsonObject o;
@@ -94,6 +85,7 @@ util::Status ProjectShard::start_journal() {
   auto st = hercules::save_project_file(*manager_, snapshot_path(),
                                         options_.durable);
   if (!st.ok()) return st;
+  runs_at_open_ = manager_->db().run_count();
   auto opened = GroupCommitter::open(
       wal_path(), {.durable = options_.durable, .window = options_.commit_window});
   if (!opened.ok()) return opened.error();
@@ -108,9 +100,6 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::create(
   if (!made.ok()) return made.error();
   std::unique_ptr<ProjectShard> shard(new ProjectShard(name, options));
   shard->manager_ = std::move(made).take();
-  shard->manager_->bus().set_project(name);
-  shard->metrics_ = std::make_unique<obs::MetricsRegistry>();
-  shard->metrics_->attach(shard->manager_->bus());
   auto st = shard->start_journal();
   if (!st.ok()) return st.error();
   // No readers exist yet, so "locked" is vacuously true here.
@@ -126,9 +115,6 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::create_from_dsl(
   std::unique_ptr<ProjectShard> shard(new ProjectShard(name, options));
   shard->manager_ = std::move(made).take();
   register_default_tools(*shard->manager_, tool_minutes);
-  shard->manager_->bus().set_project(name);
-  shard->metrics_ = std::make_unique<obs::MetricsRegistry>();
-  shard->metrics_->attach(shard->manager_->bus());
   auto st = shard->start_journal();
   if (!st.ok()) return st.error();
   // No readers exist yet, so "locked" is vacuously true here.
@@ -150,9 +136,6 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::recover(
   shard->manager_ = std::move(recovered).take();
   // Tool closures are never persisted; rebuild the simulated registry.
   register_default_tools(*shard->manager_, tool_minutes);
-  shard->manager_->bus().set_project(name);
-  shard->metrics_ = std::make_unique<obs::MetricsRegistry>();
-  shard->metrics_->attach(shard->manager_->bus());
   // start_journal re-snapshots, so the WAL that fed this recovery is folded
   // in before it is truncated.
   auto st = shard->start_journal();
@@ -270,7 +253,7 @@ wire::Response ProjectShard::dispatch(const wire::Request& request) {
     plan.name = arg_string(args, "name", "plan");
     const std::string strategy = arg_string(args, "strategy");
     if (!strategy.empty()) {
-      auto parsed = parse_strategy(strategy);
+      auto parsed = sched::parse_estimate_strategy(strategy);
       if (!parsed.ok()) return wire::Response::failure(request.id, parsed.error());
       plan.strategy = parsed.value();
     }
@@ -431,7 +414,10 @@ Json ProjectShard::stats_json_locked() const {
         static_cast<std::int64_t>(
             read_lane_requests_.load(std::memory_order_relaxed) +
             write_lane_requests_.load(std::memory_order_relaxed)));
-  o.set("runs_executed", metrics_->counter("runs_executed"));
+  // The shard is the manager's only mutator, so every run past the initial
+  // snapshot was executed through it.
+  o.set("runs_executed",
+        static_cast<std::int64_t>(manager_->db().run_count() - runs_at_open_));
   o.set("run_count", manager_->db().run_count());
   o.set("clock_minutes", manager_->clock().now().minutes_since_epoch());
   o.set("journal_lines", manager_->journal()->lines_written());

@@ -46,7 +46,6 @@
 #include "gen/gen.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/workflow_manager.hpp"
-#include "obs/metrics.hpp"
 #include "srv/group_commit.hpp"
 #include "srv/wire.hpp"
 
@@ -112,8 +111,8 @@ class ProjectShard {
   [[nodiscard]] util::Status shutdown();
 
   /// Per-shard counters: srv_requests (the sum of the two lane counters),
-  /// runs_executed (from the manager's bus), group-commit stats, journal
-  /// lines.
+  /// runs_executed (runs recorded since the shard opened; recovered runs
+  /// excluded), group-commit stats, journal lines.
   [[nodiscard]] util::Json stats_json() const;
 
   /// The shard's group committer — tests read its flush counters.
@@ -143,8 +142,8 @@ class ProjectShard {
  private:
   ProjectShard(std::string name, ShardOptions options);
 
-  /// Writes the initial snapshot of a freshly built manager and starts
-  /// journaling through a new group committer.
+  /// Writes the initial snapshot of a freshly built manager, starts
+  /// journaling through a new group committer and sets runs_at_open_.
   [[nodiscard]] util::Status start_journal();
 
   /// Registers "<type>1" simulated tools for every tool type missing one.
@@ -169,7 +168,8 @@ class ProjectShard {
   mutable std::mutex mu_;  ///< serializes every WRITE-lane manager access
   std::unique_ptr<hercules::WorkflowManager> manager_;
   std::unique_ptr<GroupCommitter> committer_;
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
+  /// run_count() when the shard opened: the runs its initial snapshot holds.
+  std::size_t runs_at_open_ = 0;
   /// The epoch snapshot readers run against.  Written by the write lane
   /// (under mu_), copied out by the read lane under the slot's own
   /// pointer-copy mutex (see hercules::ViewSlot) — never under mu_.

@@ -199,7 +199,6 @@ const char* error_code_name(util::Error::Code code) {
     case Code::kConflict: return "conflict";
     case Code::kUnsupported: return "unsupported";
     case Code::kIoError: return "io_error";
-    case Code::kOverloaded: return "overloaded";
   }
   return "invalid";
 }
@@ -212,7 +211,6 @@ util::Error::Code error_code_from_name(std::string_view name) {
   if (name == "conflict") return Code::kConflict;
   if (name == "unsupported") return Code::kUnsupported;
   if (name == "io_error") return Code::kIoError;
-  if (name == "overloaded") return Code::kOverloaded;
   return Code::kInvalid;
 }
 

@@ -13,7 +13,8 @@
 //
 // Requests:  {"id": N, "project": "p", "op": "execute", "args": {...}}
 //   `id` is chosen by the client and echoed verbatim in the response, so
-//   clients may pipeline requests and match responses out of order.
+//   clients may pipeline requests and match responses by id.  The server
+//   answers one connection's requests in the order it received them.
 //   `project` is empty for server-level ops (ping/open/projects/stats/...).
 // Responses: {"id": N, "ok": true,  "result": {...}}
 //          | {"id": N, "ok": false, "error": {"code": "...", "message": "..."}}

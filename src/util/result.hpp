@@ -21,7 +21,6 @@ struct Error {
     kConflict,     ///< operation conflicts with database state
     kUnsupported,  ///< feature not available in this configuration
     kIoError,      ///< storage failure (EIO/ENOSPC/short write); retryable
-    kOverloaded,   ///< server shed the request under load; retryable
   };
 
   Code code = Code::kInvalid;
@@ -34,9 +33,7 @@ struct Error {
   /// Transient conditions a client should retry (after backoff) rather than
   /// treat as a hard failure: the request itself was well-formed, the system
   /// just could not serve it right now.
-  [[nodiscard]] bool retryable() const {
-    return code == Code::kIoError || code == Code::kOverloaded;
-  }
+  [[nodiscard]] bool retryable() const { return code == Code::kIoError; }
 
   [[nodiscard]] static const char* code_name(Code c) {
     switch (c) {
@@ -47,7 +44,6 @@ struct Error {
       case Code::kConflict: return "conflict";
       case Code::kUnsupported: return "unsupported";
       case Code::kIoError: return "io error";
-      case Code::kOverloaded: return "overloaded";
     }
     return "unknown";
   }
@@ -138,9 +134,6 @@ inline Error unsupported(std::string msg) {
 }
 inline Error io_error(std::string msg) {
   return Error{Error::Code::kIoError, std::move(msg)};
-}
-inline Error overloaded(std::string msg) {
-  return Error{Error::Code::kOverloaded, std::move(msg)};
 }
 
 }  // namespace herc::util

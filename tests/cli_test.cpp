@@ -588,7 +588,6 @@ TEST(Cli, RemoteCommandsDriveAServer) {
   srv::ServerConfig config;
   config.unix_path = (tmp / "srv.sock").string();
   config.shard.dir = tmp.string();
-  config.workers = 2;
   auto server = srv::Server::start(config);
   ASSERT_TRUE(server.ok()) << server.error().str();
 

@@ -113,5 +113,18 @@ TEST(Estimator, StrategyNames) {
   EXPECT_STREQ(estimate_strategy_name(EstimateStrategy::kPert), "pert");
 }
 
+TEST(Estimator, ParseInvertsStrategyNames) {
+  for (auto s : {EstimateStrategy::kIntuition, EstimateStrategy::kLast,
+                 EstimateStrategy::kMean, EstimateStrategy::kEwma,
+                 EstimateStrategy::kPert}) {
+    auto parsed = parse_estimate_strategy(estimate_strategy_name(s));
+    ASSERT_TRUE(parsed.ok()) << estimate_strategy_name(s);
+    EXPECT_EQ(parsed.value(), s);
+  }
+  auto unknown = parse_estimate_strategy("median");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code, util::Error::Code::kInvalid);
+}
+
 }  // namespace
 }  // namespace herc::sched

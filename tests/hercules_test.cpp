@@ -45,6 +45,18 @@ TEST(WorkflowManager, BadSchemaEstimateRejected) {
   }
 }
 
+TEST(WorkflowManager, InvalidCalendarIsRejected) {
+  cal::WorkCalendar::Config no_minutes;
+  no_minutes.minutes_per_day = 0;
+  cal::WorkCalendar::Config no_workdays;
+  for (bool& working : no_workdays.workweek) working = false;
+  for (const auto& config : {no_minutes, no_workdays}) {
+    auto bad = WorkflowManager::create(test::kCircuitSchema, config);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.error().code, util::Error::Code::kInvalid) << bad.error().str();
+  }
+}
+
 TEST(WorkflowManager, TaskManagement) {
   auto m = test::make_circuit_manager();
   EXPECT_TRUE(m->has_task("adder"));

@@ -191,6 +191,15 @@ TEST(Persist, MalformedNestedRecordsRejectedCleanly) {
   EXPECT_FALSE(bad_type.ok());
 }
 
+TEST(Persist, InvalidCalendarLoadsAsAnError) {
+  auto m = full_scenario();
+  auto doc = util::Json::parse(save_to_json(*m)).take();
+  doc.as_object().at("calendar").as_object().set("minutes_per_day", 0);
+  auto loaded = load_from_json(doc.dump(2));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalid);
+}
+
 TEST(Persist, EmptyManagerRoundTrips) {
   auto m = hercules::WorkflowManager::create(test::kCircuitSchema).take();
   std::string once = save_to_json(*m);

@@ -44,7 +44,6 @@ ServerConfig base_config(const TempServerDir& tmp) {
   ServerConfig config;
   config.unix_path = tmp.sock();
   config.shard.dir = tmp.path();
-  config.workers = 4;
   return config;
 }
 
@@ -55,6 +54,26 @@ JsonObject open_args(const std::string& name, std::uint64_t seed) {
   args.set("shape", "layered");
   args.set("size", Json(2));
   return args;
+}
+
+JsonObject designer_args(const std::string& designer) {
+  JsonObject args;
+  args.set("designer", designer);
+  return args;
+}
+
+JsonObject statement_args(const std::string& statement) {
+  JsonObject args;
+  args.set("statement", statement);
+  return args;
+}
+
+/// The value of a one-cell `select count from ...` response: the line after
+/// the header and its rule.
+std::int64_t rendered_count(const wire::Response& response) {
+  const std::string& text = response.result.as_object().at("text").as_string();
+  const auto rule_end = text.find('\n', text.find('\n') + 1);
+  return std::stoll(text.substr(rule_end + 1));
 }
 
 TEST(Server, StartStopUnixAndTcp) {
@@ -177,6 +196,116 @@ TEST(Server, OverflowingSchemaEstimateIsRefusedNotFatal) {
   server.value()->stop();
 }
 
+// WorkCalendar rejects a day of zero minutes.  An `open` carrying one is
+// answered with an error, and the server keeps serving.
+TEST(Server, OpenWithAnInvalidCalendarIsRefusedNotFatal) {
+  TempServerDir tmp("calendar");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok());
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+
+  gen::ScenarioSpec spec;
+  spec.seed = 7;
+  spec.size = 2;
+  Json scenario = gen::scenario_to_json(gen::generate(spec));
+  scenario.as_object().set("minutes_per_day", 0);
+  JsonObject args;
+  args.set("name", "nodays");
+  args.set("scenario", std::move(scenario));
+  auto opened = client.value()->call("", "open", std::move(args));
+  ASSERT_TRUE(opened.ok()) << opened.error().str();
+  ASSERT_FALSE(opened.value().ok);
+  EXPECT_EQ(opened.value().error.code, util::Error::Code::kInvalid);
+
+  auto pong = client.value()->invoke("", "ping");
+  EXPECT_TRUE(pong.ok());
+  server.value()->stop();
+}
+
+// runs_executed counts the runs executed through this shard: none right
+// after a recovery, whatever the recovered project holds.
+TEST(Server, RunsExecutedExcludesRecoveredRuns) {
+  TempServerDir tmp("recovered");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok());
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("chip", 7)).ok());
+  std::int64_t recovered_runs = 0;
+  for (int i = 0; i < 3; ++i) {
+    auto executed = client.value()->invoke("chip", "execute", designer_args("pat"));
+    ASSERT_TRUE(executed.ok()) << executed.error().str();
+    recovered_runs += executed.value().as_object().at("runs").as_int();
+  }
+  ASSERT_TRUE(client.value()->invoke("", "close", open_args("chip", 7)).ok());
+
+  JsonObject recover;
+  recover.set("name", "chip");
+  recover.set("recover", true);
+  ASSERT_TRUE(client.value()->invoke("", "open", std::move(recover)).ok());
+  auto shard_stats = [&] {
+    auto stats = server.value()->stats_json();
+    return Json(stats.as_object().at("shards").as_array().at(0));
+  };
+  Json stats = shard_stats();
+  EXPECT_EQ(stats.as_object().at("runs_executed").as_int(), 0);
+  EXPECT_EQ(stats.as_object().at("run_count").as_int(), recovered_runs);
+
+  auto executed = client.value()->invoke("chip", "execute", designer_args("pat"));
+  ASSERT_TRUE(executed.ok()) << executed.error().str();
+  stats = shard_stats();
+  EXPECT_EQ(stats.as_object().at("runs_executed").as_int(),
+            executed.value().as_object().at("runs").as_int());
+  server.value()->stop();
+}
+
+// A shard has no event subscriber, so executes and reads build no events.
+TEST(ProjectShard, ExecuteAndColdQueryPublishNoEvents) {
+  TempServerDir tmp("bus");
+  ShardOptions options;
+  options.dir = tmp.path();
+  gen::ScenarioSpec spec;
+  spec.seed = 7;
+  spec.size = 2;
+  auto shard = ProjectShard::create("p", gen::generate(spec), options);
+  ASSERT_TRUE(shard.ok()) << shard.error().str();
+
+  wire::Request request;
+  request.id = 1;
+  request.project = "p";
+  request.op = "execute";
+  ASSERT_TRUE(shard.value()->apply(request).ok);
+  request.id = 2;
+  request.op = "query";
+  request.args = statement_args("select runs where designer = \"designer\"");
+  auto queried = shard.value()->apply(request);
+  ASSERT_TRUE(queried.ok) << queried.error.str();
+  EXPECT_EQ(shard.value()->manager_for_test().bus().published(), 0u);
+}
+
+// Frames larger than one 64 KiB receive cross the socket in both directions:
+// a query whose statement and whose rendered rows (100 executes' runs) each
+// exceed it.
+TEST(Server, FramesLargerThanOneReceiveCrossTheSocket) {
+  TempServerDir tmp("large");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok());
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("chip", 3)).ok());
+  for (int i = 0; i < 100; ++i)
+    ASSERT_TRUE(client.value()->invoke("chip", "execute", designer_args("pat")).ok());
+
+  const std::string statement =
+      "select runs where designer != \"" + std::string(100 * 1024, 'x') + "\"";
+  auto queried = client.value()->invoke("chip", "query", statement_args(statement));
+  ASSERT_TRUE(queried.ok()) << queried.error().str();
+  EXPECT_GT(queried.value().as_object().at("text").as_string().size(), 64u * 1024);
+  EXPECT_TRUE(client.value()->invoke("", "ping").ok());
+  server.value()->stop();
+}
+
 TEST(Server, AdvancePastTheLastRenderedDayIsRefused) {
   TempServerDir tmp("advance");
   auto server = Server::start(base_config(tmp));
@@ -222,12 +351,24 @@ TEST(Server, PipelinedResponsesMatchById) {
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.value()->invoke("", "open", open_args("p", 3)).ok());
 
-  // Queue several requests, then collect in reverse id order.
+  // Queue several requests: they come back in the order they were sent.
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
-    JsonObject args;
-    args.set("designer", "d" + std::to_string(i));
-    auto id = client.value()->send("p", "execute", std::move(args));
+    auto id = client.value()->send("p", "execute", designer_args("d" + std::to_string(i)));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  for (std::uint64_t id : ids) {
+    auto response = client.value()->recv_any();
+    ASSERT_TRUE(response.ok()) << response.error().str();
+    EXPECT_EQ(response.value().id, id);
+    EXPECT_TRUE(response.value().ok);
+  }
+
+  // Queue another burst, then collect it in reverse id order.
+  ids.clear();
+  for (int i = 0; i < 6; ++i) {
+    auto id = client.value()->send("p", "execute", designer_args("d" + std::to_string(i)));
     ASSERT_TRUE(id.ok());
     ids.push_back(id.value());
   }
@@ -560,68 +701,13 @@ TEST(Server, ReadMixLaneCountersMatchDriver) {
   server.value()->stop();
 }
 
-TEST(Server, OverloadSheddingBoundsTheQueue) {
-  TempServerDir tmp("shed");
-  ServerConfig config = base_config(tmp);
-  config.workers = 1;
-  config.max_queue_depth = 1;  // in-flight + 1 queued; everything else sheds
-  auto server = Server::start(std::move(config));
-  ASSERT_TRUE(server.ok()) << server.error().str();
-
-  auto client = Client::connect(server.value()->unix_address());
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client.value()->invoke("", "open", open_args("chip", 3)).ok());
-
-  // Pipeline a burst far past the queue bound: the reader answers the
-  // overflow with a retryable `overloaded` error, the worker pool never
-  // sees it, and every request still gets exactly one response.
-  constexpr int kBurst = 64;
-  for (int i = 0; i < kBurst; ++i) {
-    JsonObject args;
-    args.set("designer", "pat");
-    ASSERT_TRUE(client.value()->send("chip", "execute", std::move(args)).ok());
-  }
-  int succeeded = 0;
-  int shed = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    auto response = client.value()->recv_any();
-    ASSERT_TRUE(response.ok()) << response.error().str();
-    if (response.value().ok) {
-      ++succeeded;
-    } else {
-      EXPECT_EQ(response.value().error.code, util::Error::Code::kOverloaded);
-      EXPECT_TRUE(response.value().error.retryable());
-      ++shed;
-    }
-  }
-  EXPECT_EQ(succeeded + shed, kBurst);
-  EXPECT_GT(succeeded, 0);
-  ASSERT_GT(shed, 0) << "burst never outran a depth-1 queue";
-
-  // A shed request retried after the storm goes through.
-  JsonObject args;
-  args.set("designer", "pat");
-  EXPECT_TRUE(client.value()->invoke("chip", "execute", std::move(args)).ok());
-
-  // The stats op reports the shed count and the configured bound.
-  auto stats = server.value()->stats_json();
-  const JsonObject& srv = stats.as_object().at("server").as_object();
-  EXPECT_EQ(srv.at("srv_requests_shed").as_int(), shed);
-  EXPECT_EQ(srv.at("srv_queue_limit").as_int(), 1);
-  EXPECT_EQ(stats.as_object().at("totals").as_object().at("shards_read_only").as_int(), 0);
-  server.value()->stop();
-}
-
-// Reads run on their session's reader thread, so a full write queue never
-// sheds them: with one worker and a depth-1 queue, connection A's pipelined
-// execute burst overflows while connection B's reads all succeed, and the
-// shed counter counts only A's executes.
-TEST(Server, ReadsAreNeverShed) {
-  TempServerDir tmp("readshed");
-  ServerConfig config = base_config(tmp);
-  config.workers = 1;
-  config.max_queue_depth = 1;
-  auto server = Server::start(std::move(config));
+// Every request runs on its connection's thread, so a write burst pipelined
+// on one connection never holds up another connection's reads: connection
+// A's 64 executes and connection B's 60 reads all succeed, and the read lane
+// counts exactly B's reads.
+TEST(Server, ReadsAnswerDuringAnotherConnectionsWriteBurst) {
+  TempServerDir tmp("burst");
+  auto server = Server::start(base_config(tmp));
   ASSERT_TRUE(server.ok()) << server.error().str();
 
   auto writer = Client::connect(server.value()->unix_address());
@@ -632,42 +718,66 @@ TEST(Server, ReadsAreNeverShed) {
   ASSERT_TRUE(writer.value()->invoke("chip", "plan").ok());
 
   constexpr int kBurst = 64;
-  for (int i = 0; i < kBurst; ++i) {
-    JsonObject args;
-    args.set("designer", "pat");
-    ASSERT_TRUE(writer.value()->send("chip", "execute", std::move(args)).ok());
-  }
-  JsonObject query;
-  query.set("statement", std::string("select runs"));
+  for (int i = 0; i < kBurst; ++i)
+    ASSERT_TRUE(writer.value()->send("chip", "execute", designer_args("pat")).ok());
   int reads = 0;
   for (int round = 0; round < 20; ++round) {
     for (const std::string op : {"status", "gantt", "query"}) {
-      auto response =
-          reader.value()->call("chip", op, op == "query" ? query : JsonObject{});
+      auto response = reader.value()->call(
+          "chip", op, op == "query" ? statement_args("select runs") : JsonObject{});
       ASSERT_TRUE(response.ok()) << response.error().str();
       EXPECT_TRUE(response.value().ok) << op << ": " << response.value().error.str();
       ++reads;
     }
   }
-
-  int shed = 0;
   for (int i = 0; i < kBurst; ++i) {
     auto response = writer.value()->recv_any();
     ASSERT_TRUE(response.ok()) << response.error().str();
-    if (!response.value().ok) {
-      EXPECT_EQ(response.value().error.code, util::Error::Code::kOverloaded);
-      ++shed;
-    }
+    EXPECT_TRUE(response.value().ok) << response.value().error.str();
   }
-  ASSERT_GT(shed, 0) << "burst never outran a depth-1 queue";
 
   auto stats = server.value()->stats_json();
-  const JsonObject& srv = stats.as_object().at("server").as_object();
-  EXPECT_EQ(srv.at("srv_requests_shed").as_int(), shed);
   const JsonObject& shard =
       stats.as_object().at("shards").as_array().at(0).as_object();
   EXPECT_EQ(shard.at("snapshots").as_object().at("read_lane_requests").as_int(),
             reads);
+  server.value()->stop();
+}
+
+// One connection pipelines execute, count, execute, count, ... without
+// waiting for any response.  The server answers each request before it
+// parses the next, so every count includes the execute sent before it.
+TEST(Server, PipelinedReadSeesTheWriteBeforeIt) {
+  TempServerDir tmp("ordered");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok()) << server.error().str();
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("chip", 3)).ok());
+
+  constexpr int kRounds = 20;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < kRounds; ++i) {
+    auto executed = client.value()->send("chip", "execute", designer_args("pat"));
+    auto counted =
+        client.value()->send("chip", "query", statement_args("select count from runs"));
+    ASSERT_TRUE(executed.ok() && counted.ok());
+    ids.push_back(executed.value());
+    ids.push_back(counted.value());
+  }
+  std::int64_t runs = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    auto executed = client.value()->recv_any();
+    ASSERT_TRUE(executed.ok()) << executed.error().str();
+    ASSERT_EQ(executed.value().id, ids[2 * i]) << "round " << i;
+    ASSERT_TRUE(executed.value().ok) << executed.value().error.str();
+    runs += executed.value().result.as_object().at("runs").as_int();
+    auto counted = client.value()->recv_any();
+    ASSERT_TRUE(counted.ok()) << counted.error().str();
+    ASSERT_EQ(counted.value().id, ids[2 * i + 1]) << "round " << i;
+    ASSERT_TRUE(counted.value().ok) << counted.value().error.str();
+    EXPECT_EQ(rendered_count(counted.value()), runs) << "round " << i;
+  }
   server.value()->stop();
 }
 

@@ -201,7 +201,8 @@ TEST(Response, ErrorCodeNames) {
   // Codes survive the wire: code -> name -> code is the identity.
   for (auto code : {Error::Code::kParse, Error::Code::kNotFound,
                     Error::Code::kInvalid, Error::Code::kUnbound,
-                    Error::Code::kConflict, Error::Code::kUnsupported}) {
+                    Error::Code::kConflict, Error::Code::kUnsupported,
+                    Error::Code::kIoError}) {
     EXPECT_EQ(error_code_from_name(error_code_name(code)), code);
   }
 }

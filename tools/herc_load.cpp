@@ -33,7 +33,7 @@ int usage(const char* argv0) {
                "          [--duration SECS[s]] [--open-arrival] [--rate R]\n"
                "          [--read-every K] [--read-mix PCT] [--seed N]\n"
                "          [--shape NAME] [--size N] [--durable] [--window-us N]\n"
-               "          [--dir DIR] [--workers N] [--bench-json FILE] [--quiet]\n",
+               "          [--dir DIR] [--bench-json FILE] [--quiet]\n",
                argv0);
   return 2;
 }
@@ -86,8 +86,6 @@ int main(int argc, char** argv) {
       config.shard.commit_window = std::chrono::microseconds(std::atoll(v));
     } else if (arg == "--dir" && (v = next())) {
       config.shard.dir = v;
-    } else if (arg == "--workers" && (v = next())) {
-      config.workers = std::atoi(v);
     } else if (arg == "--bench-json" && (v = next())) {
       bench_json = v;
     } else if (arg == "--quiet") {

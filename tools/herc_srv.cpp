@@ -2,14 +2,15 @@
 //
 //   herc_srv --unix /tmp/herc.sock                 # unix-domain listener
 //   herc_srv --tcp 7421 [--host 0.0.0.0]           # tcp listener (0 = pick)
-//   herc_srv --dir DATA --workers 8                # shard files + pool size
+//   herc_srv --dir DATA                            # where shard files live
 //   herc_srv --durable --window-us 200             # fsync'd group commit
 //   herc_srv --open NAME=SEED[:shape:size] ...     # pre-open projects
 //
-// Runs until SIGINT/SIGTERM or a `shutdown` wire op, then drains in-flight
-// requests and writes a final group commit + snapshot per project before
-// exiting 0.  Prints the bound addresses on stdout once listening (port 0
-// resolves here), so scripts can parse them.
+// Each connection's requests run on that connection's own thread, in order.
+// Runs until SIGINT/SIGTERM or a `shutdown` wire op, then answers every
+// request already received and writes a final group commit + snapshot per
+// project before exiting 0.  Prints the bound addresses on stdout once
+// listening (port 0 resolves here), so scripts can parse them.
 //
 // Exit status: 0 clean shutdown, 1 startup failure, 2 usage.
 
@@ -32,7 +33,7 @@ using namespace herc;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--unix PATH] [--tcp PORT] [--host HOST] [--dir DIR]\n"
-               "          [--workers N] [--durable] [--window-us N] [--tool-minutes N]\n"
+               "          [--durable] [--window-us N] [--tool-minutes N]\n"
                "          [--open NAME=SEED[:shape:size]]...\n",
                argv0);
   return 2;
@@ -101,10 +102,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       config.shard.dir = v;
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.workers = std::atoi(v);
     } else if (arg == "--durable") {
       config.shard.durable = true;
     } else if (arg == "--window-us") {
