@@ -150,9 +150,9 @@ void BM_PingRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_PingRoundTrip);
 
 // Full stack: one flow execution per iteration, journal group-committed.
-// A lone client pays the commit window on every run (nothing to batch
-// with) — the classic group-commit latency trade, bought back many times
-// over under concurrent load (see the artifact table and herc_load).
+// A lone client has nothing to batch with, so its own request thread
+// writes each execute's lines as one batch right after the op; batches
+// grow only under concurrent load (see the artifact table and herc_load).
 void BM_ExecuteRoundTrip(benchmark::State& state) {
   ServerFixture fixture;
   auto client = fixture.client_with_project("bench");

@@ -30,16 +30,7 @@ class FileSink : public JournalSink {
     return out_.append(line);
   }
 
-  [[nodiscard]] util::Status restart() override {
-    auto st = out_.open_trunc(path_);
-    if (!st.ok()) {
-      // A storage fault stays kIoError (retryable, triggers shard
-      // degradation); anything else keeps the legacy unsupported code.
-      if (st.error().code == util::Error::Code::kIoError) return st;
-      return util::unsupported("journal: cannot open '" + path_ + "' for writing");
-    }
-    return util::Status::ok_status();
-  }
+  [[nodiscard]] util::Status restart() override { return out_.open_trunc(path_); }
 
  private:
   std::string path_;

@@ -68,7 +68,7 @@ class RunJournal : public meta::DatabaseObserver {
   /// Opens (and truncates) `path` and starts journaling runs recorded in
   /// `db`.  High-water marks start at the CURRENT store/db sizes, so the
   /// journal only captures what happens after — take a snapshot first.
-  /// kUnsupported if the file cannot be created.
+  /// kIoError if the file cannot be created.
   [[nodiscard]] static util::Result<std::unique_ptr<RunJournal>> open(
       meta::Database& db, data::DataStore& store, exec::SimClock& clock,
       const std::string& path);

@@ -29,13 +29,12 @@
 //      with a RETRYABLE error.
 //
 // The harness drives each shard from one thread, and FaultFs decisions are
-// a pure function of (seed, IO op index).  The shard journals through its
-// group committer, though, whose flusher thread cuts batches by timing, so
-// the request behind a given IO index depends on batch timing, and even
-// the number of IO points can differ between two runs with the same
-// options.  Every index of a run is still swept, but a trial reproduces
-// its fault, not necessarily the request it hits (util/faultfs.hpp says
-// the same of concurrent load).
+// a pure function of (seed, IO op index).  The shard's group committer
+// writes on the thread that waits for the ack, so every IO happens on the
+// harness's thread in program order: runs with the same options sweep the
+// same IO points, each trial hits the same request, and the reports match.
+// (Under concurrent load which request owns an index may vary; see
+// util/faultfs.hpp.)
 
 #include <cstdint>
 #include <string>

@@ -11,43 +11,34 @@ util::Result<std::unique_ptr<GroupCommitter>> GroupCommitter::open(
     const std::string& path, Options options) {
   std::unique_ptr<GroupCommitter> c(new GroupCommitter(path, options));
   auto st = c->file_.open_trunc(path);
-  if (!st.ok())
-    return util::unsupported("group commit: cannot open '" + path + "'");
-  c->flusher_ = std::thread(&GroupCommitter::flusher_main, c.get());
+  if (!st.ok()) return st.error();
   return c;
 }
 
 GroupCommitter::~GroupCommitter() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  done_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-  // Leftover pending lines (possible only after simulate_crash or an I/O
-  // error) stay unwritten by design.
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return !flushing_; });
+  if (!crashed_ && status_.ok()) flush_locked(lock);
 }
 
 util::Status GroupCommitter::append(std::string line) {
   line.push_back('\n');
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (crashed_) return util::invalid("group commit: crashed");
-    if (!status_.ok()) return status_;
-    if (in_mutation_) {
-      mutation_ += line;
-      ++mutation_lines_;
-      return util::Status::ok_status();
-    }
-    if (pending_.empty()) oldest_began_ = std::chrono::steady_clock::now();
-    pending_ += line;
-    ++pending_tickets_;
-    ++pending_lines_;
-    ++enqueued_;
-    ++stats_.lines;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (crashed_) return util::invalid("group commit: crashed");
+  if (!status_.ok()) return status_;
+  if (in_mutation_) {
+    mutation_ += line;
+    ++mutation_lines_;
+    return util::Status::ok_status();
   }
-  work_cv_.notify_one();
+  pending_ += line;
+  ++pending_tickets_;
+  ++pending_lines_;
+  ++enqueued_;
+  ++stats_.lines;
+  // Behind a write in progress the line waits for the next write: another
+  // append's, a waiter's, sync_now()'s or the destructor's.
+  if (!flushing_) flush_locked(lock);
   return util::Status::ok_status();
 }
 
@@ -56,26 +47,19 @@ void GroupCommitter::begin_mutation() {
   in_mutation_ = true;
   mutation_.clear();
   mutation_lines_ = 0;
-  mutation_began_ = std::chrono::steady_clock::now();
 }
 
 util::Result<std::uint64_t> GroupCommitter::end_mutation() {
-  std::uint64_t ticket = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    in_mutation_ = false;
-    if (crashed_) return util::invalid("group commit: crashed");
-    if (!status_.ok()) return status_.error();
-    if (mutation_lines_ == 0) return std::uint64_t{0};
-    if (pending_.empty()) oldest_began_ = mutation_began_;
-    pending_ += mutation_;
-    ++pending_tickets_;
-    pending_lines_ += mutation_lines_;
-    stats_.lines += mutation_lines_;
-    ticket = ++enqueued_;
-  }
-  work_cv_.notify_one();
-  return ticket;
+  std::lock_guard<std::mutex> lock(mu_);
+  in_mutation_ = false;
+  if (crashed_) return util::invalid("group commit: crashed");
+  if (!status_.ok()) return status_.error();
+  if (mutation_lines_ == 0) return std::uint64_t{0};
+  pending_ += mutation_;
+  ++pending_tickets_;
+  pending_lines_ += mutation_lines_;
+  stats_.lines += mutation_lines_;
+  return ++enqueued_;
 }
 
 std::uint64_t GroupCommitter::last_enqueued() const {
@@ -85,28 +69,31 @@ std::uint64_t GroupCommitter::last_enqueued() const {
 
 util::Status GroupCommitter::wait_durable(std::uint64_t ticket) {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] {
-    return committed_ >= ticket || !status_.ok() || crashed_ || stop_;
-  });
+  // Every ticket above committed_ is queued or in the write in progress, so
+  // with no write in progress the queue holds this ticket.  A write in
+  // progress may not cover it; when that write ends, this thread checks
+  // again and, if still uncovered, writes the next batch itself.
+  while (committed_ < ticket && status_.ok() && !crashed_) {
+    if (flushing_)
+      done_cv_.wait(lock);
+    else
+      flush_locked(lock);
+  }
   if (committed_ >= ticket) return util::Status::ok_status();
   if (!status_.ok()) return status_;
-  return util::invalid("group commit: stopped before ticket became durable");
+  return util::invalid("group commit: crashed before ticket became durable");
 }
 
 util::Status GroupCommitter::sync_now() {
   std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return !flushing_; });
   if (crashed_) return util::invalid("group commit: crashed");
-  const std::uint64_t target = enqueued_;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [&] {
-    return (committed_ >= target && !flushing_) || !status_.ok() || crashed_ ||
-           stop_;
-  });
   if (!status_.ok()) return status_;
-  if (crashed_ || (stop_ && committed_ < target))
-    return util::invalid("group commit: stopped before sync completed");
+  flush_locked(lock);
+  if (!status_.ok()) return status_;
   // Batches are only fsynced in durable mode; a snapshot/shutdown sync must
-  // pin the whole file to disk either way.
+  // pin the whole file to disk either way.  flush_locked returned with the
+  // lock held and no write in progress, so file_ is this thread's.
   auto st = file_.sync();
   if (!st.ok()) status_ = st;
   return st;
@@ -114,11 +101,9 @@ util::Status GroupCommitter::sync_now() {
 
 util::Status GroupCommitter::restart() {
   std::unique_lock<std::mutex> lock(mu_);
+  // Never truncate under a write in flight: it would land in the fresh file.
+  done_cv_.wait(lock, [&] { return !flushing_; });
   if (crashed_) return util::invalid("group commit: crashed");
-  // Never truncate under a flusher mid-write: its write() would land in the
-  // fresh file (or on a closed fd).
-  done_cv_.wait(lock, [&] { return !flushing_ || stop_; });
-  if (stop_) return util::invalid("group commit: stopped");
   // Whatever is still queued describes state the caller just snapshotted;
   // dropping it IS its commit.
   committed_ = enqueued_;
@@ -126,19 +111,7 @@ util::Status GroupCommitter::restart() {
   pending_tickets_ = pending_lines_ = 0;
   mutation_.clear();
   mutation_lines_ = 0;
-  auto st = file_.open_trunc(path_);
-  if (!st.ok()) {
-    // Keep a storage fault recognizable (kIoError => retryable / shard
-    // degradation); everything else stays the legacy unsupported.
-    status_ = st.error().code == util::Error::Code::kIoError
-                  ? st
-                  : util::unsupported("group commit: cannot reopen '" + path_ +
-                                      "'");
-    done_cv_.notify_all();
-    return status_;
-  }
-  status_ = util::Status::ok_status();
-  done_cv_.notify_all();
+  status_ = file_.open_trunc(path_);
   return status_;
 }
 
@@ -148,80 +121,50 @@ GroupCommitter::Stats GroupCommitter::stats() const {
 }
 
 void GroupCommitter::simulate_crash() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    crashed_ = true;
-    stop_ = true;
-    pending_.clear();
-    pending_tickets_ = pending_lines_ = 0;
-  }
-  work_cv_.notify_all();
-  done_cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-  // Only now: the flusher writes outside mu_, so closing earlier would race
-  // a write in flight.  That write lands, as it may in a real crash; nothing
-  // after it does, and there is no final fsync.
+  std::unique_lock<std::mutex> lock(mu_);
+  crashed_ = true;
+  pending_.clear();
+  pending_tickets_ = pending_lines_ = 0;
+  // A write already in flight lands, as it may in a real crash; nothing
+  // after it does, and there is no final fsync.  Closing before it ends
+  // would race that write.
+  done_cv_.wait(lock, [&] { return !flushing_; });
   file_.close();
 }
 
-void GroupCommitter::flusher_main() {
-  // Swapped with pending_ each batch, so the two buffers keep their capacity.
-  std::string batch;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return !pending_.empty() || stop_; });
-    if (stop_ && pending_.empty()) return;
-    if (stop_) {
-      // Drain what was enqueued before stop; new appends are rejected.
-    } else if (options_.window.count() > 0) {
-      // Bounded accumulation: let concurrent appenders join this batch.
-      const auto due = oldest_began_ + options_.window;
-      lock.unlock();
-      std::this_thread::sleep_until(due);
-      lock.lock();
-      if (crashed_) return;
-    }
-    if (!status_.ok()) {
-      // An earlier batch never reached the file.  Writing later lines after
-      // that hole would leave a WAL that recovery refuses (and could lift
-      // committed_ over the lost tickets), so everything queued is dropped
-      // and nothing is written until restart() truncates the file.  The
-      // waiters already see the error.
-      pending_.clear();
-      pending_tickets_ = pending_lines_ = 0;
-      if (stop_) return;
-      continue;
-    }
-    batch.clear();
-    batch.swap(pending_);
-    const std::uint64_t tickets = std::exchange(pending_tickets_, 0);
-    const std::uint64_t lines = std::exchange(pending_lines_, 0);
-    flushing_ = true;
-    lock.unlock();
+void GroupCommitter::flush_locked(std::unique_lock<std::mutex>& lock) {
+  if (pending_.empty()) return;
+  batch_.clear();
+  batch_.swap(pending_);
+  const std::uint64_t tickets = std::exchange(pending_tickets_, 0);
+  const std::uint64_t lines = std::exchange(pending_lines_, 0);
+  flushing_ = true;
+  lock.unlock();
 
-    // One write per group commit keeps crash loss whole-batch granular.
-    auto st = file_.append(batch);
-    bool synced = false;
-    if (st.ok() && options_.durable) {
-      st = file_.sync();
-      synced = st.ok();
-    }
-
-    lock.lock();
-    flushing_ = false;
-    if (crashed_) return;
-    if (st.ok()) {
-      committed_ += tickets;
-      ++stats_.flushes;
-      if (synced) ++stats_.synced;
-      stats_.lines_flushed += lines;
-      if (lines > stats_.batch_max) stats_.batch_max = lines;
-    } else if (status_.ok()) {
-      status_ = st;
-    }
-    done_cv_.notify_all();
-    if (stop_ && pending_.empty()) return;
+  // One write per group commit keeps crash loss whole-batch granular.
+  auto st = file_.append(batch_);
+  bool synced = false;
+  if (st.ok() && options_.durable) {
+    st = file_.sync();
+    synced = st.ok();
   }
+
+  lock.lock();
+  flushing_ = false;
+  if (st.ok()) {
+    committed_ += tickets;
+    ++stats_.flushes;
+    if (synced) ++stats_.synced;
+    stats_.lines_flushed += lines;
+    if (lines > stats_.batch_max) stats_.batch_max = lines;
+  } else if (status_.ok()) {
+    // This batch never reached the file.  Writing later entries after that
+    // hole would leave a WAL that recovery refuses (and could lift
+    // committed_ over the lost tickets), so every caller checks status_
+    // first and nothing is written until restart() truncates the file.
+    status_ = st;
+  }
+  done_cv_.notify_all();
 }
 
 }  // namespace herc::srv

@@ -91,8 +91,10 @@ util::Result<int> listen_on(const Address& address, int backlog) {
           ? INADDR_ANY
           : inet_addr(address.host == "localhost" ? "127.0.0.1"
                                                   : address.host.c_str());
-  if (sa.sin_addr.s_addr == INADDR_NONE)
+  if (sa.sin_addr.s_addr == INADDR_NONE) {
+    ::close(fd);
     return util::invalid("listen: cannot resolve host '" + address.host + "'");
+  }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
     auto err = sys_error("bind(tcp:" + std::to_string(address.port) + ")");
     ::close(fd);

@@ -16,6 +16,9 @@
 // Shards serialize their writes internally (see shard.hpp): writes to
 // different projects run in parallel, one per connection, and a project read
 // (ProjectShard::is_read_op) runs on a pinned epoch without the shard lock.
+// A shard starts no thread: its group committer writes on the thread of a
+// request waiting for its ack, so the accept thread and the readers are the
+// server's only threads.
 //
 // Graceful shutdown (stop(), also triggered by the `shutdown` op or a signal
 // in tools/herc_srv): stop accepting, shut the read side of every session,
@@ -45,7 +48,7 @@ struct ServerConfig {
   /// TCP listener port; -1 = none, 0 = kernel-assigned (see tcp_port()).
   int tcp_port = -1;
   std::string tcp_host = "127.0.0.1";
-  /// Applied to every shard (data directory, fsync policy, commit window).
+  /// Applied to every shard (data directory, fsync policy).
   ShardOptions shard;
   /// Nominal runtime for auto-registered simulated tools (DSL projects and
   /// recovery).

@@ -36,11 +36,14 @@ Json execution_json(const exec::ExecutionResult& result,
   return Json(std::move(o));
 }
 
-// Writer-priority backoff for the read lane: while a write dispatch holds the
-// write lane, arriving readers sleep-poll in kReaderBackoff steps instead of
-// competing with the mutator for cores, which keeps the writer's latency
-// tail flat under a read storm on small machines.  kReaderBackoffCap bounds
-// the total wait, so a slow writer never starves the read lane.
+// Writer-priority backoff for the read lane: while a write is in flight,
+// from its dispatch until its group commit returns, arriving readers
+// sleep-poll in kReaderBackoff steps instead of competing with the mutator
+// for cores, which keeps the writer's latency tail flat under a read storm
+// on small machines.  The commit is covered because the waiting request
+// writes its own batch (in durable mode, fsync included).
+// kReaderBackoffCap bounds the total wait, so a slow writer never starves
+// the read lane.
 constexpr std::chrono::microseconds kReaderBackoff{150};
 constexpr std::chrono::microseconds kReaderBackoffCap{8000};
 
@@ -86,8 +89,7 @@ util::Status ProjectShard::start_journal() {
                                         options_.durable);
   if (!st.ok()) return st;
   runs_at_open_ = manager_->db().run_count();
-  auto opened = GroupCommitter::open(
-      wal_path(), {.durable = options_.durable, .window = options_.commit_window});
+  auto opened = GroupCommitter::open(wal_path(), {.durable = options_.durable});
   if (!opened.ok()) return opened.error();
   committer_ = std::move(opened).take();
   return manager_->enable_journal_sink(*committer_);
@@ -151,11 +153,11 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
   // meanwhile.  Every factory publishes before it returns the shard, so a
   // view always exists.
   if (is_read_op(request.op)) {
-    // Let an in-flight write dispatch have the cores (see kReaderBackoff).
-    // The snapshot is loaded AFTER the backoff so a read that did wait tends
-    // to observe the write it waited for.
+    // Let an in-flight write have the cores (see kReaderBackoff).  The
+    // snapshot is loaded AFTER the backoff so a read that did wait tends to
+    // observe the write it waited for.
     auto waited = std::chrono::microseconds(0);
-    while (write_dispatching_.load(std::memory_order_relaxed) &&
+    while (writes_in_flight_.load(std::memory_order_relaxed) > 0 &&
            waited < kReaderBackoffCap) {
       std::this_thread::sleep_for(kReaderBackoff);
       waited += kReaderBackoff;
@@ -168,6 +170,13 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
     return dispatch_read(request, *view);
   }
 
+  // Readers back off until this write's durability wait returns (see
+  // kReaderBackoff), on every path out of here.
+  writes_in_flight_.fetch_add(1, std::memory_order_relaxed);
+  struct InFlight {
+    std::atomic<int>& writes;
+    ~InFlight() { writes.fetch_sub(1, std::memory_order_relaxed); }
+  } in_flight{writes_in_flight_};
   util::Result<std::uint64_t> ticket = std::uint64_t{0};
   wire::Response response;
   {
@@ -181,7 +190,6 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
     if (read_only_.load(std::memory_order_relaxed) && request.op != "stats")
       return wire::Response::failure(request.id, read_only_error_locked());
     write_lane_requests_.fetch_add(1, std::memory_order_relaxed);
-    write_dispatching_.store(true, std::memory_order_relaxed);
     // Every journal line the op produces goes to the committer as one entry
     // under one ticket, so an op's lines always share a flush.
     committer_->begin_mutation();
@@ -191,7 +199,6 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
     // the ack): once a client holds an ack, the published snapshot already
     // contains its write.
     publish_view_locked();
-    write_dispatching_.store(false, std::memory_order_relaxed);
     // The committer refuses lines once a flush failed, and a request can
     // land between that failure and the failed request's read-only latch
     // below.  Its runs then reached no ticket, so there is nothing to wait
@@ -376,7 +383,7 @@ util::Status ProjectShard::snapshot_locked() {
   if (crashed_) return util::unsupported("shard '" + name_ + "' crashed");
   if (read_only_.load(std::memory_order_relaxed)) return read_only_error_locked();
   // save_project_file restarts the journal, which for a group committer
-  // first drains any in-flight batch (GroupCommitter::restart).
+  // first waits out a batch write in flight (GroupCommitter::restart).
   auto st = hercules::save_project_file(*manager_, snapshot_path(),
                                         options_.durable);
   // A failed snapshot leaves the previous one intact (atomic replace), but

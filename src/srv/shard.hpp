@@ -31,8 +31,9 @@
 // projects never contend — and from group commit, the shard's only journal
 // path: a mutation enqueues its journal lines with the shard's
 // GroupCommitter under the lock, as one entry under one ticket, but waits
-// for durability AFTER releasing it, so the next request's mutation
-// overlaps this one's fsync.
+// for durability AFTER releasing it, writing the batch on its own thread
+// when no other write is in progress.  The next request's mutation thus
+// overlaps this one's write and fsync, and queues behind it.
 //
 // Files: <dir>/<name>.snapshot.json (atomic replace) and <dir>/<name>.wal.
 // An acknowledged mutation is always recoverable from snapshot + WAL.
@@ -54,8 +55,6 @@ namespace herc::srv {
 struct ShardOptions {
   std::string dir = ".";  ///< where the snapshot and WAL live
   bool durable = false;   ///< fsync group commits and snapshots
-  /// The group committer's accumulation window (GroupCommitter::Options).
-  std::chrono::microseconds commit_window{200};
 };
 
 class ProjectShard {
@@ -176,9 +175,9 @@ class ProjectShard {
   hercules::ViewSlot view_;
   std::atomic<std::uint64_t> read_lane_requests_{0};
   std::atomic<std::uint64_t> write_lane_requests_{0};
-  /// True while a write dispatch holds mu_ (not during its durability wait);
-  /// the read lane's writer-priority backoff polls it.
-  std::atomic<bool> write_dispatching_{false};
+  /// Write-lane requests between entering apply() and the return of their
+  /// durability wait; the read lane's writer-priority backoff polls it.
+  std::atomic<int> writes_in_flight_{0};
   std::atomic<bool> crashed_{false};
 
   /// Latches the shard read-only (idempotent).  Takes mu_ itself when called

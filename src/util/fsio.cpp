@@ -118,7 +118,8 @@ Status AppendFile::open_trunc(const std::string& path) {
   if (fault.action != FaultFs::Action::kNone)
     return injected_error(fault.action, "open of", path);
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd_ < 0) return invalid("cannot write file '" + path + "'");
+  if (fd_ < 0)
+    return io_error("open of '" + path + "' failed: " + std::strerror(errno));
   path_ = path;
   return Status::ok_status();
 }

@@ -53,7 +53,8 @@ class AppendFile {
   AppendFile(const AppendFile&) = delete;
   AppendFile& operator=(const AppendFile&) = delete;
 
-  /// Opens (creating or truncating) `path` for appending.
+  /// Opens (creating or truncating) `path` for appending; kIoError when the
+  /// open fails, injected or real.
   [[nodiscard]] Status open_trunc(const std::string& path);
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
   void close();

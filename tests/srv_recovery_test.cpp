@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -236,14 +238,13 @@ TEST(SrvRecovery, GroupCommitFlushesFewerThanLines) {
 }
 
 // Every line one mutation appends rides one ticket, so its lines share a
-// flush whatever the flusher's timing: with no accumulation window, 50
-// mutations of 3 lines each take at most 50 flushes.  An empty mutation gets
-// no ticket, an append outside a mutation gets its own, and the file holds
-// every line in append order.
+// flush whatever the timing: 50 mutations of 3 lines each take at most 50
+// flushes.  An empty mutation gets no ticket, an append outside a mutation
+// gets its own, and the file holds every line in append order.
 TEST(SrvRecovery, MutationLinesShareOneTicket) {
   TempDir tmp("mutation");
   const std::string path = (tmp.dir / "p.wal").string();
-  auto opened = GroupCommitter::open(path, {.window = std::chrono::microseconds(0)});
+  auto opened = GroupCommitter::open(path, {});
   ASSERT_TRUE(opened.ok()) << opened.error().str();
   auto committer = std::move(opened).take();
 
@@ -274,6 +275,97 @@ TEST(SrvRecovery, MutationLinesShareOneTicket) {
   EXPECT_LE(stats.flushes, 51u);
   EXPECT_GE(stats.batch_max, 3u);
   EXPECT_EQ(slurp(path), expected);
+}
+
+// The shard's write lane without a project: 4 threads x 250 mutations of 3
+// lines, each mutation under one mutex as under the shard lock, and each
+// thread waiting for its ticket outside it, so writes are handed from thread
+// to thread in whatever order the scheduler picks.  Every line lands once,
+// each mutation's lines stay together, and each thread's mutations land in
+// the order it made them.
+TEST(SrvRecovery, ConcurrentMutationsLandOnceAndInOrder) {
+  TempDir tmp("waiters");
+  const std::string path = (tmp.dir / "p.wal").string();
+  auto opened = GroupCommitter::open(path, {});
+  ASSERT_TRUE(opened.ok()) << opened.error().str();
+  auto committer = std::move(opened).take();
+
+  constexpr int kThreads = 4;
+  constexpr int kMutations = 250;
+  constexpr int kLines = 3;
+  std::mutex shard_lock;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int m = 0; m < kMutations; ++m) {
+        util::Result<std::uint64_t> ticket = std::uint64_t{0};
+        {
+          std::lock_guard<std::mutex> lock(shard_lock);
+          committer->begin_mutation();
+          for (int i = 0; i < kLines; ++i) {
+            const std::string line = std::to_string(t) + " " +
+                                     std::to_string(m) + " " + std::to_string(i);
+            if (!committer->append(line).ok()) failures.fetch_add(1);
+          }
+          ticket = committer->end_mutation();
+        }
+        if (!ticket.ok() || ticket.value() == 0 ||
+            !committer->wait_durable(ticket.value()).ok())
+          failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  std::vector<int> next_mutation(kThreads, 0);
+  int landed = 0;
+  int prev_t = -1, prev_m = -1, prev_i = kLines - 1;
+  std::string first_fault;
+  std::istringstream lines(slurp(path));
+  for (int t, m, i; lines >> t >> m >> i; ++landed) {
+    const bool in_order =
+        t >= 0 && t < kThreads && i >= 0 && i < kLines &&
+        (i == 0 ? prev_i == kLines - 1 && m == next_mutation[t]
+                : t == prev_t && m == prev_m && i == prev_i + 1);
+    if (!in_order && first_fault.empty())
+      first_fault = "line " + std::to_string(landed) + ": " +
+                    std::to_string(t) + " " + std::to_string(m) + " " +
+                    std::to_string(i);
+    if (in_order && i == 0) ++next_mutation[t];
+    prev_t = t, prev_m = m, prev_i = i;
+  }
+  EXPECT_EQ(first_fault, "");
+  EXPECT_EQ(landed, kThreads * kMutations * kLines);
+  EXPECT_EQ(prev_i, kLines - 1);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(next_mutation[t], kMutations);
+  auto stats = committer->stats();
+  EXPECT_EQ(stats.lines_flushed, static_cast<std::uint64_t>(landed));
+  EXPECT_LE(stats.flushes, static_cast<std::uint64_t>(kThreads * kMutations));
+}
+
+// The group committer writes on the thread that waits for durability, so a
+// shard starts no thread of its own.
+TEST(SrvRecovery, OpeningShardsStartsNoThread) {
+  auto threads = [] {
+    std::size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  TempDir tmp("threads");
+  const std::size_t before = threads();
+  std::vector<std::unique_ptr<ProjectShard>> shards;
+  for (int i = 0; i < 4; ++i) {
+    auto shard = ProjectShard::create("p" + std::to_string(i),
+                                      small_scenario(20 + i), options_in(tmp));
+    ASSERT_TRUE(shard.ok()) << shard.error().str();
+    shards.push_back(std::move(shard).take());
+  }
+  EXPECT_EQ(threads(), before);
 }
 
 TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
@@ -308,8 +400,8 @@ TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
 // Once a flush fails, nothing queued behind it may reach the file: recovery
 // replays records strictly in order, so a batch written after a lost one
 // leaves a WAL it refuses, and its waiters could be acknowledged for lines
-// that never landed.  Two appenders race the flusher while the k-th IO
-// (the first is the open) fails; each one's lines on disk must be a
+// that never landed.  Two appenders race each other's writes while the
+// k-th IO (the first is the open) fails; each one's lines on disk must be a
 // gap-free prefix of what it appended.
 TEST(SrvRecovery, GroupCommitWritesNothingAfterAFailedFlush) {
   TempDir tmp("hole");
@@ -322,8 +414,7 @@ TEST(SrvRecovery, GroupCommitWritesNothingAfterAFailedFlush) {
       plan.path_filter = tmp.dir.string();
       plan.eio_on = {k};
       util::ScopedFaultFs faults(1, plan);
-      auto opened =
-          GroupCommitter::open(path, {.window = std::chrono::microseconds(0)});
+      auto opened = GroupCommitter::open(path, {});
       ASSERT_TRUE(opened.ok()) << opened.error().str();
       auto committer = std::move(opened).take();
       std::vector<std::thread> appenders;
@@ -371,6 +462,30 @@ TEST(SrvRecovery, MutationAfterAFailedFlushIsNotAcknowledged) {
   EXPECT_FALSE(response.ok);
   EXPECT_TRUE(response.error.retryable()) << response.error.str();
   EXPECT_TRUE(shard.value()->read_only());
+}
+
+// A real open() failure is a storage fault like an injected one.  With the
+// shard's directory gone, `save` cannot write its snapshot: it fails
+// retryable and latches the shard read-only, so the next execute is refused
+// rather than acknowledged into a WAL that no directory holds any more.
+TEST(SrvRecovery, SaveIntoARemovedDirectoryDegradesTheShard) {
+  TempDir tmp("removed");
+  auto shard = ProjectShard::create("p", small_scenario(9), options_in(tmp));
+  ASSERT_TRUE(shard.ok()) << shard.error().str();
+  ASSERT_TRUE(shard.value()->apply(execute_request(1, "pat")).ok);
+  std::filesystem::remove_all(tmp.dir);
+
+  wire::Request save;
+  save.id = 2;
+  save.project = "p";
+  save.op = "save";
+  auto saved = shard.value()->apply(save);
+  EXPECT_FALSE(saved.ok);
+  EXPECT_TRUE(saved.error.retryable()) << saved.error.str();
+  EXPECT_TRUE(shard.value()->read_only());
+  auto refused = shard.value()->apply(execute_request(3, "pat"));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_TRUE(refused.error.retryable()) << refused.error.str();
 }
 
 // Satellite (a): the fsio primitives underneath the durability contract.

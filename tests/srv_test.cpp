@@ -223,6 +223,25 @@ TEST(Server, OpenWithAnInvalidCalendarIsRefusedNotFatal) {
   server.value()->stop();
 }
 
+// A TCP host that does not parse fails Server::start, and closes the socket
+// opened for it.
+TEST(Server, UnparsableTcpHostLeaksNoDescriptor) {
+  auto open_descriptors = [] {
+    std::size_t n = 0;
+    for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+      (void)entry;
+      ++n;
+    }
+    return n;
+  };
+  ServerConfig config;
+  config.tcp_port = 0;
+  config.tcp_host = "no.such.host";
+  const std::size_t before = open_descriptors();
+  for (int i = 0; i < 20; ++i) EXPECT_FALSE(Server::start(config).ok());
+  EXPECT_EQ(open_descriptors(), before);
+}
+
 // runs_executed counts the runs executed through this shard: none right
 // after a recovery, whatever the recovered project holds.
 TEST(Server, RunsExecutedExcludesRecoveredRuns) {

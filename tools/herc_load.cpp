@@ -32,7 +32,7 @@ int usage(const char* argv0) {
                "usage: %s (--addr ADDR | --spawn) [--projects N] [--designers M]\n"
                "          [--duration SECS[s]] [--open-arrival] [--rate R]\n"
                "          [--read-every K] [--read-mix PCT] [--seed N]\n"
-               "          [--shape NAME] [--size N] [--durable] [--window-us N]\n"
+               "          [--shape NAME] [--size N] [--durable]\n"
                "          [--dir DIR] [--bench-json FILE] [--quiet]\n",
                argv0);
   return 2;
@@ -82,8 +82,6 @@ int main(int argc, char** argv) {
       options.size = static_cast<std::size_t>(std::atoll(v));
     } else if (arg == "--durable") {
       config.shard.durable = true;
-    } else if (arg == "--window-us" && (v = next())) {
-      config.shard.commit_window = std::chrono::microseconds(std::atoll(v));
     } else if (arg == "--dir" && (v = next())) {
       config.shard.dir = v;
     } else if (arg == "--bench-json" && (v = next())) {

@@ -3,7 +3,7 @@
 //   herc_srv --unix /tmp/herc.sock                 # unix-domain listener
 //   herc_srv --tcp 7421 [--host 0.0.0.0]           # tcp listener (0 = pick)
 //   herc_srv --dir DATA                            # where shard files live
-//   herc_srv --durable --window-us 200             # fsync'd group commit
+//   herc_srv --durable                             # fsync'd group commit
 //   herc_srv --open NAME=SEED[:shape:size] ...     # pre-open projects
 //
 // Each connection's requests run on that connection's own thread, in order.
@@ -33,7 +33,7 @@ using namespace herc;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--unix PATH] [--tcp PORT] [--host HOST] [--dir DIR]\n"
-               "          [--durable] [--window-us N] [--tool-minutes N]\n"
+               "          [--durable] [--tool-minutes N]\n"
                "          [--open NAME=SEED[:shape:size]]...\n",
                argv0);
   return 2;
@@ -104,10 +104,6 @@ int main(int argc, char** argv) {
       config.shard.dir = v;
     } else if (arg == "--durable") {
       config.shard.durable = true;
-    } else if (arg == "--window-us") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.shard.commit_window = std::chrono::microseconds(std::atoll(v));
     } else if (arg == "--tool-minutes") {
       const char* v = next();
       if (!v) return usage(argv[0]);
