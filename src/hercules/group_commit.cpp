@@ -1,8 +1,8 @@
-#include "srv/group_commit.hpp"
+#include "hercules/group_commit.hpp"
 
 #include <utility>
 
-namespace herc::srv {
+namespace herc::hercules {
 
 GroupCommitter::GroupCommitter(std::string path, Options options)
     : path_(std::move(path)), options_(options) {}
@@ -38,8 +38,10 @@ util::Status GroupCommitter::append(std::string line) {
   ++stats_.lines;
   // Behind a write in progress the line waits for the next write: another
   // append's, a waiter's, sync_now()'s or the destructor's.
-  if (!flushing_) flush_locked(lock);
-  return util::Status::ok_status();
+  if (flushing_) return util::Status::ok_status();
+  // status_ was ok above, so an error now is this write's.
+  flush_locked(lock);
+  return status_;
 }
 
 void GroupCommitter::begin_mutation() {
@@ -148,6 +150,8 @@ void GroupCommitter::flush_locked(std::unique_lock<std::mutex>& lock) {
     st = file_.sync();
     synced = st.ok();
   }
+  // A batch in a file that no name reaches any more is lost to recovery.
+  if (st.ok()) st = file_.check_linked();
 
   lock.lock();
   flushing_ = false;
@@ -167,4 +171,4 @@ void GroupCommitter::flush_locked(std::unique_lock<std::mutex>& lock) {
   done_cv_.notify_all();
 }
 
-}  // namespace herc::srv
+}  // namespace herc::hercules

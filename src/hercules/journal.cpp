@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
+#include "hercules/group_commit.hpp"
 #include "hercules/persist.hpp"
 #include "hercules/persist_detail.hpp"
 #include "hercules/workflow_manager.hpp"
@@ -16,62 +17,26 @@ using util::Json;
 using util::JsonArray;
 using util::JsonObject;
 
-namespace {
-
-/// The default sink: a private append-only file, one write per line.
-class FileSink : public JournalSink {
- public:
-  explicit FileSink(std::string path) : path_(std::move(path)) {}
-
-  [[nodiscard]] const std::string& path() const override { return path_; }
-
-  [[nodiscard]] util::Status append(std::string line) override {
-    line.push_back('\n');
-    return out_.append(line);
-  }
-
-  [[nodiscard]] util::Status restart() override { return out_.open_trunc(path_); }
-
- private:
-  std::string path_;
-  util::AppendFile out_;
-};
-
-}  // namespace
-
 RunJournal::RunJournal(meta::Database& db, data::DataStore& store,
-                       exec::SimClock& clock)
-    : db_(&db), store_(&store), clock_(&clock) {
+                       exec::SimClock& clock, GroupCommitter& committer)
+    : db_(&db), store_(&store), clock_(&clock), committer_(&committer) {
   db_->add_observer(this);
 }
 
 RunJournal::~RunJournal() { db_->remove_observer(this); }
 
-util::Result<std::unique_ptr<RunJournal>> RunJournal::open(meta::Database& db,
-                                                           data::DataStore& store,
-                                                           exec::SimClock& clock,
-                                                           const std::string& path) {
-  // Not make_unique: the constructor is private.
-  std::unique_ptr<RunJournal> j(new RunJournal(db, store, clock));
-  j->owned_sink_ = std::make_unique<FileSink>(path);
-  j->sink_ = j->owned_sink_.get();
-  auto st = j->restart();
-  if (!st.ok()) return st.error();
-  return j;
-}
-
-util::Result<std::unique_ptr<RunJournal>> RunJournal::open_with_sink(
+util::Result<std::unique_ptr<RunJournal>> RunJournal::open(
     meta::Database& db, data::DataStore& store, exec::SimClock& clock,
-    JournalSink& sink) {
-  std::unique_ptr<RunJournal> j(new RunJournal(db, store, clock));
-  j->sink_ = &sink;
+    GroupCommitter& committer) {
+  // Not make_unique: the constructor is private.
+  std::unique_ptr<RunJournal> j(new RunJournal(db, store, clock, committer));
   auto st = j->restart();
   if (!st.ok()) return st.error();
   return j;
 }
 
 util::Status RunJournal::restart() {
-  status_ = sink_->restart();
+  status_ = committer_->restart();
   if (!status_.ok()) return status_;
   seen_data_ = store_->size();
   seen_instances_ = db_->instance_count();
@@ -112,7 +77,7 @@ void RunJournal::on_run_recorded(const meta::Run& run) {
   seen_runs_ = all_runs.size();
   line.set("runs", std::move(runs));
 
-  status_ = sink_->append(frame_journal_line(Json(std::move(line)).dump(-1)));
+  status_ = committer_->append(frame_journal_line(Json(std::move(line)).dump(-1)));
   if (status_.ok()) ++lines_;
 }
 
@@ -295,6 +260,10 @@ util::Result<std::unique_ptr<WorkflowManager>> recover_project(
   if (!snapshot.ok()) return snapshot.error();
   auto journal = util::read_file(journal_path);
   // Crash before the first post-snapshot run: no journal is a valid state.
+  // Any other read failure is not: recovering without the runs in it would
+  // lose them for good once the caller re-snapshots and restarts the WAL.
+  if (!journal.ok() && journal.error().code != util::Error::Code::kNotFound)
+    return journal.error();
   std::string_view journal_text =
       journal.ok() ? std::string_view(journal.value()) : std::string_view{};
   auto recovered = recover_from_json(snapshot.value(), journal_text, stats);

@@ -23,12 +23,11 @@
 // schedule-space mutations (plans, links) or manual clock advances between
 // runs; snapshot after those if they must survive a crash.
 //
-// Durability guarantee: the default file sink writes each line to the OS
-// before the append returns — an APPLICATION crash never loses an
-// acknowledged run, a machine crash may lose the unsynced tail.  Power-loss
-// safety needs an fsync per acknowledged run, which the server amortizes:
-// its GroupCommitter is installed here as a JournalSink and covers many
-// appends with one fsync (see srv/group_commit.hpp).
+// Durability guarantee: every line goes through a GroupCommitter
+// (group_commit.hpp), the WAL's one writer.  A single-user journal's line
+// reaches the OS before its run returns — an APPLICATION crash never loses
+// an acknowledged run, a machine crash may lose the unsynced tail.  The
+// server's durable mode covers many appends with one fsync per batch.
 //
 // Lifecycle: WorkflowManager::enable_journal installs one as a database
 // observer; save_project_file restarts (truncates) it after each snapshot.
@@ -45,45 +44,24 @@
 
 namespace herc::hercules {
 
+class GroupCommitter;
 class WorkflowManager;
-
-/// Where journal lines land.  The default sink is a file owned by the
-/// journal; the server substitutes its GroupCommitter so appends from many
-/// runs share one fsync.  append() receives one complete line WITHOUT the
-/// trailing newline and must have written it (per the sink's durability
-/// contract) by the time the owning request is acknowledged; restart()
-/// truncates the backing file after a snapshot subsumes it.
-class JournalSink {
- public:
-  virtual ~JournalSink() = default;
-  [[nodiscard]] virtual const std::string& path() const = 0;
-  [[nodiscard]] virtual util::Status append(std::string line) = 0;
-  [[nodiscard]] virtual util::Status restart() = 0;
-};
 
 /// Append-only journal of recorded runs.  Registers itself as an observer of
 /// the database on open() and detaches in the destructor.
 class RunJournal : public meta::DatabaseObserver {
  public:
-  /// Opens (and truncates) `path` and starts journaling runs recorded in
-  /// `db`.  High-water marks start at the CURRENT store/db sizes, so the
-  /// journal only captures what happens after — take a snapshot first.
-  /// kIoError if the file cannot be created.
+  /// Restarts (truncates) the committer's WAL and journals runs recorded in
+  /// `db` through it; the committer must outlive the journal.  High-water
+  /// marks start at the CURRENT store/db sizes, so the journal only captures
+  /// what happens after — take a snapshot first.
   [[nodiscard]] static util::Result<std::unique_ptr<RunJournal>> open(
       meta::Database& db, data::DataStore& store, exec::SimClock& clock,
-      const std::string& path);
-
-  /// Journals through a caller-owned sink (the server's group committer)
-  /// instead of a private file.  The sink must outlive the journal.
-  [[nodiscard]] static util::Result<std::unique_ptr<RunJournal>> open_with_sink(
-      meta::Database& db, data::DataStore& store, exec::SimClock& clock,
-      JournalSink& sink);
+      GroupCommitter& committer);
 
   ~RunJournal() override;
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
-
-  [[nodiscard]] const std::string& path() const { return sink_->path(); }
 
   /// Sticky: the first append/flush failure; appends stop once set.
   [[nodiscard]] util::Status status() const { return status_; }
@@ -100,13 +78,13 @@ class RunJournal : public meta::DatabaseObserver {
   [[nodiscard]] util::Status restart();
 
  private:
-  RunJournal(meta::Database& db, data::DataStore& store, exec::SimClock& clock);
+  RunJournal(meta::Database& db, data::DataStore& store, exec::SimClock& clock,
+             GroupCommitter& committer);
 
   meta::Database* db_;
   data::DataStore* store_;
   exec::SimClock* clock_;
-  std::unique_ptr<JournalSink> owned_sink_;  ///< null when the sink is external
-  JournalSink* sink_ = nullptr;
+  GroupCommitter* committer_;
   // High-water marks: how many records each space had when the previous
   // line was written (everything beyond is "new" for the next line).
   std::size_t seen_data_ = 0, seen_instances_ = 0, seen_runs_ = 0;
@@ -124,8 +102,8 @@ class RunJournal : public meta::DatabaseObserver {
 ///   `J1 <payload-bytes> <crc32c-hex8> <payload>`
 /// The length makes a torn tail self-evident (fewer payload bytes than
 /// declared) and the checksum catches in-place corruption the length cannot.
-/// RunJournal frames every line before it reaches the sink, so the framing
-/// cost is paid once per run, off the fsync path.
+/// RunJournal frames every line before it reaches the committer, so the
+/// framing cost is paid once per run, off the fsync path.
 [[nodiscard]] std::string frame_journal_line(std::string_view payload);
 
 /// Verdict on one stored journal line.
@@ -179,7 +157,8 @@ struct RecoveryStats {
     RecoveryStats* stats = nullptr);
 
 /// File-based recovery: reads both files and delegates to recover_from_json.
-/// A missing journal file is treated as empty (crash before the first run).
+/// A missing journal file is treated as empty (crash before the first run);
+/// any other failure to read it fails the recovery.
 /// With `stats`, mid-stream journal corruption additionally quarantines the
 /// damaged file: its bytes are copied to `<journal_path>.corrupt` (recorded
 /// in stats->quarantine_path) so the evidence survives the journal restart

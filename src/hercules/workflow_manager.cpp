@@ -22,22 +22,26 @@ void WorkflowManager::clear_faults() {
 }
 
 util::Status WorkflowManager::enable_journal(const std::string& path) {
-  journal_.reset();  // detach any previous journal before opening the new one
-  auto opened = RunJournal::open(*db_, *store_, clock_, path);
+  disable_journal();  // detach any previous journal before opening the new one
+  auto opened = GroupCommitter::open(path, {});
+  if (!opened.ok()) return opened.error();
+  auto st = enable_journal_sink(*opened.value());
+  if (st.ok()) owned_committer_ = std::move(opened).take();
+  return st;
+}
+
+util::Status WorkflowManager::enable_journal_sink(GroupCommitter& committer) {
+  disable_journal();
+  auto opened = RunJournal::open(*db_, *store_, clock_, committer);
   if (!opened.ok()) return opened.error();
   journal_ = std::move(opened).take();
   return util::Status::ok_status();
 }
 
-util::Status WorkflowManager::enable_journal_sink(JournalSink& sink) {
-  journal_.reset();
-  auto opened = RunJournal::open_with_sink(*db_, *store_, clock_, sink);
-  if (!opened.ok()) return opened.error();
-  journal_ = std::move(opened).take();
-  return util::Status::ok_status();
+void WorkflowManager::disable_journal() {
+  journal_.reset();  // first: it writes through the committer
+  owned_committer_.reset();
 }
-
-void WorkflowManager::disable_journal() { journal_.reset(); }
 
 util::Status WorkflowManager::advance_clock(cal::WorkDuration step) {
   const cal::WorkInstant now = clock_.now();

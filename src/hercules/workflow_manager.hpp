@@ -30,6 +30,7 @@
 #include "query/query.hpp"
 #include "track/status.hpp"
 
+#include "hercules/group_commit.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/read_view.hpp"
 
@@ -100,13 +101,14 @@ class WorkflowManager {
   }
 
   /// Starts crash-safe journaling: every recorded run appends one delta line
-  /// to `path` (see journal.hpp).  Take a snapshot (save_project_file) first
-  /// — recovery replays the journal over it.  Replaces any active journal.
-  /// Each line is flushed to the OS, not fsynced (see journal.hpp).
+  /// to `path` (see journal.hpp) through a non-durable GroupCommitter the
+  /// manager owns.  Take a snapshot (save_project_file) first — recovery
+  /// replays the journal over it.  Replaces any active journal.  Each line
+  /// is written to the OS before the run returns, not fsynced.
   util::Status enable_journal(const std::string& path);
-  /// Journals through a caller-owned sink (the server's group committer);
-  /// the sink must outlive the journal (disable_journal before dropping it).
-  util::Status enable_journal_sink(JournalSink& sink);
+  /// Journals through a caller-owned committer (a server shard's); it must
+  /// outlive the journal (disable_journal before dropping it).
+  util::Status enable_journal_sink(GroupCommitter& committer);
   void disable_journal();
   /// nullptr when journaling is off.
   [[nodiscard]] RunJournal* journal() { return journal_.get(); }
@@ -239,7 +241,8 @@ class WorkflowManager {
   std::unique_ptr<sched::ScheduleTracker> tracker_;
   std::unique_ptr<DatabaseEventBridge> db_bridge_;
   std::unique_ptr<exec::FaultInjector> faults_;
-  std::unique_ptr<RunJournal> journal_;  // destroyed before db_ (detaches itself)
+  std::unique_ptr<GroupCommitter> owned_committer_;  // set by enable_journal(path)
+  std::unique_ptr<RunJournal> journal_;  // destroyed before db_ and owned_committer_
   std::unique_ptr<query::QueryEngine> query_engine_;  // after db_/space_: views them
   exec::ExecutionOptions exec_options_;
   std::map<std::string, flow::TaskTree> tasks_;

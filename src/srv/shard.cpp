@@ -89,7 +89,8 @@ util::Status ProjectShard::start_journal() {
                                         options_.durable);
   if (!st.ok()) return st;
   runs_at_open_ = manager_->db().run_count();
-  auto opened = GroupCommitter::open(wal_path(), {.durable = options_.durable});
+  auto opened =
+      hercules::GroupCommitter::open(wal_path(), {.durable = options_.durable});
   if (!opened.ok()) return opened.error();
   committer_ = std::move(opened).take();
   return manager_->enable_journal_sink(*committer_);

@@ -28,12 +28,14 @@
 // crash — the same contract as PostgreSQL's asynchronous standby reads.
 //
 // Scaling still also comes from shard independence — requests for different
-// projects never contend — and from group commit, the shard's only journal
-// path: a mutation enqueues its journal lines with the shard's
-// GroupCommitter under the lock, as one entry under one ticket, but waits
-// for durability AFTER releasing it, writing the batch on its own thread
-// when no other write is in progress.  The next request's mutation thus
-// overlaps this one's write and fsync, and queues behind it.
+// projects never contend — and from group commit: a mutation enqueues its
+// journal lines with the shard's hercules::GroupCommitter under the lock,
+// as one entry under one ticket, but waits for durability AFTER releasing
+// it, writing the batch on its own thread when no other write is in
+// progress.  The next request's mutation thus overlaps this one's write and
+// fsync, and queues behind it.  A failed batch (a write error, or a WAL
+// whose directory was removed) is never acknowledged and latches the shard
+// read-only.
 //
 // Files: <dir>/<name>.snapshot.json (atomic replace) and <dir>/<name>.wal.
 // An acknowledged mutation is always recoverable from snapshot + WAL.
@@ -45,9 +47,9 @@
 #include <string_view>
 
 #include "gen/gen.hpp"
+#include "hercules/group_commit.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/workflow_manager.hpp"
-#include "srv/group_commit.hpp"
 #include "srv/wire.hpp"
 
 namespace herc::srv {
@@ -115,7 +117,7 @@ class ProjectShard {
   [[nodiscard]] util::Json stats_json() const;
 
   /// The shard's group committer — tests read its flush counters.
-  [[nodiscard]] GroupCommitter& committer() { return *committer_; }
+  [[nodiscard]] hercules::GroupCommitter& committer() { return *committer_; }
 
   /// Direct manager access for tests; callers must not race apply().
   [[nodiscard]] hercules::WorkflowManager& manager_for_test() { return *manager_; }
@@ -166,7 +168,7 @@ class ProjectShard {
 
   mutable std::mutex mu_;  ///< serializes every WRITE-lane manager access
   std::unique_ptr<hercules::WorkflowManager> manager_;
-  std::unique_ptr<GroupCommitter> committer_;
+  std::unique_ptr<hercules::GroupCommitter> committer_;
   /// run_count() when the shard opened: the runs its initial snapshot holds.
   std::size_t runs_at_open_ = 0;
   /// The epoch snapshot readers run against.  Written by the write lane

@@ -1,13 +1,13 @@
 #include "util/fsio.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "util/faultfs.hpp"
 
@@ -38,11 +38,26 @@ Error injected_error(FaultFs::Action action, const char* what,
 }  // namespace
 
 Result<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return not_found("cannot open file '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    std::string why = "cannot open file '" + path + "': " + std::strerror(err);
+    return err == ENOENT ? not_found(why) : io_error(why);
+  }
+  std::string text;
+  char buf[65536];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof buf)) != 0) {
+    if (n > 0) {
+      text.append(buf, static_cast<std::size_t>(n));
+    } else if (errno != EINTR) {
+      const int err = errno;
+      ::close(fd);
+      return io_error("read of '" + path + "' failed: " + std::strerror(err));
+    }
+  }
+  ::close(fd);
+  return text;
 }
 
 Status write_file(const std::string& path, std::string_view content) {
@@ -171,6 +186,15 @@ Status AppendFile::append(std::string_view data) {
     p += n;
     left -= static_cast<std::size_t>(n);
   }
+  return Status::ok_status();
+}
+
+Status AppendFile::check_linked() const {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0)
+    return io_error("fstat of '" + path_ + "' failed: " +
+                    std::string(std::strerror(errno)));
+  if (st.st_nlink == 0) return io_error("'" + path_ + "' was removed while open");
   return Status::ok_status();
 }
 

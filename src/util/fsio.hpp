@@ -21,7 +21,8 @@
 
 namespace herc::util {
 
-/// Reads a whole file; kNotFound if it cannot be opened.
+/// Reads a whole file; kNotFound if it does not exist, kIoError for any other
+/// open or read failure (a directory, a symlink loop, EIO, EMFILE).
 [[nodiscard]] Result<std::string> read_file(const std::string& path);
 
 /// Plain truncating write (journals append elsewhere; this is for scratch
@@ -44,8 +45,8 @@ namespace herc::util {
 
 /// An append-only file handle over a POSIX descriptor: the journal's I/O
 /// primitive.  Unbuffered — append() issues the write immediately — with an
-/// explicit sync() for fsync-backed durability.  Not thread-safe; callers
-/// (RunJournal directly, or the server's GroupCommitter) serialize access.
+/// explicit sync() for fsync-backed durability.  Not thread-safe; its one
+/// journal user, hercules::GroupCommitter, serializes access.
 class AppendFile {
  public:
   AppendFile() = default;
@@ -64,6 +65,10 @@ class AppendFile {
 
   /// fsync: blocks until everything appended so far is on stable storage.
   [[nodiscard]] Status sync();
+
+  /// kIoError once the file has no name left (fstat link count 0), so no
+  /// open of the path finds what was appended.  Not a FaultFs IO point.
+  [[nodiscard]] Status check_linked() const;
 
  private:
   int fd_ = -1;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "exec/fault.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/persist.hpp"
+#include "util/faultfs.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
 
@@ -202,6 +204,66 @@ TEST(Journal, UnwritablePathFailsToOpen) {
   auto m = test::make_circuit_manager();
   EXPECT_FALSE(m->enable_journal("/no/such/dir/run.wal").ok());
   EXPECT_EQ(m->journal(), nullptr);
+}
+
+// A journal that exists but cannot be read is not an empty one: recovering
+// from the snapshot alone would lose its runs once the caller re-snapshots.
+TEST(Journal, UnreadableJournalFailsRecovery) {
+  TempFile snapshot("/tmp/herc_unreadable_snap.json");
+  TempFile journal("/tmp/herc_unreadable.wal");
+  auto m = test::make_circuit_manager();
+  ASSERT_TRUE(save_project_file(*m, snapshot.path).ok());
+
+  // A directory: the open succeeds and the read fails with EISDIR.
+  std::filesystem::create_directory(journal.path);
+  auto from_dir = recover_project(snapshot.path, journal.path);
+  ASSERT_FALSE(from_dir.ok());
+  EXPECT_EQ(from_dir.error().code, util::Error::Code::kIoError);
+  std::filesystem::remove(journal.path);
+
+  // A symlink to itself: the open fails with ELOOP.
+  std::filesystem::create_symlink(journal.path, journal.path);
+  auto from_loop = recover_project(snapshot.path, journal.path);
+  ASSERT_FALSE(from_loop.ok());
+  EXPECT_EQ(from_loop.error().code, util::Error::Code::kIoError);
+}
+
+// A run journaled into a file whose name is gone can never be recovered, so
+// the append that wrote it fails.
+TEST(Journal, RemovedJournalFileFailsTheNextRun) {
+  TempFile journal("/tmp/herc_journal_removed.wal");
+  auto m = test::make_circuit_manager();
+  ASSERT_TRUE(m->enable_journal(journal.path).ok());
+  std::remove(journal.path.c_str());
+  m->run_activity("adder", "Create", "alice").value();
+  ASSERT_FALSE(m->journal()->status().ok());
+  EXPECT_EQ(m->journal()->status().error().code, util::Error::Code::kIoError);
+}
+
+// A single-user journal writes each run's line itself, so the run whose
+// write fails sees the error at once, not at the next append.
+TEST(Journal, FailedWriteShowsRightAfterItsRun) {
+  TempFile journal("/tmp/herc_journal_eio.wal");
+  util::FsFaultPlan plan;
+  plan.path_filter = journal.path;
+  std::uint64_t first_write = 0;
+  {
+    // Counting pass: the IO points enable_journal uses, then one run's.
+    util::ScopedFaultFs counter(1, plan);
+    auto m = test::make_circuit_manager();
+    ASSERT_TRUE(m->enable_journal(journal.path).ok());
+    first_write = counter.fs().ops() + 1;
+    m->run_activity("adder", "Create", "alice").value();
+    EXPECT_EQ(counter.fs().ops(), first_write);  // one write per run
+  }
+  plan.eio_on = {first_write};
+  util::ScopedFaultFs faults(1, plan);
+  auto m = test::make_circuit_manager();
+  ASSERT_TRUE(m->enable_journal(journal.path).ok());
+  m->run_activity("adder", "Create", "alice").value();
+  ASSERT_FALSE(m->journal()->status().ok());
+  EXPECT_EQ(m->journal()->status().error().code, util::Error::Code::kIoError);
+  EXPECT_EQ(m->journal()->lines_written(), 0u);
 }
 
 // --- atomic snapshot --------------------------------------------------------

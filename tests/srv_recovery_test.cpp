@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gen/gen.hpp"
+#include "hercules/group_commit.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/persist.hpp"
 #include "srv/shard.hpp"
@@ -28,6 +29,7 @@
 namespace herc::srv {
 namespace {
 
+using hercules::GroupCommitter;
 using util::Json;
 using util::JsonObject;
 
@@ -455,8 +457,11 @@ TEST(SrvRecovery, MutationAfterAFailedFlushIsNotAcknowledged) {
     plan.eio_on = {1};
     util::ScopedFaultFs faults(1, plan);
     GroupCommitter& committer = shard.value()->committer();
+    committer.begin_mutation();
     ASSERT_TRUE(committer.append("another request's line").ok());
-    ASSERT_FALSE(committer.wait_durable(committer.last_enqueued()).ok());
+    auto ticket = committer.end_mutation();
+    ASSERT_TRUE(ticket.ok()) << ticket.error().str();
+    ASSERT_FALSE(committer.wait_durable(ticket.value()).ok());
   }
   auto response = shard.value()->apply(execute_request(1, "pat"));
   EXPECT_FALSE(response.ok);
@@ -486,6 +491,35 @@ TEST(SrvRecovery, SaveIntoARemovedDirectoryDegradesTheShard) {
   auto refused = shard.value()->apply(execute_request(3, "pat"));
   EXPECT_FALSE(refused.ok);
   EXPECT_TRUE(refused.error.retryable()) << refused.error.str();
+}
+
+// Removing the shard's directory unlinks its WAL, yet write() into the open
+// descriptor still succeeds.  The committer's link check fails that batch,
+// so the execute is not acknowledged into a file recovery can no longer
+// find, and the shard latches read-only while reads and `stats` answer.
+TEST(SrvRecovery, ExecuteAfterTheDirectoryIsRemovedIsNotAcknowledged) {
+  TempDir tmp("unlinked");
+  auto shard = ProjectShard::create("p", small_scenario(10), options_in(tmp));
+  ASSERT_TRUE(shard.ok()) << shard.error().str();
+  auto request = [](std::uint64_t id, const std::string& op) {
+    wire::Request r;
+    r.id = id;
+    r.project = "p";
+    r.op = op;
+    return r;
+  };
+  ASSERT_TRUE(shard.value()->apply(request(1, "plan")).ok);
+  ASSERT_TRUE(shard.value()->apply(execute_request(2, "pat")).ok);
+  std::filesystem::remove_all(tmp.dir);
+
+  auto refused = shard.value()->apply(execute_request(3, "pat"));
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error.code, util::Error::Code::kIoError);
+  EXPECT_TRUE(refused.error.retryable()) << refused.error.str();
+  EXPECT_TRUE(shard.value()->read_only());
+  EXPECT_TRUE(shard.value()->apply(request(4, "stats")).ok);
+  auto read = shard.value()->apply(request(5, "status"));
+  EXPECT_TRUE(read.ok) << read.error.str();
 }
 
 // Satellite (a): the fsio primitives underneath the durability contract.

@@ -330,6 +330,14 @@ TEST(Fsio, ReadMissingFileIsNotFound) {
   EXPECT_EQ(r.error().code, Error::Code::kNotFound);
 }
 
+// Only a missing file may read as "no file": recovery treats kNotFound as an
+// empty journal, so any other failure must not look like one.
+TEST(Fsio, ReadingADirectoryIsAnIoError) {
+  auto r = read_file("/tmp");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Error::Code::kIoError) << r.error().str();
+}
+
 TEST(Fsio, AtomicWriteReplacesAndCleansUpTemp) {
   const std::string path = "/tmp/herc_fsio_atomic.txt";
   ASSERT_TRUE(write_file(path, "old").ok());
