@@ -9,23 +9,11 @@
 
 namespace herc::srv {
 
-namespace {
-
 using util::Error;
 using util::Json;
 using util::JsonObject;
 using util::Result;
 using util::Status;
-
-/// Required string member of an op's args.
-Result<std::string> arg_string(const JsonObject& args, const std::string& key) {
-  if (!args.contains(key) || !args.at(key).is_string()) {
-    return Error{Error::Code::kInvalid, "missing string arg '" + key + "'"};
-  }
-  return args.at(key).as_string();
-}
-
-}  // namespace
 
 Server::Session::~Session() {
   if (fd >= 0) ::close(fd);
@@ -198,111 +186,78 @@ void Server::handle(Session& session, const wire::Request& request) {
 }
 
 wire::Response Server::handle_server_op(const wire::Request& request) {
-  const auto& op = request.op;
-  if (op == "ping") {
+  auto parsed = op::parse_server_op(request);
+  if (!parsed.ok()) return wire::Response::failure(request.id, parsed.error());
+  auto answer = [&](const char* key, Json value) {
     JsonObject result;
-    result.set("pong", true);
+    result.set(key, std::move(value));
     return wire::Response::success(request.id, Json(std::move(result)));
+  };
+  return std::visit(
+      op::Overloaded{
+          [&](const op::Ping&) { return answer("pong", true); },
+          [&](const op::Projects&) {
+            util::JsonArray names;
+            std::lock_guard<std::mutex> lock(shards_mu_);
+            for (const auto& [name, shard] : shards_) names.emplace_back(name);
+            return answer("projects", Json(std::move(names)));
+          },
+          [&](const op::Stats&) { return wire::Response::success(request.id, stats_json()); },
+          [&](const op::Shutdown&) {
+            request_stop();
+            return answer("stopping", true);
+          },
+          [&](const op::Open& opening) { return handle_open(request.id, opening); },
+          [&](const op::Close& closing) {
+            std::shared_ptr<ProjectShard> shard;
+            {
+              std::lock_guard<std::mutex> lock(shards_mu_);
+              auto it = shards_.find(closing.name);
+              if (it == shards_.end()) {
+                return wire::Response::failure(
+                    request.id, Error{Error::Code::kNotFound,
+                                      "no open project '" + closing.name + "'"});
+              }
+              shard = std::move(it->second);
+              shards_.erase(it);
+            }
+            // In-flight requests still hold a reference; they finish against
+            // the detached shard.  The final commit+snapshot happens here.
+            Status status = shard->shutdown();
+            if (!status.ok()) return wire::Response::failure(request.id, status.error());
+            return answer("closed", closing.name);
+          }},
+      parsed.value());
+}
+
+wire::Response Server::handle_open(std::uint64_t id, const op::Open& opening) {
+  std::lock_guard<std::mutex> lock(shards_mu_);
+  if (shards_.count(opening.name) != 0) {
+    return wire::Response::failure(
+        id, Error{Error::Code::kConflict, "project '" + opening.name + "' already open"});
   }
-  if (op == "projects") {
-    util::JsonArray names;
-    {
-      std::lock_guard<std::mutex> lock(shards_mu_);
-      for (const auto& [name, shard] : shards_) names.emplace_back(name);
-    }
-    JsonObject result;
-    result.set("projects", Json(std::move(names)));
-    return wire::Response::success(request.id, Json(std::move(result)));
-  }
-  if (op == "stats") {
-    return wire::Response::success(request.id, stats_json());
-  }
-  if (op == "shutdown") {
-    request_stop();
-    JsonObject result;
-    result.set("stopping", true);
-    return wire::Response::success(request.id, Json(std::move(result)));
-  }
-  if (op == "open") {
-    auto name = arg_string(request.args, "name");
-    if (!name.ok()) return wire::Response::failure(request.id, name.error());
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    if (shards_.count(name.value()) != 0) {
-      return wire::Response::failure(
-          request.id, Error{Error::Code::kConflict,
-                            "project '" + name.value() + "' already open"});
-    }
-    Result<std::unique_ptr<ProjectShard>> shard =
-        Error{Error::Code::kInvalid,
-              "open: args need one of scenario / scenario_seed / schema / recover"};
-    if (request.args.contains("scenario")) {
-      auto scenario = gen::scenario_from_json(request.args.at("scenario"));
-      if (!scenario.ok()) {
-        return wire::Response::failure(request.id, scenario.error());
-      }
-      shard = ProjectShard::create(name.value(), scenario.value(), config_.shard);
-    } else if (request.args.contains("scenario_seed")) {
-      const Json& seed = request.args.at("scenario_seed");
-      if (!seed.is_int()) {
-        return wire::Response::failure(
-            request.id,
-            Error{Error::Code::kInvalid, "scenario_seed must be an integer"});
-      }
-      gen::ScenarioSpec spec;
-      spec.seed = static_cast<std::uint64_t>(seed.as_int());
-      if (request.args.contains("shape") && request.args.at("shape").is_string()) {
-        auto shape = gen::parse_shape(request.args.at("shape").as_string());
-        if (!shape.ok()) return wire::Response::failure(request.id, shape.error());
-        spec.shape = shape.value();
-      }
-      if (request.args.contains("size") && request.args.at("size").is_int()) {
-        spec.size = static_cast<std::size_t>(request.args.at("size").as_int());
-      }
-      shard = ProjectShard::create(name.value(), gen::generate(spec), config_.shard);
-    } else if (request.args.contains("schema")) {
-      auto schema = arg_string(request.args, "schema");
-      if (!schema.ok()) return wire::Response::failure(request.id, schema.error());
-      shard = ProjectShard::create_from_dsl(name.value(), schema.value(),
-                                            config_.tool_minutes, config_.shard);
-    } else if (request.args.contains("recover") &&
-               request.args.at("recover").is_bool() &&
-               request.args.at("recover").as_bool()) {
-      shard = ProjectShard::recover(name.value(), config_.tool_minutes,
-                                    config_.shard);
-    }
-    if (!shard.ok()) return wire::Response::failure(request.id, shard.error());
-    JsonObject result;
-    result.set("project", name.value());
-    result.set("snapshot", shard.value()->snapshot_path());
-    shards_.emplace(name.value(),
-                    std::shared_ptr<ProjectShard>(std::move(shard).take()));
-    return wire::Response::success(request.id, Json(std::move(result)));
-  }
-  if (op == "close") {
-    auto name = arg_string(request.args, "name");
-    if (!name.ok()) return wire::Response::failure(request.id, name.error());
-    std::shared_ptr<ProjectShard> shard;
-    {
-      std::lock_guard<std::mutex> lock(shards_mu_);
-      auto it = shards_.find(name.value());
-      if (it == shards_.end()) {
-        return wire::Response::failure(
-            request.id, Error{Error::Code::kNotFound,
-                              "no open project '" + name.value() + "'"});
-      }
-      shard = std::move(it->second);
-      shards_.erase(it);
-    }
-    // In-flight requests still hold a reference; they finish against the
-    // detached shard.  The final commit+snapshot happens here.
-    Status status = shard->shutdown();
-    if (!status.ok()) return wire::Response::failure(request.id, status.error());
-    JsonObject result;
-    result.set("closed", name.value());
-    return wire::Response::success(request.id, Json(std::move(result)));
-  }
-  return wire::Response::failure(
-      request.id, Error{Error::Code::kInvalid, "unknown server op '" + op + "'"});
+  auto shard = std::visit(
+      op::Overloaded{
+          [&](const gen::Scenario& scenario) {
+            return ProjectShard::create(opening.name, scenario, config_.shard);
+          },
+          [&](const gen::ScenarioSpec& spec) {
+            return ProjectShard::create(opening.name, gen::generate(spec), config_.shard);
+          },
+          [&](const op::Schema& schema) {
+            return ProjectShard::create_from_dsl(opening.name, schema.dsl,
+                                                 config_.tool_minutes, config_.shard);
+          },
+          [&](const op::Recover&) {
+            return ProjectShard::recover(opening.name, config_.tool_minutes, config_.shard);
+          }},
+      opening.source);
+  if (!shard.ok()) return wire::Response::failure(id, shard.error());
+  JsonObject result;
+  result.set("project", opening.name);
+  result.set("snapshot", shard.value()->snapshot_path());
+  shards_.emplace(opening.name, std::shared_ptr<ProjectShard>(std::move(shard).take()));
+  return wire::Response::success(id, Json(std::move(result)));
 }
 
 void Server::send_response(Session& session, const wire::Response& response) {
@@ -358,12 +313,6 @@ Json Server::stats_json() {
   out.set("totals", Json(std::move(totals)));
   out.set("shards", Json(std::move(shard_stats)));
   return Json(std::move(out));
-}
-
-void Server::adopt_shard(std::unique_ptr<ProjectShard> shard) {
-  std::lock_guard<std::mutex> lock(shards_mu_);
-  std::string name = shard->name();
-  shards_[name] = std::shared_ptr<ProjectShard>(std::move(shard));
 }
 
 ProjectShard* Server::find_shard(const std::string& name) {

@@ -7,6 +7,11 @@
 //        every request: -> server op, or ProjectShard (read or write lane)
 //        -> response written back on the session socket
 //
+// A request with an empty `project` is a server op (op::ServerOp: ping,
+// projects, stats, shutdown, open, close), parsed by op::parse_server_op and
+// dispatched with std::visit; any other request goes to its project's shard,
+// which parses it the same way (op::parse_project_op).
+//
 // A session's reader thread parses each request, runs it and answers it
 // before it parses the next frame, so responses on one connection return in
 // request order and a request pipelined behind a write sees that write.  A
@@ -15,7 +20,7 @@
 // in the socket, so the client's own send buffer applies the backpressure.
 // Shards serialize their writes internally (see shard.hpp): writes to
 // different projects run in parallel, one per connection, and a project read
-// (ProjectShard::is_read_op) runs on a pinned epoch without the shard lock.
+// (an op::ReadOp) runs on a pinned epoch without the shard lock.
 // A shard starts no thread: its group committer writes on the thread of a
 // request waiting for its ack, so the accept thread and the readers are the
 // server's only threads.
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "srv/net.hpp"
+#include "srv/op.hpp"
 #include "srv/shard.hpp"
 #include "srv/wire.hpp"
 
@@ -99,13 +105,6 @@ class Server {
   /// valid until `close`/stop().
   [[nodiscard]] ProjectShard* find_shard(const std::string& name);
 
-  /// The shard options every `open` op uses (so pre-opened shards match).
-  [[nodiscard]] const ShardOptions& config_shard() const { return config_.shard; }
-
-  /// Registers an externally created shard (herc_srv --open).  Replaces any
-  /// existing shard of the same name.
-  void adopt_shard(std::unique_ptr<ProjectShard> shard);
-
  private:
   /// One connection.  Its reader thread is the only one that writes to it;
   /// the fd closes with the last reference (the reader or the registry), so
@@ -123,9 +122,9 @@ class Server {
   /// Executes one request and writes its response, on the session's reader
   /// thread.
   void handle(Session& session, const wire::Request& request);
-  /// Server-level ops (empty `project`): ping/open/close/projects/stats/
-  /// shutdown.
+  /// Server-level ops (empty `project`, op::ServerOp).
   [[nodiscard]] wire::Response handle_server_op(const wire::Request& request);
+  [[nodiscard]] wire::Response handle_open(std::uint64_t id, const op::Open& opening);
   void send_response(Session& session, const wire::Response& response);
 
   ServerConfig config_;

@@ -11,20 +11,6 @@ using util::JsonObject;
 
 namespace {
 
-std::string arg_string(const JsonObject& args, const std::string& key,
-                       const std::string& fallback = "") {
-  if (!args.contains(key)) return fallback;
-  const Json& v = args.at(key);
-  return v.is_string() ? v.as_string() : fallback;
-}
-
-std::int64_t arg_int(const JsonObject& args, const std::string& key,
-                     std::int64_t fallback = 0) {
-  if (!args.contains(key)) return fallback;
-  const Json& v = args.at(key);
-  return v.is_int() ? v.as_int() : fallback;
-}
-
 Json execution_json(const exec::ExecutionResult& result,
                     const exec::SimClock& clock) {
   JsonObject o;
@@ -48,10 +34,6 @@ constexpr std::chrono::microseconds kReaderBackoff{150};
 constexpr std::chrono::microseconds kReaderBackoffCap{8000};
 
 }  // namespace
-
-bool ProjectShard::is_read_op(std::string_view op) {
-  return op == "query" || op == "explain" || op == "status" || op == "gantt";
-}
 
 ProjectShard::ProjectShard(std::string name, ShardOptions options)
     : name_(std::move(name)), options_(std::move(options)) {}
@@ -149,28 +131,62 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::recover(
 }
 
 wire::Response ProjectShard::apply(const wire::Request& request) {
-  // Read lane: no shard lock.  The snapshot is pinned by the shared_ptr for
-  // the duration of the call; the write lane keeps publishing newer epochs
+  // A request that does not parse touches neither lane.
+  auto parsed = op::parse_project_op(request);
+  if (!parsed.ok()) return wire::Response::failure(request.id, parsed.error());
+  const std::uint64_t id = request.id;
+  return std::visit(
+      op::Overloaded{
+          [&](const op::ReadOp& read) { return read_lane(id, read); },
+          [&](const op::WriteOp& write) { return write_lane(id, write); },
+          [&](const op::Stats&) {
+            // No mutation: `stats` takes the lock and answers, on a
+            // read-only shard too.  It counts as a write-lane request.
+            std::lock_guard<std::mutex> lock(mu_);
+            if (crashed_.load(std::memory_order_relaxed))
+              return wire::Response::failure(id, crashed_error());
+            write_lane_requests_.fetch_add(1, std::memory_order_relaxed);
+            return wire::Response::success(id, stats_json_locked());
+          }},
+      parsed.value());
+}
+
+wire::Response ProjectShard::read_lane(std::uint64_t id, const op::ReadOp& read) {
+  // No shard lock.  The snapshot is pinned by the shared_ptr for the
+  // duration of the call; the write lane keeps publishing newer epochs
   // meanwhile.  Every factory publishes before it returns the shard, so a
   // view always exists.
-  if (is_read_op(request.op)) {
-    // Let an in-flight write have the cores (see kReaderBackoff).  The
-    // snapshot is loaded AFTER the backoff so a read that did wait tends to
-    // observe the write it waited for.
-    auto waited = std::chrono::microseconds(0);
-    while (writes_in_flight_.load(std::memory_order_relaxed) > 0 &&
-           waited < kReaderBackoffCap) {
-      std::this_thread::sleep_for(kReaderBackoff);
-      waited += kReaderBackoff;
-    }
-    auto view = view_.load();
-    if (crashed_.load(std::memory_order_acquire))
-      return wire::Response::failure(
-          request.id, util::unsupported("shard '" + name_ + "' crashed"));
-    read_lane_requests_.fetch_add(1, std::memory_order_relaxed);
-    return dispatch_read(request, *view);
+  //
+  // Let an in-flight write have the cores (see kReaderBackoff).  The
+  // snapshot is loaded AFTER the backoff so a read that did wait tends to
+  // observe the write it waited for.
+  auto waited = std::chrono::microseconds(0);
+  while (writes_in_flight_.load(std::memory_order_relaxed) > 0 &&
+         waited < kReaderBackoffCap) {
+    std::this_thread::sleep_for(kReaderBackoff);
+    waited += kReaderBackoff;
   }
+  auto view = view_.load();
+  if (crashed_.load(std::memory_order_acquire))
+    return wire::Response::failure(id, crashed_error());
+  read_lane_requests_.fetch_add(1, std::memory_order_relaxed);
+  auto text = std::visit(
+      op::Overloaded{[&](const op::Query& q) {
+                       return q.explain ? view->explain(q.statement)
+                                        : view->query(q.statement);
+                     },
+                     [&](const op::Report& r) {
+                       return r.gantt ? view->gantt(r.task)
+                                      : view->status_report(r.task);
+                     }},
+      read);
+  if (!text.ok()) return wire::Response::failure(id, text.error());
+  JsonObject o;
+  o.set("text", text.value());
+  return wire::Response::success(id, Json(std::move(o)));
+}
 
+wire::Response ProjectShard::write_lane(std::uint64_t id, const op::WriteOp& write) {
   // Readers back off until this write's durability wait returns (see
   // kReaderBackoff), on every path out of here.
   writes_in_flight_.fetch_add(1, std::memory_order_relaxed);
@@ -183,18 +199,17 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (crashed_.load(std::memory_order_relaxed))
-      return wire::Response::failure(
-          request.id, util::unsupported("shard '" + name_ + "' crashed"));
+      return wire::Response::failure(id, crashed_error());
     // Fail-safe degradation: after an unrecoverable storage fault the shard
-    // keeps answering reads (above) and `stats`, but rejects anything that
-    // would need the disk with a retryable error.
-    if (read_only_.load(std::memory_order_relaxed) && request.op != "stats")
-      return wire::Response::failure(request.id, read_only_error_locked());
+    // keeps answering reads and `stats`, but rejects anything that would
+    // need the disk with a retryable error.
+    if (read_only_.load(std::memory_order_relaxed))
+      return wire::Response::failure(id, read_only_error_locked());
     write_lane_requests_.fetch_add(1, std::memory_order_relaxed);
     // Every journal line the op produces goes to the committer as one entry
     // under one ticket, so an op's lines always share a flush.
     committer_->begin_mutation();
-    response = dispatch(request);
+    response = dispatch(id, write);
     ticket = committer_->end_mutation();
     // Publish the post-op epoch before the durability wait (and thus before
     // the ack): once a client holds an ack, the published snapshot already
@@ -203,14 +218,12 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
     // The committer refuses lines once a flush failed, and a request can
     // land between that failure and the failed request's read-only latch
     // below.  Its runs then reached no ticket, so there is nothing to wait
-    // for: never acknowledge it.  (`stats` appends nothing and must keep
-    // answering on a degraded shard.)
-    if (response.ok && request.op != "stats" && !ticket.ok()) {
+    // for: never acknowledge it.
+    if (response.ok && !ticket.ok()) {
       enter_read_only_locked(ticket.error());
       return wire::Response::failure(
-          request.id, util::io_error("shard '" + name_ + "': " +
-                                     ticket.error().message +
-                                     " (not acknowledged)"));
+          id, util::io_error("shard '" + name_ + "': " + ticket.error().message +
+                             " (not acknowledged)"));
     }
   }
   // Acknowledge only once this request's journal lines are durable — but
@@ -224,8 +237,8 @@ wire::Response ProjectShard::apply(const wire::Request& request) {
       // through the read lane).
       enter_read_only(st.error());
       return wire::Response::failure(
-          request.id, util::io_error("shard '" + name_ + "': " +
-                                     st.error().message + " (not acknowledged)"));
+          id, util::io_error("shard '" + name_ + "': " + st.error().message +
+                             " (not acknowledged)"));
     }
   }
   return response;
@@ -242,132 +255,72 @@ void ProjectShard::enter_read_only_locked(const util::Error& cause) {
   read_only_.store(true, std::memory_order_release);
 }
 
+util::Error ProjectShard::crashed_error() const {
+  return util::unsupported("shard '" + name_ + "' crashed");
+}
+
 util::Error ProjectShard::read_only_error_locked() const {
   return util::io_error("shard '" + name_ +
                         "' is read-only after a storage fault (" +
                         read_only_reason_ + "); retry against a repaired shard");
 }
 
-wire::Response ProjectShard::dispatch(const wire::Request& request) {
-  const JsonObject& args = request.args;
-  const std::string task = arg_string(args, "task", "job");
+wire::Response ProjectShard::dispatch(std::uint64_t id, const op::WriteOp& write) {
   hercules::WorkflowManager& m = *manager_;
-
   // The WAL records tool runs only; schedule and clock mutations (plan,
   // replan, link, advance) are made durable by snapshotting through before
   // the ack, so "acknowledged => recovered" holds for every mutating op.
-  if (request.op == "plan" || request.op == "replan") {
-    sched::PlanRequest plan;
-    plan.name = arg_string(args, "name", "plan");
-    const std::string strategy = arg_string(args, "strategy");
-    if (!strategy.empty()) {
-      auto parsed = sched::parse_estimate_strategy(strategy);
-      if (!parsed.ok()) return wire::Response::failure(request.id, parsed.error());
-      plan.strategy = parsed.value();
-    }
-    auto planned = request.op == "plan" ? m.plan_task(task, std::move(plan))
-                                        : m.replan_task(task, std::move(plan));
-    if (!planned.ok()) return wire::Response::failure(request.id, planned.error());
-    auto persisted = snapshot_locked();
-    if (!persisted.ok()) return wire::Response::failure(request.id, persisted.error());
-    JsonObject o;
-    o.set("schedule_run", static_cast<std::int64_t>(planned.value().value()));
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-
-  if (request.op == "execute") {
-    const std::string designer = arg_string(args, "designer", "designer");
-    const std::string mode = arg_string(args, "mode", "serial");
-    if (mode != "serial" && mode != "concurrent")
-      return wire::Response::failure(
-          request.id, util::invalid("execute: mode must be serial|concurrent"));
-    auto executed = mode == "serial"
-                        ? m.execute_task(task, designer)
-                        : m.execute_task_concurrent(task, designer);
-    if (!executed.ok())
-      return wire::Response::failure(request.id, executed.error());
-    return wire::Response::success(request.id,
-                                   execution_json(executed.value(), m.clock()));
-  }
-
-  if (request.op == "run") {
-    const std::string activity = arg_string(args, "activity");
-    const std::string designer = arg_string(args, "designer", "designer");
-    if (activity.empty())
-      return wire::Response::failure(request.id,
-                                     util::invalid("run: missing 'activity'"));
-    auto ran = m.run_activity(task, activity, designer);
-    if (!ran.ok()) return wire::Response::failure(request.id, ran.error());
-    JsonObject o;
-    o.set("run", static_cast<std::int64_t>(ran.value().run.value()));
-    o.set("success", ran.value().success);
-    o.set("clock_minutes", m.clock().now().minutes_since_epoch());
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-
-  if (request.op == "link") {
-    const std::string activity = arg_string(args, "activity");
-    if (activity.empty())
-      return wire::Response::failure(request.id,
-                                     util::invalid("link: missing 'activity'"));
-    auto st = m.link_completion(task, activity);
-    if (!st.ok()) return wire::Response::failure(request.id, st.error());
-    auto persisted = snapshot_locked();
-    if (!persisted.ok()) return wire::Response::failure(request.id, persisted.error());
-    return wire::Response::success(request.id, Json(JsonObject{}));
-  }
-
-  if (request.op == "advance") {
-    const std::int64_t minutes = arg_int(args, "minutes", -1);
-    if (minutes < 0)
-      return wire::Response::failure(
-          request.id, util::invalid("advance: missing non-negative 'minutes'"));
-    auto advanced = m.advance_clock(cal::WorkDuration::minutes(minutes));
-    if (!advanced.ok()) return wire::Response::failure(request.id, advanced.error());
-    auto persisted = snapshot_locked();
-    if (!persisted.ok()) return wire::Response::failure(request.id, persisted.error());
-    JsonObject o;
-    o.set("clock_minutes", m.clock().now().minutes_since_epoch());
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-
-  if (request.op == "save") {
+  auto snapshot_then = [&](JsonObject result) {
     auto st = snapshot_locked();
-    if (!st.ok()) return wire::Response::failure(request.id, st.error());
-    JsonObject o;
-    o.set("snapshot", snapshot_path());
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-
-  if (request.op == "stats")
-    return wire::Response::success(request.id, stats_json_locked());
-
-  return wire::Response::failure(
-      request.id, util::invalid("unknown op '" + request.op + "'"));
-}
-
-wire::Response ProjectShard::dispatch_read(const wire::Request& request,
-                                           const hercules::ReadView& view) {
-  const JsonObject& args = request.args;
-  if (request.op == "query" || request.op == "explain") {
-    const std::string statement = arg_string(args, "statement");
-    if (statement.empty())
-      return wire::Response::failure(
-          request.id, util::invalid(request.op + ": missing 'statement'"));
-    auto result =
-        request.op == "query" ? view.query(statement) : view.explain(statement);
-    if (!result.ok()) return wire::Response::failure(request.id, result.error());
-    JsonObject o;
-    o.set("text", result.value());
-    return wire::Response::success(request.id, Json(std::move(o)));
-  }
-  const std::string task = arg_string(args, "task", "job");
-  auto result =
-      request.op == "status" ? view.status_report(task) : view.gantt(task);
-  if (!result.ok()) return wire::Response::failure(request.id, result.error());
-  JsonObject o;
-  o.set("text", result.value());
-  return wire::Response::success(request.id, Json(std::move(o)));
+    if (!st.ok()) return wire::Response::failure(id, st.error());
+    return wire::Response::success(id, Json(std::move(result)));
+  };
+  return std::visit(
+      op::Overloaded{
+          [&](const op::Plan& p) {
+            sched::PlanRequest plan;
+            plan.name = p.name;
+            plan.strategy = p.strategy;
+            auto planned = p.replan ? m.replan_task(p.task, std::move(plan))
+                                    : m.plan_task(p.task, std::move(plan));
+            if (!planned.ok()) return wire::Response::failure(id, planned.error());
+            JsonObject o;
+            o.set("schedule_run", static_cast<std::int64_t>(planned.value().value()));
+            return snapshot_then(std::move(o));
+          },
+          [&](const op::Execute& e) {
+            auto executed = e.concurrent ? m.execute_task_concurrent(e.task, e.designer)
+                                         : m.execute_task(e.task, e.designer);
+            if (!executed.ok()) return wire::Response::failure(id, executed.error());
+            return wire::Response::success(id, execution_json(executed.value(), m.clock()));
+          },
+          [&](const op::Run& r) {
+            auto ran = m.run_activity(r.task, r.activity, r.designer);
+            if (!ran.ok()) return wire::Response::failure(id, ran.error());
+            JsonObject o;
+            o.set("run", static_cast<std::int64_t>(ran.value().run.value()));
+            o.set("success", ran.value().success);
+            o.set("clock_minutes", m.clock().now().minutes_since_epoch());
+            return wire::Response::success(id, Json(std::move(o)));
+          },
+          [&](const op::Link& l) {
+            auto st = m.link_completion(l.task, l.activity);
+            if (!st.ok()) return wire::Response::failure(id, st.error());
+            return snapshot_then(JsonObject{});
+          },
+          [&](const op::Advance& a) {
+            auto advanced = m.advance_clock(cal::WorkDuration::minutes(a.minutes));
+            if (!advanced.ok()) return wire::Response::failure(id, advanced.error());
+            JsonObject o;
+            o.set("clock_minutes", m.clock().now().minutes_since_epoch());
+            return snapshot_then(std::move(o));
+          },
+          [&](const op::Save&) {
+            JsonObject o;
+            o.set("snapshot", snapshot_path());
+            return snapshot_then(std::move(o));
+          }},
+      write);
 }
 
 void ProjectShard::publish_view_locked() {
@@ -375,13 +328,8 @@ void ProjectShard::publish_view_locked() {
   view_.store(manager_->read_view());
 }
 
-util::Status ProjectShard::snapshot() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshot_locked();
-}
-
 util::Status ProjectShard::snapshot_locked() {
-  if (crashed_) return util::unsupported("shard '" + name_ + "' crashed");
+  if (crashed_) return crashed_error();
   if (read_only_.load(std::memory_order_relaxed)) return read_only_error_locked();
   // save_project_file restarts the journal, which for a group committer
   // first waits out a batch write in flight (GroupCommitter::restart).
@@ -397,7 +345,7 @@ util::Status ProjectShard::snapshot_locked() {
 
 util::Status ProjectShard::shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (crashed_) return util::unsupported("shard '" + name_ + "' crashed");
+  if (crashed_) return crashed_error();
   auto st = committer_->sync_now();  // final group commit
   if (!st.ok()) return st;
   return snapshot_locked();

@@ -6,21 +6,25 @@
 // query engine, and the crash-safety machinery (journal + snapshot files in
 // the shard's directory).
 //
-// Concurrency model: TWO lanes.
+// apply() parses each request once into a typed op (srv/op.hpp) and
+// answers a parse failure before touching either lane.  The lane is the
+// op's type:
 //
-//   write lane   One mutex serializes every mutating op (plan, replan,
-//                execute, run, link, advance, save) plus stats.  At the end
-//                of each op, while still holding the lock, the shard
-//                republishes the project's epoch snapshot
-//                (WorkflowManager::read_view) — BEFORE the durability wait,
-//                so a client that got its ack always sees its own write.
-//   read lane    query / explain / status / gantt copy the published
-//                snapshot out of a pointer-copy slot (hercules::ViewSlot)
-//                and run entirely without the shard mutex.  Readers pin
-//                their epoch for the duration of
-//                the call; the writer keeps publishing newer epochs
-//                meanwhile, and an epoch's buffers are reclaimed when its
-//                last reader drops it (copy-on-write tables, util/cow.hpp).
+//   write lane   op::WriteOp (plan, replan, execute, run, link, advance,
+//                save): one mutex serializes them.  At the end of each op,
+//                while still holding the lock, the shard republishes the
+//                project's epoch snapshot (WorkflowManager::read_view) —
+//                BEFORE the durability wait, so a client that got its ack
+//                always sees its own write.
+//   read lane    op::ReadOp (query, explain, status, gantt): copies the
+//                published snapshot out of a pointer-copy slot
+//                (hercules::ViewSlot) and runs entirely without the shard
+//                mutex.  Readers pin their epoch for the duration of the
+//                call; the writer keeps publishing newer epochs meanwhile,
+//                and an epoch's buffers are reclaimed when its last reader
+//                drops it (copy-on-write tables, util/cow.hpp).
+//   stats        op::Stats takes the mutex and answers, mutating nothing;
+//                it counts as a write-lane request.
 //
 // One caveat is inherent to ack-after-publish ordering: a READER can observe
 // a mutation that is published but not yet fsync-durable (the mutator itself
@@ -44,12 +48,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 #include "gen/gen.hpp"
 #include "hercules/group_commit.hpp"
 #include "hercules/journal.hpp"
 #include "hercules/workflow_manager.hpp"
+#include "srv/op.hpp"
 #include "srv/wire.hpp"
 
 namespace herc::srv {
@@ -90,21 +94,15 @@ class ProjectShard {
   ProjectShard(const ProjectShard&) = delete;
   ProjectShard& operator=(const ProjectShard&) = delete;
 
-  /// The read lane's ops (query, explain, status, gantt): they run on a
-  /// pinned epoch without the shard lock.  The server serves them on the
-  /// session's own thread; every other op takes the write lane.
-  [[nodiscard]] static bool is_read_op(std::string_view op);
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::string snapshot_path() const;
   [[nodiscard]] std::string wal_path() const;
 
   /// Executes one request against this shard.  Thread-safe; mutations are
   /// serialized and acknowledged only once durable per the shard's options.
+  /// A request that does not parse (op::parse_project_op) is refused with
+  /// kInvalid and counted in neither lane.
   [[nodiscard]] wire::Response apply(const wire::Request& request);
-
-  /// Snapshot now (atomic replace; durable per options) and restart the WAL.
-  [[nodiscard]] util::Status snapshot();
 
   /// Graceful shutdown: final group commit (fsync regardless of mode), then
   /// a snapshot.  The shard stays usable afterwards; the server simply stops
@@ -135,11 +133,6 @@ class ProjectShard {
     return read_only_.load(std::memory_order_acquire);
   }
 
-  /// Recovery outcome captured by recover() (empty for fresh shards).
-  [[nodiscard]] const hercules::RecoveryStats& recovery_stats() const {
-    return recovery_stats_;
-  }
-
  private:
   ProjectShard(std::string name, ShardOptions options);
 
@@ -151,12 +144,14 @@ class ProjectShard {
   static void register_default_tools(hercules::WorkflowManager& manager,
                                      std::int64_t tool_minutes);
 
-  /// The write lane: every op except the four reads.  Must hold mu_.
-  wire::Response dispatch(const wire::Request& request);
-  /// The read lane: runs one query/explain/status/gantt op against a pinned
-  /// epoch snapshot.  No shard lock anywhere on this path.
-  wire::Response dispatch_read(const wire::Request& request,
-                               const hercules::ReadView& view);
+  /// Runs one read against a pinned epoch snapshot.  No shard lock
+  /// anywhere on this path.
+  wire::Response read_lane(std::uint64_t id, const op::ReadOp& read);
+  /// Runs one mutation under mu_ and waits for its journal lines to be
+  /// durable after releasing it.
+  wire::Response write_lane(std::uint64_t id, const op::WriteOp& write);
+  /// The mutation itself.  Must hold mu_.
+  wire::Response dispatch(std::uint64_t id, const op::WriteOp& write);
   /// Republishes the current epoch snapshot (no-op once crashed).  Must hold
   /// mu_: read_view() walks the live spaces.
   void publish_view_locked();
@@ -187,6 +182,7 @@ class ProjectShard {
   void enter_read_only(const util::Error& cause);
   void enter_read_only_locked(const util::Error& cause);
   [[nodiscard]] util::Error read_only_error_locked() const;
+  [[nodiscard]] util::Error crashed_error() const;
 
   std::atomic<bool> read_only_{false};
   std::string read_only_reason_;  ///< written once under mu_ at the latch

@@ -16,14 +16,15 @@
 //   clients may pipeline requests and match responses by id.  The server
 //   answers one connection's requests in the order it received them.
 //   `project` is empty for server-level ops (ping/open/projects/stats/...).
+//   The ops and their args are listed in srv/op.hpp.
 // Responses: {"id": N, "ok": true,  "result": {...}}
 //          | {"id": N, "ok": false, "error": {"code": "...", "message": "..."}}
 //
 // Framing errors (bad header, oversize, torn trailer, non-JSON payload) are
 // unrecoverable for the connection: the reader latches broken() and the
 // server closes the socket.  Malformed but well-framed requests (missing
-// fields, wrong types) get an error RESPONSE instead — the connection
-// survives.
+// fields or wrong types, in the request document or in an op's args, and
+// unknown ops) get an error RESPONSE instead — the connection survives.
 
 #include <cstdint>
 #include <optional>

@@ -604,6 +604,9 @@ TEST(Cli, RemoteCommandsDriveAServer) {
   ok(s, "remote demo plan");
   auto executed = ok(s, "remote demo execute designer=alice");
   EXPECT_NE(executed.find("runs"), std::string::npos);
+  // Digits travel as an integer, and a designer must be a string.
+  EXPECT_NE(fail(s, "remote demo execute designer=42").find("'designer' must be a string"),
+            std::string::npos);
   EXPECT_NE(ok(s, "remote demo status").find("job"), std::string::npos);
   EXPECT_NE(ok(s, "remote demo query select runs where designer = \"alice\"")
                 .find("alice"),

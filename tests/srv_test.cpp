@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -301,6 +302,136 @@ TEST(ProjectShard, ExecuteAndColdQueryPublishNoEvents) {
   auto queried = shard.value()->apply(request);
   ASSERT_TRUE(queried.ok) << queried.error.str();
   EXPECT_EQ(shard.value()->manager_for_test().bus().published(), 0u);
+}
+
+// An argument of the wrong JSON type is refused, not replaced by the
+// default: no run is recorded under designer "designer", no status is
+// reported for task "job", and no project opens.
+TEST(Server, IllTypedArgsAreRefusedNotDefaulted) {
+  TempServerDir tmp("typed");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok()) << server.error().str();
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("chip", 7)).ok());
+  ASSERT_TRUE(client.value()->invoke("chip", "plan").ok());
+
+  auto refused = [&](const std::string& project, const std::string& op,
+                     JsonObject args, const std::string& key) {
+    auto response = client.value()->call(project, op, std::move(args));
+    ASSERT_TRUE(response.ok()) << response.error().str();
+    EXPECT_FALSE(response.value().ok) << op << " " << key;
+    EXPECT_EQ(response.value().error.code, util::Error::Code::kInvalid);
+    EXPECT_EQ(response.value().error.message.rfind(op + ": '" + key + "'", 0), 0u)
+        << response.value().error.message;
+  };
+  JsonObject args;
+  args.set("designer", 7);
+  refused("chip", "execute", args, "designer");
+  args = {};
+  args.set("task", 5);
+  refused("chip", "status", args, "task");
+  args = {};
+  args.set("mode", true);
+  refused("chip", "execute", args, "mode");
+  args = open_args("shaped", 7);
+  args.set("shape", 7);
+  refused("", "open", args, "shape");
+  args = open_args("sized", 7);
+  args.set("size", -1);
+  refused("", "open", args, "size");
+
+  auto stats = client.value()->invoke("chip", "stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().as_object().at("runs_executed").as_int(), 0);
+  auto projects = client.value()->invoke("", "projects");
+  ASSERT_TRUE(projects.ok());
+  EXPECT_EQ(projects.value().as_object().at("projects").as_array().size(), 1u);
+  server.value()->stop();
+}
+
+// A request that does not parse is answered before either lane: it moves no
+// lane counter, and a read-only or crashed shard still calls it invalid.
+TEST(ProjectShard, ParseFailuresTouchNeitherLane) {
+  TempServerDir tmp("lanes");
+  ShardOptions options;
+  options.dir = tmp.path();
+  gen::ScenarioSpec spec;
+  spec.seed = 7;
+  spec.size = 2;
+  auto shard = ProjectShard::create("p", gen::generate(spec), options);
+  ASSERT_TRUE(shard.ok()) << shard.error().str();
+  auto apply = [&](const std::string& op, JsonObject args = {}) {
+    wire::Request request;
+    request.id = 1;
+    request.project = "p";
+    request.op = op;
+    request.args = std::move(args);
+    return shard.value()->apply(request);
+  };
+  JsonObject ill_typed;
+  ill_typed.set("task", 5);
+  EXPECT_EQ(apply("frobnicate").error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("execute", ill_typed).error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("status", ill_typed).error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("query").error.code, util::Error::Code::kInvalid);
+  auto stats = apply("stats");
+  ASSERT_TRUE(stats.ok) << stats.error.str();
+  const JsonObject& doc = stats.result.as_object();
+  const JsonObject& lanes = doc.at("snapshots").as_object();
+  EXPECT_EQ(lanes.at("read_lane_requests").as_int(), 0);
+  EXPECT_EQ(lanes.at("write_lane_requests").as_int(), 1);  // the stats itself
+  EXPECT_EQ(doc.at("srv_requests").as_int(), 1);
+
+  // Read-only after its directory went away.
+  ASSERT_TRUE(apply("plan").ok);
+  std::filesystem::remove_all(tmp.dir);
+  EXPECT_EQ(apply("execute").error.code, util::Error::Code::kIoError);
+  ASSERT_TRUE(shard.value()->read_only());
+  EXPECT_EQ(apply("frobnicate").error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("execute", ill_typed).error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("execute").error.code, util::Error::Code::kIoError);
+
+  shard.value()->simulate_crash();
+  EXPECT_EQ(apply("frobnicate").error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("status", ill_typed).error.code, util::Error::Code::kInvalid);
+  EXPECT_EQ(apply("status").error.code, util::Error::Code::kUnsupported);
+  EXPECT_EQ(apply("stats").error.code, util::Error::Code::kUnsupported);
+}
+
+// A project's name names its files, so `open` refuses a name that would
+// place them outside the data directory or that no request could reach.
+TEST(Server, OpenRefusesNamesThatLeaveTheDataDirectory) {
+  TempServerDir tmp("names");
+  const auto data = tmp.dir / "data";
+  std::filesystem::create_directories(data);
+  ServerConfig config = base_config(tmp);
+  config.shard.dir = data.string();
+  auto server = Server::start(std::move(config));
+  ASSERT_TRUE(server.ok()) << server.error().str();
+  auto client = Client::connect(server.value()->unix_address());
+  ASSERT_TRUE(client.ok());
+
+  for (const std::string& name : {std::string("../escape"), std::string(), std::string("."),
+                                  std::string(".."), std::string("a/b"),
+                                  std::string("/tmp/abs"), std::string("a\0b", 3)}) {
+    auto response = client.value()->call("", "open", open_args(name, 1));
+    ASSERT_TRUE(response.ok()) << response.error().str();
+    EXPECT_FALSE(response.value().ok) << name;
+    EXPECT_EQ(response.value().error.code, util::Error::Code::kInvalid) << name;
+  }
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(tmp.dir))
+    entries.push_back(entry.path().filename().string());
+  std::sort(entries.begin(), entries.end());
+  EXPECT_EQ(entries, (std::vector<std::string>{"data", "srv.sock"}));
+  EXPECT_TRUE(std::filesystem::is_empty(data));
+
+  // The names the tree uses stay valid, and so do dotted ones.
+  for (const char* name : {"chip", "load0", "flow0", "dash", "demo", "replan", "a.b", "..x"}) {
+    EXPECT_TRUE(client.value()->invoke("", "open", open_args(name, 1)).ok()) << name;
+  }
+  server.value()->stop();
 }
 
 // Frames larger than one 64 KiB receive cross the socket in both directions:

@@ -1,10 +1,16 @@
 // Wire protocol tests: frame round trips, incremental decoding, a corpus of
-// malformed/truncated frames (all must latch broken() without crashing), and
-// request/response document round trips.
+// malformed/truncated frames (all must latch broken() without crashing),
+// request/response document round trips, and the op vocabulary's parse:
+// defaults, required fields and wrong JSON types.
 
 #include "srv/wire.hpp"
 
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <variant>
+
+#include "srv/op.hpp"
 
 namespace herc::srv::wire {
 namespace {
@@ -205,6 +211,178 @@ TEST(Response, ErrorCodeNames) {
                     Error::Code::kIoError}) {
     EXPECT_EQ(error_code_from_name(error_code_name(code)), code);
   }
+}
+
+Request request_for(std::string project, std::string op, JsonObject args = {}) {
+  Request request;
+  request.id = 1;
+  request.project = std::move(project);
+  request.op = std::move(op);
+  request.args = std::move(args);
+  return request;
+}
+
+/// Parses as a project op (non-empty project) or a server op; the refusal,
+/// if any.
+std::optional<Error> parse_error_of(const Request& request) {
+  if (request.project.empty()) {
+    auto parsed = op::parse_server_op(request);
+    if (!parsed.ok()) return parsed.error();
+  } else {
+    auto parsed = op::parse_project_op(request);
+    if (!parsed.ok()) return parsed.error();
+  }
+  return std::nullopt;
+}
+
+template <class T, class Lane>
+T project_op(const std::string& name, JsonObject args = {}) {
+  auto parsed = op::parse_project_op(request_for("p", name, std::move(args)));
+  EXPECT_TRUE(parsed.ok()) << name << ": " << parsed.error().str();
+  return std::get<T>(std::get<Lane>(parsed.value()));
+}
+
+// Every op name: a bare request parses, or is refused naming the one field
+// the op cannot do without.
+TEST(Op, EveryBareRequestParsesOrNamesItsRequiredField) {
+  struct Case {
+    const char* project;
+    const char* op;
+    const char* required;  ///< nullptr: the bare request parses
+  };
+  const Case cases[] = {
+      {"p", "query", "statement"}, {"p", "explain", "statement"},
+      {"p", "status", nullptr},    {"p", "gantt", nullptr},
+      {"p", "plan", nullptr},      {"p", "replan", nullptr},
+      {"p", "execute", nullptr},   {"p", "run", "activity"},
+      {"p", "link", "activity"},   {"p", "advance", "minutes"},
+      {"p", "save", nullptr},      {"p", "stats", nullptr},
+      {"", "ping", nullptr},       {"", "projects", nullptr},
+      {"", "stats", nullptr},      {"", "shutdown", nullptr},
+      {"", "open", "name"},        {"", "close", "name"},
+  };
+  for (const auto& c : cases) {
+    auto error = parse_error_of(request_for(c.project, c.op));
+    if (c.required == nullptr) {
+      EXPECT_FALSE(error.has_value()) << c.op << ": " << error->str();
+      continue;
+    }
+    ASSERT_TRUE(error.has_value()) << c.op;
+    EXPECT_EQ(error->code, Error::Code::kInvalid);
+    EXPECT_EQ(error->message, std::string(c.op) + ": missing '" + c.required + "'");
+  }
+}
+
+TEST(Op, BareRequestsGetTheDocumentedDefaults) {
+  auto report = project_op<op::Report, op::ReadOp>("gantt");
+  EXPECT_EQ(report.task, "job");
+  EXPECT_TRUE(report.gantt);
+  EXPECT_FALSE((project_op<op::Report, op::ReadOp>("status").gantt));
+
+  auto plan = project_op<op::Plan, op::WriteOp>("replan");
+  EXPECT_EQ(plan.task, "job");
+  EXPECT_EQ(plan.name, "plan");
+  EXPECT_EQ(plan.strategy, sched::EstimateStrategy::kIntuition);
+  EXPECT_TRUE(plan.replan);
+  EXPECT_FALSE((project_op<op::Plan, op::WriteOp>("plan").replan));
+
+  auto execute = project_op<op::Execute, op::WriteOp>("execute");
+  EXPECT_EQ(execute.task, "job");
+  EXPECT_EQ(execute.designer, "designer");
+  EXPECT_FALSE(execute.concurrent);
+
+  JsonObject activity;
+  activity.set("activity", "A");
+  auto run = project_op<op::Run, op::WriteOp>("run", activity);
+  EXPECT_EQ(run.task, "job");
+  EXPECT_EQ(run.activity, "A");
+  EXPECT_EQ(run.designer, "designer");
+  auto link = project_op<op::Link, op::WriteOp>("link", activity);
+  EXPECT_EQ(link.task, "job");
+  EXPECT_EQ(link.activity, "A");
+
+  JsonObject statement;
+  statement.set("statement", "select plans");
+  EXPECT_FALSE((project_op<op::Query, op::ReadOp>("query", statement).explain));
+  EXPECT_TRUE((project_op<op::Query, op::ReadOp>("explain", statement).explain));
+
+  // open {name, scenario_seed} generates from the spec's own defaults.
+  JsonObject open;
+  open.set("name", "chip");
+  open.set("scenario_seed", 7);
+  auto parsed = op::parse_server_op(request_for("", "open", open));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().str();
+  const auto& spec = std::get<gen::ScenarioSpec>(std::get<op::Open>(parsed.value()).source);
+  EXPECT_EQ(spec.seed, 7u);
+  EXPECT_EQ(spec.shape, gen::ScenarioSpec{}.shape);
+  EXPECT_EQ(spec.size, gen::ScenarioSpec{}.size);
+}
+
+// Each typed field, given one wrong JSON type, is refused with kInvalid
+// naming the op and the key.  (`scenario` is a document that
+// gen::scenario_from_json checks itself.)
+TEST(Op, EveryTypedFieldRefusesAWrongJsonType) {
+  struct Case {
+    const char* project;
+    const char* op;
+    const char* key;
+    Json wrong;
+  };
+  const Case cases[] = {
+      {"p", "query", "statement", Json(7)},  {"p", "explain", "statement", Json(true)},
+      {"p", "status", "task", Json(5)},      {"p", "gantt", "task", Json(5)},
+      {"p", "plan", "task", Json(5)},        {"p", "plan", "name", Json(3)},
+      {"p", "plan", "strategy", Json(1)},    {"p", "replan", "task", Json(5)},
+      {"p", "replan", "name", Json(false)},  {"p", "replan", "strategy", Json(2.5)},
+      {"p", "execute", "task", Json(5)},     {"p", "execute", "designer", Json(7)},
+      {"p", "execute", "mode", Json(true)},  {"p", "run", "task", Json(5)},
+      {"p", "run", "activity", Json(3)},     {"p", "run", "designer", Json(2)},
+      {"p", "link", "task", Json(5)},        {"p", "link", "activity", Json(false)},
+      {"p", "advance", "minutes", Json("30")},
+      {"", "open", "name", Json(4)},         {"", "open", "scenario_seed", Json("1")},
+      {"", "open", "shape", Json(7)},        {"", "open", "size", Json("3")},
+      {"", "open", "schema", Json(5)},       {"", "open", "recover", Json("yes")},
+      {"", "close", "name", Json(1)},
+  };
+  for (const auto& c : cases) {
+    // Every other field the op needs is present and well-typed.
+    JsonObject args;
+    if (std::string(c.op) == "query" || std::string(c.op) == "explain")
+      args.set("statement", "select plans");
+    if (std::string(c.op) == "run" || std::string(c.op) == "link") args.set("activity", "A");
+    if (std::string(c.op) == "open" || std::string(c.op) == "close") args.set("name", "x");
+    if (std::string(c.key) == "shape" || std::string(c.key) == "size")
+      args.set("scenario_seed", 1);
+    args.set(c.key, c.wrong);
+    auto error = parse_error_of(request_for(c.project, c.op, args));
+    ASSERT_TRUE(error.has_value()) << c.op << "." << c.key;
+    EXPECT_EQ(error->code, Error::Code::kInvalid) << error->str();
+    EXPECT_EQ(error->message.rfind(std::string(c.op) + ": '" + c.key + "' must be ", 0), 0u)
+        << error->message;
+  }
+}
+
+TEST(Op, ValuesOutsideTheirDomainAreRefused) {
+  auto refused = [](const char* project, const char* op, const char* key, Json value) {
+    JsonObject args;
+    args.set("name", "x");
+    args.set("scenario_seed", 1);
+    args.set(key, std::move(value));
+    auto error = parse_error_of(request_for(project, op, args));
+    return error.has_value() ? error->code : std::optional<Error::Code>();
+  };
+  EXPECT_EQ(refused("p", "execute", "mode", "parallel"), Error::Code::kInvalid);
+  EXPECT_EQ(refused("p", "advance", "minutes", -1), Error::Code::kInvalid);
+  EXPECT_EQ(refused("p", "plan", "strategy", "bogus"), Error::Code::kInvalid);
+  EXPECT_EQ(refused("", "open", "size", -1), Error::Code::kInvalid);
+  EXPECT_EQ(refused("", "open", "shape", "bogus"), Error::Code::kParse);
+  EXPECT_EQ(refused("", "open", "recover", false), std::nullopt);  // seed wins
+  EXPECT_EQ(refused("p", "frobnicate", "x", 1), Error::Code::kInvalid);
+  EXPECT_EQ(refused("", "frobnicate", "x", 1), Error::Code::kInvalid);
+  // An empty `strategy` keeps the default; keys an op does not read are
+  // ignored.
+  EXPECT_EQ(refused("p", "plan", "strategy", ""), std::nullopt);
+  EXPECT_EQ(refused("p", "save", "minutes", "x"), std::nullopt);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "srv/client.hpp"
 #include "srv/server.hpp"
 
 namespace {
@@ -48,17 +49,14 @@ void on_signal(int) {
   [[maybe_unused]] auto n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-struct OpenSpec {
-  std::string name;
-  std::uint64_t seed = 1;
-  std::string shape = "layered";
-  std::size_t size = 3;
-};
+bool all_digits(const std::string& text) {
+  return !text.empty() && text.find_first_not_of("0123456789") == std::string::npos;
+}
 
-bool parse_open(const std::string& text, OpenSpec& out) {
+/// NAME=SEED[:shape:size] as the args of an `open` op.
+bool parse_open(const std::string& text, util::JsonObject& out) {
   auto eq = text.find('=');
   if (eq == std::string::npos || eq == 0) return false;
-  out.name = text.substr(0, eq);
   std::string rest = text.substr(eq + 1);
   std::vector<std::string> parts;
   std::size_t start = 0;
@@ -68,12 +66,14 @@ bool parse_open(const std::string& text, OpenSpec& out) {
     if (colon == std::string::npos) break;
     start = colon + 1;
   }
-  if (parts.empty() || parts[0].empty()) return false;
-  out.seed = std::strtoull(parts[0].c_str(), nullptr, 10);
-  if (parts.size() > 1 && !parts[1].empty()) out.shape = parts[1];
-  if (parts.size() > 2 && !parts[2].empty()) {
-    out.size = static_cast<std::size_t>(std::strtoull(parts[2].c_str(), nullptr, 10));
-  }
+  const std::string shape = parts.size() > 1 && !parts[1].empty() ? parts[1] : "layered";
+  const std::string size = parts.size() > 2 && !parts[2].empty() ? parts[2] : "3";
+  if (!all_digits(parts[0]) || !all_digits(size)) return false;
+  out.set("name", text.substr(0, eq));
+  out.set("scenario_seed",
+          util::Json(static_cast<std::uint64_t>(std::strtoull(parts[0].c_str(), nullptr, 10))));
+  out.set("shape", shape);
+  out.set("size", util::Json(static_cast<std::uint64_t>(std::strtoull(size.c_str(), nullptr, 10))));
   return true;
 }
 
@@ -81,7 +81,7 @@ bool parse_open(const std::string& text, OpenSpec& out) {
 
 int main(int argc, char** argv) {
   srv::ServerConfig config;
-  std::vector<OpenSpec> opens;
+  std::vector<util::JsonObject> opens;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -110,9 +110,9 @@ int main(int argc, char** argv) {
       config.tool_minutes = std::atoll(v);
     } else if (arg == "--open") {
       const char* v = next();
-      OpenSpec spec;
-      if (!v || !parse_open(v, spec)) return usage(argv[0]);
-      opens.push_back(spec);
+      util::JsonObject args;
+      if (!v || !parse_open(v, args)) return usage(argv[0]);
+      opens.push_back(std::move(args));
     } else {
       return usage(argv[0]);
     }
@@ -125,25 +125,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  for (const auto& spec : opens) {
-    gen::ScenarioSpec sspec;
-    sspec.seed = spec.seed;
-    sspec.size = spec.size;
-    auto shape = gen::parse_shape(spec.shape);
-    if (!shape.ok()) {
-      std::fprintf(stderr, "herc_srv: --open %s: %s\n", spec.name.c_str(),
-                   shape.error().str().c_str());
-      return 1;
+  // Each --open is sent as an `open` op to the server's own listener, so it
+  // passes the same checks as a client's.
+  if (!opens.empty()) {
+    auto client = srv::Client::connect(server.value()->unix_address().empty()
+                                           ? server.value()->tcp_address()
+                                           : server.value()->unix_address());
+    for (auto& args : opens) {
+      const std::string name = args.at("name").as_string();
+      auto opened = client.ok() ? client.value()->invoke("", "open", std::move(args))
+                                : util::Result<util::Json>(client.error());
+      if (!opened.ok()) {
+        std::fprintf(stderr, "herc_srv: --open %s: %s\n", name.c_str(),
+                     opened.error().str().c_str());
+        return 1;
+      }
     }
-    sspec.shape = shape.value();
-    auto shard = srv::ProjectShard::create(spec.name, gen::generate(sspec),
-                                           server.value()->config_shard());
-    if (!shard.ok()) {
-      std::fprintf(stderr, "herc_srv: --open %s: %s\n", spec.name.c_str(),
-                   shard.error().str().c_str());
-      return 1;
-    }
-    server.value()->adopt_shard(std::move(shard).take());
   }
 
   if (::pipe(g_signal_pipe) != 0) {
