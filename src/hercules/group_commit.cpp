@@ -64,11 +64,6 @@ util::Result<std::uint64_t> GroupCommitter::end_mutation() {
   return ++enqueued_;
 }
 
-std::uint64_t GroupCommitter::last_enqueued() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enqueued_;
-}
-
 util::Status GroupCommitter::wait_durable(std::uint64_t ticket) {
   std::unique_lock<std::mutex> lock(mu_);
   // Every ticket above committed_ is queued or in the write in progress, so

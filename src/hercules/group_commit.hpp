@@ -63,7 +63,8 @@ class GroupCommitter {
     std::uint64_t lines_flushed = 0;  ///< lines covered by those flushes
   };
 
-  /// Opens (creating or truncating) the WAL at `path`.
+  /// Opens (creating or truncating) the WAL at `path`; a journal then
+  /// starts on the committer as it is (RunJournal::open).
   [[nodiscard]] static util::Result<std::unique_ptr<GroupCommitter>> open(
       const std::string& path, Options options);
   /// Writes whatever is still queued (nothing after simulate_crash or a
@@ -96,11 +97,9 @@ class GroupCommitter {
   /// are refused, nothing of the mutation reaches the file, and it must not
   /// be acknowledged.
   [[nodiscard]] util::Result<std::uint64_t> end_mutation();
-  /// Ticket of the most recent entry (0 before any).
-  [[nodiscard]] std::uint64_t last_enqueued() const;
-  /// Returns once every entry up to `ticket` (at most last_enqueued()) is
-  /// written (and fsynced in durable mode), or an I/O error / crash
-  /// simulation intervened.  The calling thread writes the batch itself
+  /// Returns once every entry up to `ticket` (a ticket end_mutation()
+  /// returned) is written (and fsynced in durable mode), or an I/O error /
+  /// crash simulation intervened.  The calling thread writes the batch itself
   /// whenever no other write is in progress.
   [[nodiscard]] util::Status wait_durable(std::uint64_t ticket);
   /// Final commit: writes what is queued and fsyncs regardless of durable

@@ -25,24 +25,27 @@ RunJournal::RunJournal(meta::Database& db, data::DataStore& store,
 
 RunJournal::~RunJournal() { db_->remove_observer(this); }
 
-util::Result<std::unique_ptr<RunJournal>> RunJournal::open(
-    meta::Database& db, data::DataStore& store, exec::SimClock& clock,
-    GroupCommitter& committer) {
+std::unique_ptr<RunJournal> RunJournal::open(meta::Database& db, data::DataStore& store,
+                                             exec::SimClock& clock,
+                                             GroupCommitter& committer) {
   // Not make_unique: the constructor is private.
   std::unique_ptr<RunJournal> j(new RunJournal(db, store, clock, committer));
-  auto st = j->restart();
-  if (!st.ok()) return st.error();
+  // The committer's open truncated the WAL; only the marks are left to set.
+  j->mark_current();
   return j;
 }
 
 util::Status RunJournal::restart() {
   status_ = committer_->restart();
-  if (!status_.ok()) return status_;
+  if (status_.ok()) mark_current();
+  return status_;
+}
+
+void RunJournal::mark_current() {
   seen_data_ = store_->size();
   seen_instances_ = db_->instance_count();
   seen_runs_ = db_->run_count();
   lines_ = 0;
-  return status_;
 }
 
 void RunJournal::on_run_recorded(const meta::Run& run) {

@@ -30,7 +30,8 @@
 // server's durable mode covers many appends with one fsync per batch.
 //
 // Lifecycle: WorkflowManager::enable_journal installs one as a database
-// observer; save_project_file restarts (truncates) it after each snapshot.
+// observer over a freshly opened committer, so starting a journal opens the
+// WAL once; save_project_file restarts (truncates) it after each snapshot.
 
 #include <memory>
 #include <string>
@@ -51,11 +52,13 @@ class WorkflowManager;
 /// the database on open() and detaches in the destructor.
 class RunJournal : public meta::DatabaseObserver {
  public:
-  /// Restarts (truncates) the committer's WAL and journals runs recorded in
-  /// `db` through it; the committer must outlive the journal.  High-water
-  /// marks start at the CURRENT store/db sizes, so the journal only captures
-  /// what happens after — take a snapshot first.
-  [[nodiscard]] static util::Result<std::unique_ptr<RunJournal>> open(
+  /// Journals runs recorded in `db` through `committer`, which must outlive
+  /// the journal.  Precondition: the committer is fresh — just opened by
+  /// GroupCommitter::open, which truncated its WAL, and nothing appended
+  /// since — so open() does no IO of its own.  High-water marks start at the
+  /// CURRENT store/db sizes, so the journal only captures what happens
+  /// after — take a snapshot first.
+  [[nodiscard]] static std::unique_ptr<RunJournal> open(
       meta::Database& db, data::DataStore& store, exec::SimClock& clock,
       GroupCommitter& committer);
 
@@ -80,6 +83,8 @@ class RunJournal : public meta::DatabaseObserver {
  private:
   RunJournal(meta::Database& db, data::DataStore& store, exec::SimClock& clock,
              GroupCommitter& committer);
+  /// Sets the high-water marks to the current store/db sizes.
+  void mark_current();
 
   meta::Database* db_;
   data::DataStore* store_;

@@ -25,16 +25,14 @@ util::Status WorkflowManager::enable_journal(const std::string& path) {
   disable_journal();  // detach any previous journal before opening the new one
   auto opened = GroupCommitter::open(path, {});
   if (!opened.ok()) return opened.error();
-  auto st = enable_journal_sink(*opened.value());
-  if (st.ok()) owned_committer_ = std::move(opened).take();
-  return st;
+  owned_committer_ = std::move(opened).take();
+  journal_ = RunJournal::open(*db_, *store_, clock_, *owned_committer_);
+  return util::Status::ok_status();
 }
 
 util::Status WorkflowManager::enable_journal_sink(GroupCommitter& committer) {
   disable_journal();
-  auto opened = RunJournal::open(*db_, *store_, clock_, committer);
-  if (!opened.ok()) return opened.error();
-  journal_ = std::move(opened).take();
+  journal_ = RunJournal::open(*db_, *store_, clock_, committer);
   return util::Status::ok_status();
 }
 

@@ -104,10 +104,14 @@ class WorkflowManager {
   /// to `path` (see journal.hpp) through a non-durable GroupCommitter the
   /// manager owns.  Take a snapshot (save_project_file) first — recovery
   /// replays the journal over it.  Replaces any active journal.  Each line
-  /// is written to the OS before the run returns, not fsynced.
+  /// is written to the OS before the run returns, not fsynced.  Opening
+  /// the committer, which truncates `path`, is the only IO before the first
+  /// line, and the only way this fails.
   util::Status enable_journal(const std::string& path);
-  /// Journals through a caller-owned committer (a server shard's); it must
-  /// outlive the journal (disable_journal before dropping it).
+  /// Journals through a caller-owned committer (a server shard's).  It must
+  /// be fresh from GroupCommitter::open, with nothing appended (see
+  /// RunJournal::open), and outlive the journal (disable_journal before
+  /// dropping it).  Does no IO and cannot fail.
   util::Status enable_journal_sink(GroupCommitter& committer);
   void disable_journal();
   /// nullptr when journaling is off.

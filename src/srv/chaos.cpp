@@ -118,7 +118,7 @@ void verify_recovery(const std::string& label, const std::string& dir,
   sopts.dir = dir;
   sopts.durable = true;
 
-  auto recovered = ProjectShard::recover("chaos", 120, sopts);
+  auto recovered = ProjectShard::recover("chaos", sopts);
   if (!recovered.ok()) {
     report.violations.push_back(label + ": recovery failed: " +
                                 recovered.error().str());
@@ -145,7 +145,7 @@ void verify_recovery(const std::string& label, const std::string& dir,
   // Contract 4: recover() re-snapshotted the directory; recovering again
   // from that must reproduce the same bytes.
   recovered.value().reset();
-  auto again = ProjectShard::recover("chaos", 120, sopts);
+  auto again = ProjectShard::recover("chaos", sopts);
   if (!again.ok()) {
     report.violations.push_back(label + ": second recovery failed: " +
                                 again.error().str());

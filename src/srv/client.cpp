@@ -35,7 +35,7 @@ Result<std::uint64_t> Client::send(const std::string& project,
   return request.id;
 }
 
-Result<wire::Response> Client::read_response() {
+Result<wire::Response> Client::recv_any() {
   std::string chunk;
   for (;;) {
     if (auto payload = reader_.poll()) {
@@ -56,36 +56,19 @@ Result<wire::Response> Client::read_response() {
   }
 }
 
-Result<wire::Response> Client::recv_any() {
-  if (!stashed_.empty()) {
-    auto it = stashed_.begin();
-    wire::Response response = std::move(it->second);
-    stashed_.erase(it);
-    return response;
-  }
-  return read_response();
-}
-
-Result<wire::Response> Client::recv(std::uint64_t id) {
-  auto it = stashed_.find(id);
-  if (it != stashed_.end()) {
-    wire::Response response = std::move(it->second);
-    stashed_.erase(it);
-    return response;
-  }
-  for (;;) {
-    auto response = read_response();
-    if (!response.ok()) return response;
-    if (response.value().id == id) return response;
-    stashed_.emplace(response.value().id, std::move(response).take());
-  }
-}
-
 Result<wire::Response> Client::call(const std::string& project,
                                     const std::string& op, JsonObject args) {
   auto id = send(project, op, std::move(args));
   if (!id.ok()) return id.error();
-  return recv(id.value());
+  // The server answers a connection's requests in order, so the next
+  // response is this request's unless an earlier one was never collected.
+  auto response = recv_any();
+  if (response.ok() && response.value().id != id.value()) {
+    return Error{Error::Code::kParse,
+                 "client: response id " + std::to_string(response.value().id) +
+                     " does not answer request id " + std::to_string(id.value())};
+  }
+  return response;
 }
 
 Result<Json> Client::invoke(const std::string& project, const std::string& op,

@@ -4,12 +4,13 @@
 // connection; it is NOT thread-safe — the load driver gives each simulated
 // designer its own Client, which is also how real sessions behave.
 //
-// call() is the simple RPC form (send, then wait for the matching id).
-// send()/recv_any() expose pipelining: queue several requests, then collect
-// responses as the server finishes them (in request order).
+// call() is the simple RPC form: send, then read the next response, which
+// must carry the request's id.  send()/recv_any() expose pipelining: queue
+// several requests, then collect their responses, which the server returns
+// in request order.  A call() behind a sent request whose response was not
+// collected reads that response and is refused with kParse.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -28,8 +29,8 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Sends one request and blocks until ITS response arrives; responses for
-  /// other outstanding ids are stashed for recv().  Assigns the id.
+  /// Sends one request and reads the next response.  Assigns the id; a
+  /// response with another id is refused with kParse, naming both ids.
   [[nodiscard]] util::Result<wire::Response> call(const std::string& project,
                                                  const std::string& op,
                                                  util::JsonObject args = {});
@@ -39,11 +40,8 @@ class Client {
                                                  const std::string& op,
                                                  util::JsonObject args = {});
 
-  /// Next response in arrival order (stashed ones first).
+  /// The next response.
   [[nodiscard]] util::Result<wire::Response> recv_any();
-
-  /// Response for a specific id (reads until it shows up).
-  [[nodiscard]] util::Result<wire::Response> recv(std::uint64_t id);
 
   /// call() + unwrap: a transport error OR an ok=false response both come
   /// back as the error; otherwise the result document.
@@ -54,12 +52,9 @@ class Client {
  private:
   explicit Client(int fd) : fd_(fd) {}
 
-  [[nodiscard]] util::Result<wire::Response> read_response();
-
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
   wire::FrameReader reader_;
-  std::map<std::uint64_t, wire::Response> stashed_;
 };
 
 }  // namespace herc::srv

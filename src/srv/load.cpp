@@ -33,10 +33,10 @@ struct WorkerTally {
   std::uint64_t runs = 0;
 };
 
-/// The read-mix rotation: one shard-read-lane op per slot.  The schedule
-/// queries (plans/links/schedule) stay cache-served across run appends
-/// under per-target stamps; the runs query and status report re-evaluate
-/// whenever an execute lands.
+/// The read-mix rotation: one shard-read-lane op per slot.  Reads run on the
+/// shard's published epoch: a repeat within one epoch is a ReadView memo
+/// hit, and each execute that lands publishes a new epoch, which the next
+/// read of each slot evaluates afresh.
 Result<wire::Response> issue_read(Client& client, const std::string& proj,
                                   const std::string& who, int slot) {
   switch (slot % 5) {
@@ -82,19 +82,18 @@ void drive_one(const LoadOptions& options, int project, int designer,
   const std::string writer_name =
       "designer" + std::to_string(options.designers - 1);
 
-  // Read-mix writers are paced (open arrival at --rate): real execution
+  // Read-mix writers are paced (arrivals at --rate): real execution
   // requests arrive when work is ready, they are not issued back-to-back.
   // A closed-loop writer would saturate the write lane 100% of the wall
   // clock, which models no real project and leaves nothing to contrast.
   // Readers stay closed-loop: dashboards poll as fast as they are allowed.
-  const bool open_mode = options.arrival == LoadOptions::Arrival::kOpen ||
-                         (options.read_mix >= 0 && !reader_role);
+  const bool paced = options.read_mix >= 0 && !reader_role;
   const auto interval = std::chrono::nanoseconds(
-      open_mode && options.rate_per_designer > 0
+      paced && options.rate_per_designer > 0
           ? static_cast<std::int64_t>(1e9 / options.rate_per_designer)
           : 0);
-  // Open mode: arrival schedule is fixed up front; latency is measured from
-  // the SCHEDULED time, so server backlog is charged to the requests that
+  // The arrival schedule is fixed up front; latency is measured from the
+  // SCHEDULED time, so server backlog is charged to the requests that
   // queued behind it (no coordinated omission).
   auto next_arrival = Clock::now() +
                       std::chrono::nanoseconds(static_cast<std::int64_t>(
@@ -103,7 +102,7 @@ void drive_one(const LoadOptions& options, int project, int designer,
   int n = 0;
   while (!abort.load(std::memory_order_relaxed)) {
     Clock::time_point issued;
-    if (open_mode) {
+    if (paced) {
       if (next_arrival >= deadline) break;
       std::this_thread::sleep_until(next_arrival);
       issued = next_arrival;
@@ -207,17 +206,14 @@ Result<LoadReport> run_load(const LoadOptions& options) {
   auto control = Client::connect(options.address);
   if (!control.ok()) return control.error();
 
-  if (options.open_projects) {
-    for (int p = 0; p < options.projects; ++p) {
-      JsonObject args;
-      args.set("name", project_name(p));
-      args.set("scenario_seed",
-               Json(static_cast<std::int64_t>(options.seed + p)));
-      args.set("shape", options.shape);
-      args.set("size", Json(static_cast<std::int64_t>(options.size)));
-      auto opened = control.value()->invoke("", "open", std::move(args));
-      if (!opened.ok()) return opened.error();
-    }
+  for (int p = 0; p < options.projects; ++p) {
+    JsonObject args;
+    args.set("name", project_name(p));
+    args.set("scenario_seed", Json(static_cast<std::int64_t>(options.seed + p)));
+    args.set("shape", options.shape);
+    args.set("size", Json(static_cast<std::int64_t>(options.size)));
+    auto opened = control.value()->invoke("", "open", std::move(args));
+    if (!opened.ok()) return opened.error();
   }
   // Plan each project once so the read mix's status op has a plan to report
   // against (mirrors a real session: plan, then track).

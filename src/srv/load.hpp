@@ -1,19 +1,17 @@
 #pragma once
-// Closed-loop load driver for the server: N projects x M simulated designers,
-// each designer a thread with its own connection, all hammering `execute`
-// (plus a sprinkling of reads) until a deadline.  It measures throughput,
-// latency and group-commit batching under real socket + shard contention,
-// which the in-process microbenches cannot.
+// Load driver for the server: N projects x M simulated designers, each
+// designer a thread with its own connection, all hammering `execute` (plus
+// a sprinkling of reads) until a deadline.  It measures throughput, latency
+// and group-commit batching under real socket + shard contention, which the
+// in-process microbenches cannot.
 //
-// Arrival modes:
-//   closed  each designer issues its next request the moment the previous
-//           response lands (classic closed loop; offered load tracks
-//           capacity, latencies measure service time under full contention).
-//   open    each designer issues requests on a fixed schedule (rate/sec,
-//           deterministically jittered) regardless of completion; if the
-//           server falls behind, requests queue and latency shows it.
-//           Arrival timestamps are scheduled, so reported latency is
-//           queueing + service (coordinated-omission safe).
+// Designers run a closed loop: each issues its next request the moment the
+// previous response lands, so offered load tracks capacity and latencies
+// measure service time under full contention.  Under --read-mix the writers
+// are paced instead: each issues executes on a fixed schedule (rate/sec,
+// deterministically jittered) whatever the completions, and latency is
+// measured from the scheduled time, so backlog is charged to the requests
+// that queued behind it (coordinated-omission safe).
 
 #include <chrono>
 #include <cstdint>
@@ -31,9 +29,7 @@ struct LoadOptions {
   int designers = 4;  ///< per project
   std::chrono::milliseconds duration{5000};
 
-  enum class Arrival { kClosed, kOpen };
-  Arrival arrival = Arrival::kClosed;
-  double rate_per_designer = 20.0;  ///< open mode: requests/sec per designer
+  double rate_per_designer = 20.0;  ///< read-mix writers: executes/sec each
 
   /// Every Kth request is a read (`status` op) instead of an `execute`;
   /// 0 = mutations only.
@@ -44,7 +40,7 @@ struct LoadOptions {
   /// threads are managers polling the project (status + a query rotation:
   /// `select plans`, `select links`, `select schedule where critical =
   /// true`, `select runs where designer = ...`) while 1 thread executes
-  /// flows and advances the clock.  Roles are dedicated — not a per-request
+  /// flows at rate_per_designer.  Roles are dedicated — not a per-request
   /// coin flip — because that is the contended shape: in a closed loop a
   /// mixed designer cannot read while its own write is in flight, which
   /// pins read throughput to a fixed multiple of write throughput and hides
@@ -55,9 +51,6 @@ struct LoadOptions {
   std::uint64_t seed = 1;        ///< scenario seeds: seed, seed+1, ...
   std::string shape = "layered";
   std::size_t size = 3;          ///< kept small: latency, not flow width
-
-  /// Open the projects before driving (off when the caller pre-opened them).
-  bool open_projects = true;
 
   /// Executes issued per project before the measured window starts, so the
   /// drive hits a mid-flight project (thousands of recorded runs) rather

@@ -44,6 +44,8 @@ class ArgReader {
     if (!error_) error_ = std::move(error);
   }
   void fail(const std::string& what) { fail(util::invalid(request_.op + ": " + what)); }
+  /// True while no refusal is latched.
+  [[nodiscard]] bool ok() const { return !error_; }
 
   /// The parsed op, or the first refusal.
   template <class Op>
@@ -100,15 +102,12 @@ util::Result<ServerOp> parse_open(const wire::Request& request) {
     }
     if (in.integer("size", size) && size < 0) in.fail("'size' must be non-negative");
     spec.size = static_cast<std::size_t>(size);
-    op.source = spec;
-  } else if (args.contains("schema")) {
-    Schema schema;
-    in.required("schema", schema.dsl);
-    op.source = std::move(schema);
+    // A refused request generates nothing.
+    if (in.ok()) op.source = gen::generate(spec);
   } else {
     bool recover = false;
     in.boolean("recover", recover);
-    if (!recover) in.fail("args need one of scenario / scenario_seed / schema / recover");
+    if (!recover) in.fail("args need one of scenario / scenario_seed / recover: true");
     op.source = Recover{};
   }
   return in.finish(ServerOp(std::move(op)));

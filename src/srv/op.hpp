@@ -87,20 +87,18 @@ struct Ping {};
 struct Projects {};
 struct Shutdown {};
 
-/// open's sources besides a scenario document (gen::Scenario) and a
-/// generated one (gen::ScenarioSpec from scenario_seed, shape and size).
-struct Schema {
-  std::string dsl;
-};
+/// open's second source: rebuild the shard from its snapshot and WAL.
 struct Recover {};
 
-/// open {name, scenario | scenario_seed [shape] [size] | schema | recover:
-/// true}, the first source present winning.  `name` names the shard's files
-/// in the data directory, so it must be non-empty, not "." or "..", and
-/// hold no '/' or NUL.
+/// open {name, scenario | scenario_seed [shape] [size] | recover: true}, the
+/// first source present winning.  A project is a scenario, given as a
+/// document or generated at parse (gen::generate) from scenario_seed, shape
+/// and size; or it is recovered from its directory.  `name` names the
+/// shard's files in the data directory, so it must be non-empty, not "." or
+/// "..", and hold no '/' or NUL.
 struct Open {
   std::string name;
-  std::variant<gen::Scenario, gen::ScenarioSpec, Schema, Recover> source;
+  std::variant<gen::Scenario, Recover> source;
 };
 
 /// close {name}

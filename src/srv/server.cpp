@@ -241,16 +241,7 @@ wire::Response Server::handle_open(std::uint64_t id, const op::Open& opening) {
           [&](const gen::Scenario& scenario) {
             return ProjectShard::create(opening.name, scenario, config_.shard);
           },
-          [&](const gen::ScenarioSpec& spec) {
-            return ProjectShard::create(opening.name, gen::generate(spec), config_.shard);
-          },
-          [&](const op::Schema& schema) {
-            return ProjectShard::create_from_dsl(opening.name, schema.dsl,
-                                                 config_.tool_minutes, config_.shard);
-          },
-          [&](const op::Recover&) {
-            return ProjectShard::recover(opening.name, config_.tool_minutes, config_.shard);
-          }},
+          [&](const op::Recover&) { return ProjectShard::recover(opening.name, config_.shard); }},
       opening.source);
   if (!shard.ok()) return wire::Response::failure(id, shard.error());
   JsonObject result;

@@ -10,7 +10,9 @@
 // A request with an empty `project` is a server op (op::ServerOp: ping,
 // projects, stats, shutdown, open, close), parsed by op::parse_server_op and
 // dispatched with std::visit; any other request goes to its project's shard,
-// which parses it the same way (op::parse_project_op).
+// which parses it the same way (op::parse_project_op).  `open` creates a
+// shard from a scenario (ProjectShard::create) or rebuilds one from its
+// directory (ProjectShard::recover).
 //
 // A session's reader thread parses each request, runs it and answers it
 // before it parses the next frame, so responses on one connection return in
@@ -56,9 +58,6 @@ struct ServerConfig {
   std::string tcp_host = "127.0.0.1";
   /// Applied to every shard (data directory, fsync policy).
   ShardOptions shard;
-  /// Nominal runtime for auto-registered simulated tools (DSL projects and
-  /// recovery).
-  std::int64_t tool_minutes = 120;
 };
 
 class Server {

@@ -33,6 +33,22 @@ Json execution_json(const exec::ExecutionResult& result,
 constexpr std::chrono::microseconds kReaderBackoff{150};
 constexpr std::chrono::microseconds kReaderBackoffCap{8000};
 
+// Nominal runtime of the simulated tools a recovered project runs with.
+constexpr std::int64_t kRecoveredToolMinutes = 120;
+
+/// Registers one simulated "<type>1" instance per tool type.  Tool closures
+/// are never persisted, so a recovered registry starts empty and no name is
+/// taken.
+void register_default_tools(hercules::WorkflowManager& manager) {
+  for (const auto& type : manager.schema().types()) {
+    if (type.kind != schema::EntityKind::kTool) continue;
+    (void)manager.register_tool(
+        {.instance_name = type.name + "1",
+         .tool_type = type.name,
+         .nominal = cal::WorkDuration::minutes(kRecoveredToolMinutes)});
+  }
+}
+
 }  // namespace
 
 ProjectShard::ProjectShard(std::string name, ShardOptions options)
@@ -50,19 +66,6 @@ std::string ProjectShard::snapshot_path() const {
 
 std::string ProjectShard::wal_path() const {
   return options_.dir + "/" + name_ + ".wal";
-}
-
-void ProjectShard::register_default_tools(hercules::WorkflowManager& manager,
-                                          std::int64_t tool_minutes) {
-  for (const auto& type : manager.schema().types()) {
-    if (type.kind != schema::EntityKind::kTool) continue;
-    // Already-registered instances (gen::make_manager's "t1") are kept; add()
-    // failing on a duplicate name is harmless here.
-    (void)manager.register_tool(
-        {.instance_name = type.name + "1",
-         .tool_type = type.name,
-         .nominal = cal::WorkDuration::minutes(tool_minutes)});
-  }
 }
 
 util::Status ProjectShard::start_journal() {
@@ -92,24 +95,8 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::create(
   return shard;
 }
 
-util::Result<std::unique_ptr<ProjectShard>> ProjectShard::create_from_dsl(
-    const std::string& name, const std::string& schema_dsl,
-    std::int64_t tool_minutes, const ShardOptions& options) {
-  auto made = hercules::WorkflowManager::create(schema_dsl);
-  if (!made.ok()) return made.error();
-  std::unique_ptr<ProjectShard> shard(new ProjectShard(name, options));
-  shard->manager_ = std::move(made).take();
-  register_default_tools(*shard->manager_, tool_minutes);
-  auto st = shard->start_journal();
-  if (!st.ok()) return st.error();
-  // No readers exist yet, so "locked" is vacuously true here.
-  shard->publish_view_locked();
-  return shard;
-}
-
 util::Result<std::unique_ptr<ProjectShard>> ProjectShard::recover(
-    const std::string& name, std::int64_t tool_minutes,
-    const ShardOptions& options) {
+    const std::string& name, const ShardOptions& options) {
   std::unique_ptr<ProjectShard> shard(new ProjectShard(name, options));
   // Resilient mode: a damaged WAL replays to its last verified record and is
   // quarantined (<wal>.corrupt) instead of failing the whole shard; the
@@ -119,8 +106,7 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::recover(
   if (!recovered.ok()) return recovered.error();
   shard->recovered_ = true;
   shard->manager_ = std::move(recovered).take();
-  // Tool closures are never persisted; rebuild the simulated registry.
-  register_default_tools(*shard->manager_, tool_minutes);
+  register_default_tools(*shard->manager_);
   // start_journal re-snapshots, so the WAL that fed this recovery is folded
   // in before it is truncated.
   auto st = shard->start_journal();

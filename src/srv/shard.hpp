@@ -4,7 +4,8 @@
 // A shard owns everything a single-user session used to own — the
 // WorkflowManager facade over meta::Database + sched::ScheduleSpace, the
 // query engine, and the crash-safety machinery (journal + snapshot files in
-// the shard's directory).
+// the shard's directory).  It comes from one of `open`'s two sources: a
+// scenario (create) or its own directory (recover).
 //
 // apply() parses each request once into a typed op (srv/op.hpp) and
 // answers a parse failure before touching either lane.  The lane is the
@@ -65,30 +66,22 @@ struct ShardOptions {
 
 class ProjectShard {
  public:
-  /// New project from a generated scenario (the load driver's path): the
-  /// manager comes from gen::make_manager, the initial snapshot is written
-  /// and journaling starts.
+  /// New project from a scenario: the manager comes from gen::make_manager,
+  /// the initial snapshot is written and journaling starts.
   [[nodiscard]] static util::Result<std::unique_ptr<ProjectShard>> create(
       const std::string& name, const gen::Scenario& scenario,
       const ShardOptions& options);
 
-  /// New project from schema DSL text.  Every tool type gets one simulated
-  /// instance named "<type>1" with the given nominal runtime, so the project
-  /// is executable over the wire without native tool closures.
-  [[nodiscard]] static util::Result<std::unique_ptr<ProjectShard>> create_from_dsl(
-      const std::string& name, const std::string& schema_dsl,
-      std::int64_t tool_minutes, const ShardOptions& options);
-
   /// Reopens a project from its snapshot + WAL after a crash or restart,
-  /// re-registers simulated tools for every tool type, and restarts
-  /// journaling from a fresh post-recovery snapshot.  Recovery is resilient:
+  /// registers a simulated "<type>1" instance for every tool type (tool
+  /// closures are never persisted), and restarts journaling from a fresh
+  /// post-recovery snapshot.  Recovery is resilient:
   /// a torn WAL tail is dropped, mid-stream corruption stops replay at the
   /// last verified record and quarantines the damaged file (see
   /// hercules::RecoveryStats); what happened is surfaced under
   /// stats_json()["health"]["recovery"].
   [[nodiscard]] static util::Result<std::unique_ptr<ProjectShard>> recover(
-      const std::string& name, std::int64_t tool_minutes,
-      const ShardOptions& options);
+      const std::string& name, const ShardOptions& options);
 
   ~ProjectShard();
   ProjectShard(const ProjectShard&) = delete;
@@ -139,10 +132,6 @@ class ProjectShard {
   /// Writes the initial snapshot of a freshly built manager, starts
   /// journaling through a new group committer and sets runs_at_open_.
   [[nodiscard]] util::Status start_journal();
-
-  /// Registers "<type>1" simulated tools for every tool type missing one.
-  static void register_default_tools(hercules::WorkflowManager& manager,
-                                     std::int64_t tool_minutes);
 
   /// Runs one read against a pinned epoch snapshot.  No shard lock
   /// anywhere on this path.

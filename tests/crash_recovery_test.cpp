@@ -240,6 +240,31 @@ TEST(Journal, RemovedJournalFileFailsTheNextRun) {
   EXPECT_EQ(m->journal()->status().error().code, util::Error::Code::kIoError);
 }
 
+// enable_journal(path) opens the file once: the committer's open truncates
+// it, and the journal only sets its marks.  Counting IO points on the path
+// alone, there is one before the first run's write, and failing it fails
+// enable_journal, so it is the `open`.
+TEST(Journal, EnableJournalOpensTheFileOnce) {
+  TempFile journal("/tmp/herc_journal_once.wal");
+  ASSERT_TRUE(util::write_file(journal.path, "stale\n").ok());
+  util::FsFaultPlan plan;
+  plan.path_filter = journal.path;
+  {
+    util::ScopedFaultFs counter(1, plan);
+    auto m = test::make_circuit_manager();
+    ASSERT_TRUE(m->enable_journal(journal.path).ok());
+    EXPECT_EQ(counter.fs().ops(), 1u);
+    EXPECT_EQ(slurp(journal.path), "");
+  }
+  plan.eio_on = {1};
+  util::ScopedFaultFs faults(1, plan);
+  auto m = test::make_circuit_manager();
+  auto st = m->enable_journal(journal.path);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, util::Error::Code::kIoError);
+  EXPECT_EQ(m->journal(), nullptr);
+}
+
 // A single-user journal writes each run's line itself, so the run whose
 // write fails sees the error at once, not at the next append.
 TEST(Journal, FailedWriteShowsRightAfterItsRun) {

@@ -150,7 +150,7 @@ TEST(SnapshotReclamation, RecoveryRebuildsIntoFreshEpochSequence) {
   EXPECT_GT(sn.at("epoch").as_int(), 1);
 
   shard.value()->simulate_crash();
-  auto recovered = srv::ProjectShard::recover("p", 120, options);
+  auto recovered = srv::ProjectShard::recover("p", options);
   ASSERT_TRUE(recovered.ok()) << recovered.error().str();
 
   // The recovered manager starts a fresh epoch sequence: exactly one view

@@ -94,7 +94,7 @@ TEST(SrvRecovery, CrashLosesNothingAcknowledged) {
   auto dead = shard.value()->apply(execute_request(99, "pat"));
   EXPECT_FALSE(dead.ok);  // a crashed shard refuses everything
 
-  auto recovered = ProjectShard::recover("p", 120, options_in(tmp));
+  auto recovered = ProjectShard::recover("p", options_in(tmp));
   ASSERT_TRUE(recovered.ok()) << recovered.error().str();
   // Everything acknowledged is back, byte for byte.
   EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()),
@@ -121,8 +121,8 @@ TEST(SrvRecovery, RecoveryIsDeterministic) {
                           std::filesystem::copy_options::overwrite_existing |
                               std::filesystem::copy_options::recursive);
   }
-  auto a = ProjectShard::recover("p", 120, options_in(copy_a));
-  auto b = ProjectShard::recover("p", 120, options_in(copy_b));
+  auto a = ProjectShard::recover("p", options_in(copy_a));
+  auto b = ProjectShard::recover("p", options_in(copy_b));
   ASSERT_TRUE(a.ok()) << a.error().str();
   ASSERT_TRUE(b.ok()) << b.error().str();
   EXPECT_EQ(hercules::save_to_json(a.value()->manager_for_test()),
@@ -150,7 +150,7 @@ TEST(SrvRecovery, KillMidLoadUnderConcurrency) {
   shard.value()->simulate_crash();
   for (auto& thread : threads) thread.join();
 
-  auto recovered = ProjectShard::recover("p", 120, options_in(tmp));
+  auto recovered = ProjectShard::recover("p", options_in(tmp));
   ASSERT_TRUE(recovered.ok()) << recovered.error().str();
   // acked => recovered.  (The WAL may hold MORE: lines flushed but not yet
   // acknowledged at the kill are legitimately replayed.)
@@ -218,7 +218,7 @@ TEST(SrvRecovery, MixedRequestStreamRecoversByteIdentically) {
   const std::string expected =
       hercules::save_to_json(shard.value()->manager_for_test());
   shard.value()->simulate_crash();
-  auto recovered = ProjectShard::recover("p", 120, options_in(tmp));
+  auto recovered = ProjectShard::recover("p", options_in(tmp));
   ASSERT_TRUE(recovered.ok()) << recovered.error().str();
   EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()),
             expected);
@@ -239,10 +239,44 @@ TEST(SrvRecovery, GroupCommitFlushesFewerThanLines) {
   EXPECT_GE(stats.batch_max, 2u);
 }
 
+// Opening a shard opens its WAL once: GroupCommitter::open truncates it,
+// and the journal only sets its marks.  Counting IO points on the WAL path
+// alone, a created and a recovered shard each make one before the first
+// write, and failing that one point fails the open, so it is the `open`.
+TEST(SrvRecovery, ShardOpenOpensTheWalOnce) {
+  TempDir tmp("walopen");
+  util::FsFaultPlan plan;
+  plan.path_filter = (tmp.dir / "p.wal").string();
+  {
+    util::ScopedFaultFs counter(1, plan);
+    auto created = ProjectShard::create("p", small_scenario(3), options_in(tmp));
+    ASSERT_TRUE(created.ok()) << created.error().str();
+    EXPECT_EQ(counter.fs().ops(), 1u);
+    ASSERT_TRUE(created.value()->apply(execute_request(1, "pat")).ok);
+    EXPECT_GT(counter.fs().ops(), 1u);  // the execute's write
+  }
+  {
+    util::ScopedFaultFs counter(1, plan);
+    auto recovered = ProjectShard::recover("p", options_in(tmp));
+    ASSERT_TRUE(recovered.ok()) << recovered.error().str();
+    EXPECT_EQ(counter.fs().ops(), 1u);
+  }
+  plan.eio_on = {1};
+  {
+    util::ScopedFaultFs faults(1, plan);
+    auto failed = ProjectShard::create("p", small_scenario(3), options_in(tmp));
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.error().code, util::Error::Code::kIoError);
+    EXPECT_NE(failed.error().message.find("open of"), std::string::npos)
+        << failed.error().message;
+  }
+}
+
 // Every line one mutation appends rides one ticket, so its lines share a
 // flush whatever the timing: 50 mutations of 3 lines each take at most 50
 // flushes.  An empty mutation gets no ticket, an append outside a mutation
-// gets its own, and the file holds every line in append order.
+// gets its own (the next mutation's ticket skips it), and the file holds
+// every line in append order.
 TEST(SrvRecovery, MutationLinesShareOneTicket) {
   TempDir tmp("mutation");
   const std::string path = (tmp.dir / "p.wal").string();
@@ -268,13 +302,18 @@ TEST(SrvRecovery, MutationLinesShareOneTicket) {
   EXPECT_EQ(empty.value(), 0u);
   ASSERT_TRUE(committer->append("bare").ok());
   expected += "bare\n";
-  EXPECT_EQ(committer->last_enqueued(), 51u);
+  committer->begin_mutation();
+  ASSERT_TRUE(committer->append("last").ok());
+  expected += "last\n";
+  auto last = committer->end_mutation();
+  ASSERT_TRUE(last.ok()) << last.error().str();
+  EXPECT_EQ(last.value(), 52u);
 
-  ASSERT_TRUE(committer->wait_durable(51).ok());
+  ASSERT_TRUE(committer->wait_durable(last.value()).ok());
   auto stats = committer->stats();
-  EXPECT_EQ(stats.lines, 151u);
-  EXPECT_EQ(stats.lines_flushed, 151u);
-  EXPECT_LE(stats.flushes, 51u);
+  EXPECT_EQ(stats.lines, 152u);
+  EXPECT_EQ(stats.lines_flushed, 152u);
+  EXPECT_LE(stats.flushes, 52u);
   EXPECT_GE(stats.batch_max, 3u);
   EXPECT_EQ(slurp(path), expected);
 }
@@ -391,7 +430,7 @@ TEST(SrvRecovery, DurableModeSyncsAndSurvivesShutdown) {
   shard.value().reset();
 
   auto recovered =
-      ProjectShard::recover("p", 120, options_in(tmp, /*durable=*/true));
+      ProjectShard::recover("p", options_in(tmp, /*durable=*/true));
   ASSERT_TRUE(recovered.ok()) << recovered.error().str();
   EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()),
             expected);

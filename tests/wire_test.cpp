@@ -312,10 +312,9 @@ TEST(Op, BareRequestsGetTheDocumentedDefaults) {
   open.set("scenario_seed", 7);
   auto parsed = op::parse_server_op(request_for("", "open", open));
   ASSERT_TRUE(parsed.ok()) << parsed.error().str();
-  const auto& spec = std::get<gen::ScenarioSpec>(std::get<op::Open>(parsed.value()).source);
-  EXPECT_EQ(spec.seed, 7u);
-  EXPECT_EQ(spec.shape, gen::ScenarioSpec{}.shape);
-  EXPECT_EQ(spec.size, gen::ScenarioSpec{}.size);
+  const auto& scenario = std::get<gen::Scenario>(std::get<op::Open>(parsed.value()).source);
+  EXPECT_EQ(gen::scenario_to_json(scenario).dump(),
+            gen::scenario_to_json(gen::generate(gen::ScenarioSpec{.seed = 7})).dump());
 }
 
 // Each typed field, given one wrong JSON type, is refused with kInvalid
@@ -341,7 +340,7 @@ TEST(Op, EveryTypedFieldRefusesAWrongJsonType) {
       {"p", "advance", "minutes", Json("30")},
       {"", "open", "name", Json(4)},         {"", "open", "scenario_seed", Json("1")},
       {"", "open", "shape", Json(7)},        {"", "open", "size", Json("3")},
-      {"", "open", "schema", Json(5)},       {"", "open", "recover", Json("yes")},
+      {"", "open", "recover", Json("yes")},
       {"", "close", "name", Json(1)},
   };
   for (const auto& c : cases) {
@@ -377,6 +376,15 @@ TEST(Op, ValuesOutsideTheirDomainAreRefused) {
   EXPECT_EQ(refused("", "open", "size", -1), Error::Code::kInvalid);
   EXPECT_EQ(refused("", "open", "shape", "bogus"), Error::Code::kParse);
   EXPECT_EQ(refused("", "open", "recover", false), std::nullopt);  // seed wins
+  // Without a scenario or `recover: true` there is nothing to open.
+  JsonObject unsourced;
+  unsourced.set("name", "x");
+  unsourced.set("schema", "schema x { data a; tool t; rule A: a <- t(); }");
+  auto unopened = parse_error_of(request_for("", "open", unsourced));
+  ASSERT_TRUE(unopened.has_value());
+  EXPECT_EQ(unopened->code, Error::Code::kInvalid);
+  EXPECT_EQ(unopened->message,
+            "open: args need one of scenario / scenario_seed / recover: true");
   EXPECT_EQ(refused("p", "frobnicate", "x", 1), Error::Code::kInvalid);
   EXPECT_EQ(refused("", "frobnicate", "x", 1), Error::Code::kInvalid);
   // An empty `strategy` keeps the default; keys an op does not read are

@@ -1,7 +1,8 @@
-// herc_load — closed-loop load driver for herc_srv.
+// herc_load — load driver for herc_srv: closed-loop designers, or with
+// --read-mix closed-loop readers beside writers paced at --rate.
 //
 //   herc_load --addr unix:/tmp/herc.sock --projects 8 --designers 4
-//             --duration 10 [--open-arrival --rate 20] [--read-every 5]
+//             --duration 10 [--read-every 5 | --read-mix 90 --rate 10]
 //   herc_load --spawn [--durable]  # in-process server
 //   herc_load --bench-json FILE    # append BENCH_BASELINE-format records
 //
@@ -30,8 +31,8 @@ using namespace herc;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--addr ADDR | --spawn) [--projects N] [--designers M]\n"
-               "          [--duration SECS[s]] [--open-arrival] [--rate R]\n"
-               "          [--read-every K] [--read-mix PCT] [--seed N]\n"
+               "          [--duration SECS[s]] [--read-every K]\n"
+               "          [--read-mix PCT [--rate R]] [--warmup N] [--seed N]\n"
                "          [--shape NAME] [--size N] [--durable]\n"
                "          [--dir DIR] [--bench-json FILE] [--quiet]\n",
                argv0);
@@ -64,8 +65,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--duration" && (v = next())) {
       options.duration = std::chrono::milliseconds(
           static_cast<std::int64_t>(std::atof(v) * 1000));
-    } else if (arg == "--open-arrival") {
-      options.arrival = srv::LoadOptions::Arrival::kOpen;
     } else if (arg == "--rate" && (v = next())) {
       options.rate_per_designer = std::atof(v);
     } else if (arg == "--read-every" && (v = next())) {

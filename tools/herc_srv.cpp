@@ -1,10 +1,14 @@
 // herc_srv — the multi-project Hercules server.
 //
 //   herc_srv --unix /tmp/herc.sock                 # unix-domain listener
-//   herc_srv --tcp 7421 [--host 0.0.0.0]           # tcp listener (0 = pick)
+//   herc_srv --tcp 7421 [--host 0.0.0.0]           # tcp port 0-65535 (0 = pick)
 //   herc_srv --dir DATA                            # where shard files live
 //   herc_srv --durable                             # fsync'd group commit
 //   herc_srv --open NAME=SEED[:shape:size] ...     # pre-open projects
+//
+// A project is opened from a generated scenario (--open, or the `open` op
+// with `scenario` or `scenario_seed`), or recovered from its files in --dir
+// (`open {recover: true}`).
 //
 // Each connection's requests run on that connection's own thread, in order.
 // Runs until SIGINT/SIGTERM or a `shutdown` wire op, then answers every
@@ -34,8 +38,8 @@ using namespace herc;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--unix PATH] [--tcp PORT] [--host HOST] [--dir DIR]\n"
-               "          [--durable] [--tool-minutes N]\n"
-               "          [--open NAME=SEED[:shape:size]]...\n",
+               "          [--durable] [--open NAME=SEED[:shape:size]]...\n"
+               "PORT is 0-65535 (0 = kernel-assigned).\n",
                argv0);
   return 2;
 }
@@ -51,6 +55,15 @@ void on_signal(int) {
 
 bool all_digits(const std::string& text) {
   return !text.empty() && text.find_first_not_of("0123456789") == std::string::npos;
+}
+
+/// A TCP port, 0-65535, in decimal digits only.
+bool parse_port(const std::string& text, int& out) {
+  if (!all_digits(text)) return false;
+  const unsigned long port = std::strtoul(text.c_str(), nullptr, 10);
+  if (port > 65535) return false;
+  out = static_cast<int>(port);
+  return true;
 }
 
 /// NAME=SEED[:shape:size] as the args of an `open` op.
@@ -92,8 +105,7 @@ int main(int argc, char** argv) {
       config.unix_path = v;
     } else if (arg == "--tcp") {
       const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.tcp_port = std::atoi(v);
+      if (!v || !parse_port(v, config.tcp_port)) return usage(argv[0]);
     } else if (arg == "--host") {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -104,10 +116,6 @@ int main(int argc, char** argv) {
       config.shard.dir = v;
     } else if (arg == "--durable") {
       config.shard.durable = true;
-    } else if (arg == "--tool-minutes") {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      config.tool_minutes = std::atoll(v);
     } else if (arg == "--open") {
       const char* v = next();
       util::JsonObject args;
