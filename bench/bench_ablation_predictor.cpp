@@ -47,7 +47,6 @@ std::vector<HistoryModel> history_models() {
 double mape(const HistoryModel& model, EstimateStrategy strategy, std::uint64_t seed) {
   util::Rng rng(seed);
   DurationEstimator est;
-  est.set_ewma_alpha(0.4);
   const int kSteps = 40;
   std::vector<cal::WorkDuration> history;
   double err_sum = 0;

@@ -58,11 +58,12 @@ constexpr const char* kHelp = R"(commands:
   faults tool <inst> [fail <p>] [latency <f>] [failon <k>...] [crashon <k>...]
   faults crashafter <n> | faults show | faults off
   journal on <file> | journal off  (crash-safe run journal; snapshot first)
-  recover <snapshot> <journal>     (rebuild a crashed project)
+  recover <snapshot> <journal>     (rebuild a crashed project, ready to run)
   advance <duration> | now
   trace on <file> | trace off   (Chrome/Perfetto trace of the project)
   stats [json]                  (event-bus counters and latency histograms)
-  save <file> | open <file>     (save replaces the file atomically)
+  save <file> | open <file>     (the whole project but its faults; save
+                                replaces the file atomically)
   remote connect unix:/path|tcp:host:port   (talk to a herc_srv instance)
   remote ping | projects | stats | disconnect
   remote open <name> [seed=N] [shape=S] [size=K] | remote close <name>
@@ -763,8 +764,7 @@ util::Result<std::string> CliSession::cmd_recover(const Args& args) {
   if (!recovered.ok()) return recovered.error();
   adopt(std::move(recovered).take());
   return "project recovered from '" + args[1] + "' + journal '" + args[2] +
-         "' (" + std::to_string(manager_->db().run_count()) +
-         " runs; re-register tools before executing)\n";
+         "' (" + std::to_string(manager_->db().run_count()) + " runs)\n";
 }
 
 util::Result<std::string> CliSession::cmd_trace(const Args& args) {
@@ -864,8 +864,7 @@ util::Result<std::string> CliSession::cmd_open(const Args& args) {
   auto loaded = hercules::load_from_json(text.value());
   if (!loaded.ok()) return loaded.error();
   adopt(std::move(loaded).take());
-  return "project loaded from '" + args[1] +
-         "' (re-register tools before executing)\n";
+  return "project loaded from '" + args[1] + "'\n";
 }
 
 util::Result<std::string> CliSession::cmd_remote(const Args& args) {

@@ -36,7 +36,8 @@
 //   journal on <file> | journal off            (crash-safe run journal)
 //   recover <snapshot> <journal>
 //   advance <duration>      now
-//   save <file> | open <file>                  (save is atomic: tmp + rename)
+//   save <file> | open <file>                  (the whole project but its
+//                                              faults; save is atomic)
 //   remote connect unix:/path|tcp:host:port    talk to a herc_srv instance
 //   remote ping|projects|stats|disconnect
 //   remote open <name> [seed=N] [shape=S] [size=K]   remote close <name>

@@ -66,8 +66,8 @@ cal::WorkDuration DurationEstimator::estimate_from(
     case EstimateStrategy::kEwma: {
       double acc = static_cast<double>(history.front().count_minutes());
       for (std::size_t i = 1; i < history.size(); ++i)
-        acc = ewma_alpha_ * static_cast<double>(history[i].count_minutes()) +
-              (1.0 - ewma_alpha_) * acc;
+        acc = kEwmaAlpha * static_cast<double>(history[i].count_minutes()) +
+              (1.0 - kEwmaAlpha) * acc;
       return cal::WorkDuration::minutes(static_cast<std::int64_t>(acc));
     }
     case EstimateStrategy::kPert: {

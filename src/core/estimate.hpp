@@ -38,6 +38,9 @@ enum class EstimateStrategy {
 
 class DurationEstimator {
  public:
+  /// EWMA smoothing factor: the weight of the newest observation.
+  static constexpr double kEwmaAlpha = 0.5;
+
   explicit DurationEstimator(cal::WorkDuration fallback = cal::WorkDuration::hours(8))
       : fallback_(fallback) {}
 
@@ -46,11 +49,14 @@ class DurationEstimator {
     intuition_[activity] = d;
   }
 
+  /// Every designer intuition, keyed by activity.
+  [[nodiscard]] const std::unordered_map<std::string, cal::WorkDuration>& intuitions()
+      const {
+    return intuition_;
+  }
+
   void set_fallback(cal::WorkDuration d) { fallback_ = d; }
   [[nodiscard]] cal::WorkDuration fallback() const { return fallback_; }
-
-  /// EWMA smoothing factor (weight of the newest observation), default 0.5.
-  void set_ewma_alpha(double a) { ewma_alpha_ = a; }
 
   /// Completed-run durations of `activity`, oldest first.
   [[nodiscard]] static std::vector<cal::WorkDuration> history(
@@ -72,7 +78,6 @@ class DurationEstimator {
 
   std::unordered_map<std::string, cal::WorkDuration> intuition_;
   cal::WorkDuration fallback_;
-  double ewma_alpha_ = 0.5;
 };
 
 }  // namespace herc::sched

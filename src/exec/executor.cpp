@@ -5,6 +5,22 @@
 
 namespace herc::exec {
 
+const char* failure_policy_name(FailurePolicy policy) {
+  switch (policy) {
+    case FailurePolicy::kAbort: return "abort";
+    case FailurePolicy::kRetryThenAbort: return "retry_then_abort";
+    case FailurePolicy::kContinueIndependent: return "continue_independent";
+  }
+  return "abort";
+}
+
+util::Result<FailurePolicy> parse_failure_policy(const std::string& name) {
+  if (name == "abort") return FailurePolicy::kAbort;
+  if (name == "retry_then_abort") return FailurePolicy::kRetryThenAbort;
+  if (name == "continue_independent") return FailurePolicy::kContinueIndependent;
+  return util::parse_error("unknown failure policy '" + name + "'");
+}
+
 namespace {
 
 /// Publishes the per-call fault counters on scope exit, so they reach the

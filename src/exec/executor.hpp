@@ -83,6 +83,12 @@ enum class FailurePolicy {
                          ///< dispatching independent subtrees (degraded result)
 };
 
+/// The policy's name in scenario files and snapshots: "abort",
+/// "retry_then_abort" or "continue_independent".
+[[nodiscard]] const char* failure_policy_name(FailurePolicy policy);
+/// Inverse of failure_policy_name; kParse for any other name.
+[[nodiscard]] util::Result<FailurePolicy> parse_failure_policy(const std::string& name);
+
 /// Per-execution failure semantics.  Defaults reproduce the seed behavior
 /// exactly: one attempt, no timeout, abort on first failure.
 struct ExecutionOptions {

@@ -12,6 +12,10 @@ util::Status ToolRegistry::add(ToolSpec spec) {
   if (spec.nominal.count_minutes() <= 0)
     return util::invalid("tool '" + spec.instance_name +
                          "': nominal duration must be positive");
+  if (!(spec.noise_frac >= 0 && spec.noise_frac <= 1) ||
+      !(spec.fail_rate >= 0 && spec.fail_rate <= 1))
+    return util::invalid("tool '" + spec.instance_name +
+                         "': noise and fail rate must lie in [0, 1]");
   if (tools_.count(spec.instance_name))
     return util::conflict("duplicate tool instance '" + spec.instance_name + "'");
   order_.push_back(spec.instance_name);
@@ -82,7 +86,7 @@ util::Result<ToolOutcome> ToolRegistry::invoke(const std::string& instance_name,
     return out;
   }
 
-  out.content = spec.behavior ? spec.behavior(inv) : default_tool_content(inv);
+  out.content = default_tool_content(inv);
   out.log = instance_name + ": produced " + inv.output_type + " (" +
             std::to_string(out.content.size()) + " bytes)";
   return out;

@@ -3,13 +3,13 @@
 //
 // The paper ran real Mentor/Odyssey tools; we substitute deterministic
 // simulated tools (see DESIGN.md).  A ToolSpec registers one *tool instance*
-// (e.g. "spice3f5@server1") of a Level-1 tool type, with a duration model
-// (nominal run time, optional multiplicative noise) and an optional custom
-// behaviour that synthesizes the output design data from the inputs.  All
-// randomness comes from one seeded RNG in the registry, so whole experiments
-// replay bit-identically.
+// (e.g. "spice3f5@server1") of a Level-1 tool type with a duration model
+// (nominal run time, optional multiplicative noise) and a failure rate.  A
+// spec is plain data, so a project snapshot carries its registry
+// (hercules/persist.hpp); a successful run's output is default_tool_content
+// of its inputs.  All randomness comes from one seeded RNG in the registry, so
+// whole experiments replay bit-identically.
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -40,8 +40,6 @@ struct ToolOutcome {
   bool fault_injected = false;  ///< failure came from the FaultInjector
 };
 
-using ToolBehavior = std::function<std::string(const ToolInvocation&)>;
-
 /// Registration record for one tool instance.
 struct ToolSpec {
   std::string instance_name;  ///< unique binding name, e.g. "spice3f5@server1"
@@ -49,7 +47,6 @@ struct ToolSpec {
   cal::WorkDuration nominal = cal::WorkDuration::hours(4);
   double noise_frac = 0.0;    ///< uniform +-fraction applied to nominal
   double fail_rate = 0.0;     ///< probability a run fails
-  ToolBehavior behavior;      ///< optional; default synthesizes generic content
 };
 
 /// Registry of tool instances, keyed by instance name.
@@ -57,7 +54,9 @@ class ToolRegistry {
  public:
   explicit ToolRegistry(std::uint64_t seed = 1) : rng_(seed) {}
 
-  /// Fails on duplicate instance names or empty fields.
+  /// Fails on duplicate instance names (kConflict), empty names, a nominal
+  /// that is not positive, or a noise_frac / fail_rate outside [0, 1]
+  /// (kInvalid).
   util::Status add(ToolSpec spec);
 
   [[nodiscard]] bool contains(const std::string& instance_name) const;
@@ -65,6 +64,8 @@ class ToolRegistry {
 
   /// All registered instances of a tool type.
   [[nodiscard]] std::vector<std::string> instances_of(const std::string& tool_type) const;
+  /// Every registered instance, in registration order.
+  [[nodiscard]] const std::vector<std::string>& instances() const { return order_; }
 
   /// Runs the simulated tool.  kNotFound if the binding is unknown;
   /// kInvalid if its type differs from `expected_tool_type`.  Throws
@@ -85,7 +86,7 @@ class ToolRegistry {
 
  private:
   std::unordered_map<std::string, ToolSpec> tools_;
-  std::vector<std::string> order_;  // registration order for instances_of
+  std::vector<std::string> order_;  // registration order
   util::Rng rng_;
   const FaultInjector* faults_ = nullptr;
   std::unordered_map<std::string, std::uint64_t> invocation_counts_;

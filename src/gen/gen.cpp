@@ -76,22 +76,6 @@ util::Result<DurationDist> parse_duration_dist(const std::string& name) {
 
 namespace {
 
-const char* policy_name(exec::FailurePolicy p) {
-  switch (p) {
-    case exec::FailurePolicy::kAbort: return "abort";
-    case exec::FailurePolicy::kRetryThenAbort: return "retry_then_abort";
-    case exec::FailurePolicy::kContinueIndependent: return "continue_independent";
-  }
-  return "abort";
-}
-
-util::Result<exec::FailurePolicy> parse_policy(const std::string& name) {
-  if (name == "abort") return exec::FailurePolicy::kAbort;
-  if (name == "retry_then_abort") return exec::FailurePolicy::kRetryThenAbort;
-  if (name == "continue_independent") return exec::FailurePolicy::kContinueIndependent;
-  return util::parse_error("unknown failure policy '" + name + "'");
-}
-
 util::Result<ExecMode> parse_exec_mode(const std::string& name) {
   if (name == "serial") return ExecMode::kSerial;
   if (name == "concurrent") return ExecMode::kConcurrent;
@@ -483,7 +467,7 @@ util::Json scenario_to_json(const Scenario& s) {
   spec.set("fail_on", static_cast<std::int64_t>(s.spec.fail_on));
   spec.set("latency_factor", s.spec.latency_factor);
   spec.set("mode", exec_mode_name(s.spec.mode));
-  spec.set("policy", policy_name(s.spec.policy));
+  spec.set("policy", exec::failure_policy_name(s.spec.policy));
   spec.set("max_attempts", static_cast<std::int64_t>(s.spec.max_attempts));
   spec.set("timeout_minutes", s.spec.timeout_minutes);
   spec.set("duration_dist", duration_dist_name(s.spec.duration_dist));
@@ -520,7 +504,7 @@ util::Json scenario_to_json(const Scenario& s) {
   doc.set("fault_seed", static_cast<std::int64_t>(s.fault_seed));
   doc.set("faults", exec::fault_plan_to_json(s.faults));
   doc.set("mode", exec_mode_name(s.mode));
-  doc.set("policy", policy_name(s.policy));
+  doc.set("policy", exec::failure_policy_name(s.policy));
   doc.set("max_attempts", static_cast<std::int64_t>(s.max_attempts));
   doc.set("timeout_minutes", s.timeout_minutes);
 
@@ -571,7 +555,7 @@ util::Result<Scenario> scenario_from_json(const util::Json& json) {
     auto mode = parse_exec_mode(spec.at("mode").as_string());
     if (!mode.ok()) return mode.error();
     s.spec.mode = mode.value();
-    auto policy = parse_policy(spec.at("policy").as_string());
+    auto policy = exec::parse_failure_policy(spec.at("policy").as_string());
     if (!policy.ok()) return policy.error();
     s.spec.policy = policy.value();
     s.spec.max_attempts = static_cast<int>(spec.at("max_attempts").as_int());
@@ -615,7 +599,7 @@ util::Result<Scenario> scenario_from_json(const util::Json& json) {
     auto mode2 = parse_exec_mode(doc.at("mode").as_string());
     if (!mode2.ok()) return mode2.error();
     s.mode = mode2.value();
-    auto policy2 = parse_policy(doc.at("policy").as_string());
+    auto policy2 = exec::parse_failure_policy(doc.at("policy").as_string());
     if (!policy2.ok()) return policy2.error();
     s.policy = policy2.value();
     s.max_attempts = static_cast<int>(doc.at("max_attempts").as_int());
@@ -666,24 +650,7 @@ std::vector<GenRequest> request_stream(const RequestStreamSpec& spec) {
     out.push_back(std::move(plan));
   }
   bool status_next = true;  // reads alternate status / stats
-  for (std::size_t i = 1; i < spec.count && out.size() < spec.count; ++i) {
-    // Bursty arrivals: an execute storm round-robined over every designer
-    // lands back-to-back (guarded so burst_prob == 0 draws nothing and the
-    // historical streams stay byte-identical).
-    if (spec.burst_prob > 0 && rng.chance(spec.burst_prob)) {
-      std::int64_t lo = spec.burst_len_lo < 1 ? 1 : spec.burst_len_lo;
-      std::int64_t hi = spec.burst_len_hi < lo ? lo : spec.burst_len_hi;
-      std::int64_t len = rng.uniform_int(lo, hi);
-      for (std::int64_t b = 0; b < len && out.size() < spec.count; ++b) {
-        GenRequest burst;
-        burst.op = "execute";
-        burst.args.set("designer",
-                       "designer" + std::to_string(b % static_cast<std::int64_t>(
-                                                           designers)));
-        out.push_back(std::move(burst));
-      }
-      continue;
-    }
+  for (std::size_t i = 1; i < spec.count; ++i) {
     GenRequest r;
     const double roll = rng.uniform();
     if (roll < advance_f) {

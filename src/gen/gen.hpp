@@ -219,13 +219,6 @@ struct RequestStreamSpec {
   double advance_fraction = 0.05;
   std::int64_t advance_minutes_lo = 30;
   std::int64_t advance_minutes_hi = 480;
-
-  // Bursty arrivals: with probability `burst_prob` per drawn op, a
-  // back-to-back run of executes lands instead, round-robined across the
-  // whole designer pool — the multi-designer contention shape production
-  // traffic shows.  0 keeps the historical smooth mix byte-identical.
-  double burst_prob = 0.0;
-  std::int64_t burst_len_lo = 4, burst_len_hi = 12;
 };
 
 /// Deterministically expands the spec: identical specs yield identical

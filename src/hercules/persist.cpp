@@ -1,6 +1,8 @@
 #include "hercules/persist.hpp"
 
 #include <charconv>
+#include <limits>
+#include <map>
 
 #include "hercules/journal.hpp"
 #include "hercules/persist_detail.hpp"
@@ -30,6 +32,37 @@ std::optional<cal::WorkInstant> optional_instant_of(const Json& j) {
   return instant_of(j);
 }
 
+constexpr std::string_view kFormat = "hercsched-db-v2";
+
+/// A configured duration (estimate, backoff, timeout): whole minutes, never
+/// negative.
+util::Result<cal::WorkDuration> config_minutes(const Json& j, const std::string& what) {
+  if (j.as_int() < 0) return util::invalid(what + ": negative duration");
+  return cal::WorkDuration::minutes(j.as_int());
+}
+
+Json retry_json(const exec::RetryPolicy& policy) {
+  JsonObject o;
+  o.set("max_attempts", policy.max_attempts);
+  o.set("backoff", policy.backoff.count_minutes());
+  o.set("timeout", policy.timeout.count_minutes());
+  return Json(std::move(o));
+}
+
+util::Result<exec::RetryPolicy> retry_of(const Json& j, const std::string& what) {
+  const JsonObject& o = j.as_object();
+  const std::int64_t attempts = o.at("max_attempts").as_int();
+  if (attempts < 1 || attempts > std::numeric_limits<int>::max())
+    return util::invalid(what + ": max_attempts must be at least 1");
+  auto backoff = config_minutes(o.at("backoff"), what);
+  if (!backoff.ok()) return backoff.error();
+  auto timeout = config_minutes(o.at("timeout"), what);
+  if (!timeout.ok()) return timeout.error();
+  return exec::RetryPolicy{.max_attempts = static_cast<int>(attempts),
+                           .backoff = backoff.value(),
+                           .timeout = timeout.value()};
+}
+
 }  // namespace
 
 /// Friend of WorkflowManager; does the actual field-level work.
@@ -37,7 +70,7 @@ class Persistence {
  public:
   static std::string save(const WorkflowManager& m) {
     JsonObject root;
-    root.set("format", "hercsched-db-v1");
+    root.set("format", std::string(kFormat));
     root.set("schema_dsl", m.schema_->to_dsl());
 
     // Calendar.
@@ -78,6 +111,8 @@ class Persistence {
       }
       root.set("resources", std::move(arr));
     }
+
+    save_config(m, root);
 
     // Level 4.
     {
@@ -208,6 +243,87 @@ class Persistence {
     return Json(std::move(root)).dump(2) + "\n";
   }
 
+  /// The project's configuration: the tool registry in registration order,
+  /// the estimator (intuitions sorted by activity) and the execution
+  /// options (per-tool retry sorted by instance).
+  static void save_config(const WorkflowManager& m, JsonObject& root) {
+    JsonArray tools;
+    for (const auto& name : m.tools_->instances()) {
+      const exec::ToolSpec& spec = m.tools_->spec(name);
+      JsonObject o;
+      o.set("instance", spec.instance_name);
+      o.set("type", spec.tool_type);
+      o.set("nominal", spec.nominal.count_minutes());
+      o.set("noise_frac", spec.noise_frac);
+      o.set("fail_rate", spec.fail_rate);
+      tools.emplace_back(std::move(o));
+    }
+    root.set("tools", std::move(tools));
+
+    JsonObject estimator;
+    estimator.set("fallback", m.estimator_.fallback().count_minutes());
+    JsonObject intuitions;
+    for (const auto& [activity, d] :
+         std::map(m.estimator_.intuitions().begin(), m.estimator_.intuitions().end()))
+      intuitions.set(activity, d.count_minutes());
+    estimator.set("intuitions", std::move(intuitions));
+    root.set("estimator", std::move(estimator));
+
+    const exec::ExecutionOptions& opts = m.exec_options_;
+    JsonObject exec_o;
+    exec_o.set("on_failure", exec::failure_policy_name(opts.on_failure));
+    exec_o.set("retry", retry_json(opts.retry));
+    JsonObject tool_retry;
+    for (const auto& [instance, policy] :
+         std::map(opts.tool_retry.begin(), opts.tool_retry.end()))
+      tool_retry.set(instance, retry_json(policy));
+    exec_o.set("tool_retry", std::move(tool_retry));
+    root.set("exec_options", std::move(exec_o));
+  }
+
+  /// Restores save_config's sections.  Tools go through register_tool, so a
+  /// spec registration refuses is refused here too.  The saved estimator
+  /// replaces the one create() seeded from the schema's [est] attributes.
+  static util::Status load_config(const JsonObject& root, WorkflowManager& m) {
+    for (const auto& t : root.at("tools").as_array()) {
+      const auto& o = t.as_object();
+      auto st = m.register_tool(
+          {.instance_name = o.at("instance").as_string(),
+           .tool_type = o.at("type").as_string(),
+           .nominal = cal::WorkDuration::minutes(o.at("nominal").as_int()),
+           .noise_frac = o.at("noise_frac").as_double(),
+           .fail_rate = o.at("fail_rate").as_double()});
+      if (!st.ok()) return st;
+    }
+
+    const JsonObject& est_o = root.at("estimator").as_object();
+    auto fallback = config_minutes(est_o.at("fallback"), "estimator fallback");
+    if (!fallback.ok()) return fallback.error();
+    sched::DurationEstimator estimator(fallback.value());
+    for (const auto& [activity, minutes] : est_o.at("intuitions").as_object()) {
+      auto d = config_minutes(minutes, "estimate for '" + activity + "'");
+      if (!d.ok()) return d.error();
+      estimator.set_intuition(activity, d.value());
+    }
+    m.estimator_ = std::move(estimator);
+
+    const JsonObject& exec_o = root.at("exec_options").as_object();
+    exec::ExecutionOptions opts;
+    auto policy = exec::parse_failure_policy(exec_o.at("on_failure").as_string());
+    if (!policy.ok()) return policy.error();
+    opts.on_failure = policy.value();
+    auto retry = retry_of(exec_o.at("retry"), "retry");
+    if (!retry.ok()) return retry.error();
+    opts.retry = retry.value();
+    for (const auto& [instance, rj] : exec_o.at("tool_retry").as_object()) {
+      auto per_tool = retry_of(rj, "retry for '" + instance + "'");
+      if (!per_tool.ok()) return per_tool.error();
+      opts.tool_retry.emplace(instance, per_tool.value());
+    }
+    m.set_exec_options(std::move(opts));
+    return util::Status::ok_status();
+  }
+
   static util::Result<std::unique_ptr<WorkflowManager>> load(std::string_view text) {
     auto parsed = Json::parse(text);
     if (!parsed.ok()) return parsed.error();
@@ -216,7 +332,7 @@ class Persistence {
     const JsonObject& root = root_json.as_object();
 
     try {
-      if (root.at("format").as_string() != "hercsched-db-v1")
+      if (root.at("format").as_string() != kFormat)
         return util::invalid("unknown database format '" +
                              root.at("format").as_string() + "'");
 
@@ -258,6 +374,8 @@ class Persistence {
           if (!st.ok()) return st.error();
         }
       }
+
+      if (auto st = load_config(root, *m); !st.ok()) return st.error();
 
       for (const auto& d : root.at("data_objects").as_array()) {
         auto st = detail::restore_data_object(*m->store_, d.as_object());

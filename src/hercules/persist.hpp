@@ -1,14 +1,22 @@
 #pragma once
 // Persistence of the Hercules database to JSON.
 //
-// Everything a project needs to resume is saved: schema (as DSL), calendar,
-// virtual clock, resources, Level-4 data objects, both Level-3 spaces
+// A snapshot (format "hercsched-db-v2") holds the whole project: schema (as
+// DSL), calendar, virtual clock, resources, the configuration — tool
+// registry (instance, type, nominal, noise, fail rate; registration order),
+// estimator (fallback and every intuition, including those the schema's
+// [est] attributes seeded) and execution options (failure policy, retry,
+// per-tool retry) — then the Level-4 data objects, both Level-3 spaces
 // (instances/runs and plans/schedule-nodes/links), extracted task trees with
-// their bindings, and which plan each task tracks.
+// their bindings, and which plan each task tracks.  A loaded project plans
+// and executes like the one saved, with no setup after the load.
 //
-// NOT saved: the tool registry (tool specs contain behaviour closures;
-// re-register tools after loading) and therefore the simulated-tool RNG
-// position.  save -> load -> save is a byte-identical fixed point (tested).
+// NOT saved: the fault injector and the tool RNG position.  Both are cursors
+// over the running process's tool-invocation counts, which journal replay
+// does not advance, so a saved fault plan would re-fire its indexed faults
+// after every restart; a loaded project has no injector and a fresh RNG.
+// Any other format is refused.  save -> load -> save is a byte-identical
+// fixed point (tested).
 
 #include <memory>
 #include <string>

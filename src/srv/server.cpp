@@ -231,10 +231,18 @@ wire::Response Server::handle_server_op(const wire::Request& request) {
 }
 
 wire::Response Server::handle_open(std::uint64_t id, const op::Open& opening) {
-  std::lock_guard<std::mutex> lock(shards_mu_);
-  if (shards_.count(opening.name) != 0) {
-    return wire::Response::failure(
-        id, Error{Error::Code::kConflict, "project '" + opening.name + "' already open"});
+  // Reserve the name under shards_mu_, then build or recover the shard
+  // outside it: every request looks its shard up under that mutex, and none
+  // should wait behind another project's recovery.
+  {
+    std::lock_guard<std::mutex> lock(shards_mu_);
+    if (shards_.count(opening.name) != 0)
+      return wire::Response::failure(
+          id, Error{Error::Code::kConflict, "project '" + opening.name + "' already open"});
+    if (!opening_.insert(opening.name).second)
+      return wire::Response::failure(
+          id, Error{Error::Code::kConflict,
+                    "project '" + opening.name + "' is being opened"});
   }
   auto shard = std::visit(
       op::Overloaded{
@@ -243,6 +251,8 @@ wire::Response Server::handle_open(std::uint64_t id, const op::Open& opening) {
           },
           [&](const op::Recover&) { return ProjectShard::recover(opening.name, config_.shard); }},
       opening.source);
+  std::lock_guard<std::mutex> lock(shards_mu_);
+  opening_.erase(opening.name);
   if (!shard.ok()) return wire::Response::failure(id, shard.error());
   JsonObject result;
   result.set("project", opening.name);

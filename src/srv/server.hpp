@@ -12,7 +12,10 @@
 // dispatched with std::visit; any other request goes to its project's shard,
 // which parses it the same way (op::parse_project_op).  `open` creates a
 // shard from a scenario (ProjectShard::create) or rebuilds one from its
-// directory (ProjectShard::recover).
+// directory (ProjectShard::recover).  It reserves the name under the
+// registry mutex, builds the shard outside it, then registers the shard, so
+// requests to other projects never wait behind a recovery; a second `open`
+// of a reserved name is a conflict.
 //
 // A session's reader thread parses each request, runs it and answers it
 // before it parses the next frame, so responses on one connection return in
@@ -29,16 +32,17 @@
 //
 // Graceful shutdown (stop(), also triggered by the `shutdown` op or a signal
 // in tools/herc_srv): stop accepting, shut the read side of every session,
-// join the readers — each finishes and answers what it has already parsed —
-// then per shard a final group commit + snapshot.  A SIGKILL instead loses
-// nothing acknowledged: recovery replays each shard's snapshot + WAL (tests
-// assert byte-identity).
+// join the readers — each finishes and answers what it has already parsed,
+// an `open` in flight included — then per shard a final group commit +
+// snapshot.  A SIGKILL instead loses nothing acknowledged: recovery replays
+// each shard's snapshot + WAL (tests assert byte-identity).
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +146,7 @@ class Server {
 
   std::mutex shards_mu_;
   std::map<std::string, std::shared_ptr<ProjectShard>> shards_;
+  std::set<std::string> opening_;  ///< names reserved by an `open` in flight
 
   std::thread accept_thread_;
 

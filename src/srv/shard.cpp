@@ -33,22 +33,6 @@ Json execution_json(const exec::ExecutionResult& result,
 constexpr std::chrono::microseconds kReaderBackoff{150};
 constexpr std::chrono::microseconds kReaderBackoffCap{8000};
 
-// Nominal runtime of the simulated tools a recovered project runs with.
-constexpr std::int64_t kRecoveredToolMinutes = 120;
-
-/// Registers one simulated "<type>1" instance per tool type.  Tool closures
-/// are never persisted, so a recovered registry starts empty and no name is
-/// taken.
-void register_default_tools(hercules::WorkflowManager& manager) {
-  for (const auto& type : manager.schema().types()) {
-    if (type.kind != schema::EntityKind::kTool) continue;
-    (void)manager.register_tool(
-        {.instance_name = type.name + "1",
-         .tool_type = type.name,
-         .nominal = cal::WorkDuration::minutes(kRecoveredToolMinutes)});
-  }
-}
-
 }  // namespace
 
 ProjectShard::ProjectShard(std::string name, ShardOptions options)
@@ -106,7 +90,6 @@ util::Result<std::unique_ptr<ProjectShard>> ProjectShard::recover(
   if (!recovered.ok()) return recovered.error();
   shard->recovered_ = true;
   shard->manager_ = std::move(recovered).take();
-  register_default_tools(*shard->manager_);
   // start_journal re-snapshots, so the WAL that fed this recovery is folded
   // in before it is truncated.
   auto st = shard->start_journal();

@@ -72,10 +72,12 @@ class ProjectShard {
       const std::string& name, const gen::Scenario& scenario,
       const ShardOptions& options);
 
-  /// Reopens a project from its snapshot + WAL after a crash or restart,
-  /// registers a simulated "<type>1" instance for every tool type (tool
-  /// closures are never persisted), and restarts journaling from a fresh
-  /// post-recovery snapshot.  Recovery is resilient:
+  /// Reopens a project from its snapshot + WAL after a crash or restart
+  /// and restarts journaling from a fresh post-recovery snapshot.  The
+  /// snapshot carries the project's tools, estimator and execution options
+  /// (hercules/persist.hpp), so the recovered project plans and executes
+  /// like the one that was saved; recovery registers nothing.  It comes
+  /// back without a fault injector.  Recovery is resilient:
   /// a torn WAL tail is dropped, mid-stream corruption stops replay at the
   /// last verified record and quarantines the damaged file (see
   /// hercules::RecoveryStats); what happened is surfaced under

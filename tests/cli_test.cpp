@@ -349,6 +349,34 @@ TEST(Cli, SaveAndOpenRoundTrip) {
   std::remove(path);
 }
 
+TEST(Cli, OpenedProjectExecutesWithoutToolCommands) {
+  // The saved file holds the tools, estimates and retry settings, so the
+  // opened project runs like the one saved, with no setup commands.
+  const char* path = "/tmp/herc_cli_config.json";
+  std::string twin_now;
+  {
+    CliSession s = circuit_session();
+    ok(s, "estimate fallback 3h");
+    ok(s, "onfail retry");
+    ok(s, "retry 2 tool spice");
+    ok(s, "plan adder");
+    ok(s, std::string("save ") + path);
+    ok(s, "execute adder alice");
+    twin_now = ok(s, "now");
+  }
+  CliSession s2;
+  ok(s2, std::string("open ") + path);
+  auto out = ok(s2, "execute adder alice");
+  EXPECT_NE(out.find("execution complete"), std::string::npos);
+  EXPECT_EQ(ok(s2, "now"), twin_now);  // the same 14h + 6h tools ran
+  EXPECT_EQ(s2.manager()->estimator().fallback().count_minutes(), 180);
+  EXPECT_EQ(s2.manager()->estimator().intuitions().at("Create").count_minutes(), 2 * 480);
+  EXPECT_EQ(s2.manager()->exec_options().on_failure,
+            exec::FailurePolicy::kRetryThenAbort);
+  EXPECT_EQ(s2.manager()->exec_options().tool_retry.at("spice").max_attempts, 2);
+  std::remove(path);
+}
+
 TEST(Cli, RetryAndOnfailConfigureExecution) {
   CliSession s = circuit_session();
   // A retry policy under the default abort policy earns a hint.

@@ -39,19 +39,10 @@ TEST(Estimator, MeanAverages) {
 
 TEST(Estimator, EwmaWeightsNewest) {
   DurationEstimator est;
-  est.set_ewma_alpha(0.5);
   // 100 -> 0.5*200+0.5*100 = 150 -> 0.5*400+0.5*150 = 275
   EXPECT_EQ(est.estimate_from(durations({100, 200, 400}), EstimateStrategy::kEwma)
                 .count_minutes(),
             275);
-}
-
-TEST(Estimator, EwmaAlphaOneIsLast) {
-  DurationEstimator est;
-  est.set_ewma_alpha(1.0);
-  EXPECT_EQ(est.estimate_from(durations({100, 200, 400}), EstimateStrategy::kEwma)
-                .count_minutes(),
-            400);
 }
 
 TEST(Estimator, PertThreePoint) {

@@ -252,50 +252,6 @@ TEST(GenHeavyTail, DistributionNamesRoundTrip) {
   EXPECT_FALSE(parse_duration_dist("cauchy").ok());
 }
 
-TEST(GenBursty, ZeroProbabilityKeepsTheHistoricalStreamShape) {
-  RequestStreamSpec smooth{.seed = 21, .count = 60};
-  RequestStreamSpec with_knobs = smooth;
-  with_knobs.burst_len_lo = 2;  // knobs are inert while burst_prob == 0
-  with_knobs.burst_len_hi = 3;
-  auto a = request_stream(smooth);
-  auto b = request_stream(with_knobs);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].op, b[i].op);
-}
-
-TEST(GenBursty, BurstsLandBackToBackAcrossTheDesignerPool) {
-  RequestStreamSpec spec{.seed = 22, .count = 120, .designers = 3};
-  spec.burst_prob = 0.5;
-  spec.burst_len_lo = 4;
-  spec.burst_len_hi = 6;
-  auto stream = request_stream(spec);
-  EXPECT_LE(stream.size(), spec.count);
-  // Deterministic under the same seed.
-  auto again = request_stream(spec);
-  ASSERT_EQ(stream.size(), again.size());
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(stream[i].op, again[i].op);
-    if (stream[i].args.contains("designer")) {
-      EXPECT_EQ(stream[i].args.at("designer").as_string(),
-                again[i].args.at("designer").as_string());
-    }
-  }
-  // Find a burst: >= burst_len_lo consecutive executes cycling designer0,
-  // designer1, designer2 in order.
-  bool found_burst = false;
-  std::size_t run = 0;
-  for (const auto& r : stream) {
-    if (r.op == "execute" &&
-        r.args.at("designer").as_string() ==
-            "designer" + std::to_string(run % 3)) {
-      if (++run >= 4) found_burst = true;
-    } else {
-      run = 0;
-    }
-  }
-  EXPECT_TRUE(found_burst) << "no round-robin execute storm in 120 requests";
-}
-
 TEST(Gen, FaultSeedMaterializesWildcardInjector) {
   Scenario clean = generate({.seed = 8, .shape = Shape::kChain, .size = 4});
   EXPECT_TRUE(clean.faults.tools.empty());

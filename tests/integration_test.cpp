@@ -163,34 +163,12 @@ class Torture : public ::testing::TestWithParam<std::uint64_t> {
         EXPECT_TRUE(loaded.ok()) << loaded.error().str();
         if (loaded.ok()) {
           EXPECT_EQ(hercules::save_to_json(*loaded.value()), saved);
+          // The snapshot carries the tools: execution goes on as before.
           m_ = std::move(loaded).take();
-          // Tools are not persisted: re-register.
-          reset_tools();
         }
         return "persist";
       }
     }
-  }
-
-  void reset_tools() {
-    m_->register_tool({.instance_name = "dc",
-                       .tool_type = "synthesizer",
-                       .nominal = cal::WorkDuration::hours(10)})
-        .expect("tool");
-    m_->register_tool({.instance_name = "pl",
-                       .tool_type = "placer",
-                       .nominal = cal::WorkDuration::hours(12)})
-        .expect("tool");
-    m_->register_tool({.instance_name = "rt",
-                       .tool_type = "router",
-                       .nominal = cal::WorkDuration::hours(20)})
-        .expect("tool");
-    m_->register_tool({.instance_name = "dc-flaky",
-                       .tool_type = "synthesizer",
-                       .nominal = cal::WorkDuration::hours(10),
-                       .noise_frac = 0.3,
-                       .fail_rate = 0.2})
-        .expect("tool");
   }
 
   std::unique_ptr<hercules::WorkflowManager> m_;

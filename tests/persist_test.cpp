@@ -71,11 +71,7 @@ TEST(Persist, ReloadedStateIsEquivalent) {
 TEST(Persist, ReloadedManagerKeepsWorking) {
   auto m = full_scenario();
   auto loaded = load_from_json(save_to_json(*m)).take();
-  // Tools are NOT persisted (documented); re-register and keep executing.
-  loaded->register_tool({.instance_name = "spice@s1",
-                         .tool_type = "simulator",
-                         .nominal = cal::WorkDuration::hours(6)})
-      .expect("tool");
+  // The snapshot carries the tool registry: execution needs no setup.
   auto iter = loaded->run_activity("adder", "Simulate", "carol");
   ASSERT_TRUE(iter.ok()) << iter.error().str();
   // Versions continue from the persisted state, not from 1.
@@ -95,6 +91,146 @@ TEST(Persist, RejectsMalformedInput) {
   EXPECT_FALSE(load_from_json("not json").ok());
   EXPECT_FALSE(load_from_json("{}").ok());  // missing fields
   EXPECT_FALSE(load_from_json(R"({"format": "something-else"})").ok());
+}
+
+/// A manager whose configuration differs from every default: a tool with
+/// noise and a fail rate, an intuition that overrides the schema's [est],
+/// a fallback, a failure policy and per-tool retry.
+std::unique_ptr<WorkflowManager> configured_scenario() {
+  auto m = hercules::WorkflowManager::create(
+                R"(schema circuit {
+                     data netlist, stimuli, performance;
+                     tool netlist_editor, simulator;
+                     rule Create:   netlist     <- netlist_editor() [est 2d];
+                     rule Simulate: performance <- simulator(netlist, stimuli) [est 3h];
+                   })")
+               .take();
+  m->register_tool({.instance_name = "ned",
+                    .tool_type = "netlist_editor",
+                    .nominal = cal::WorkDuration::minutes(95)})
+      .expect("tool");
+  m->register_tool({.instance_name = "spice@s1",
+                    .tool_type = "simulator",
+                    .nominal = cal::WorkDuration::minutes(370),
+                    .noise_frac = 0.3,
+                    .fail_rate = 0.25})
+      .expect("tool");
+  m->estimator().set_intuition("Create", cal::WorkDuration::minutes(700));
+  m->estimator().set_intuition("Extract", cal::WorkDuration::minutes(45));
+  m->estimator().set_fallback(cal::WorkDuration::minutes(333));
+  exec::ExecutionOptions opts;
+  opts.on_failure = exec::FailurePolicy::kContinueIndependent;
+  opts.retry = {.max_attempts = 2, .timeout = cal::WorkDuration::minutes(600)};
+  opts.tool_retry["spice@s1"] = {.max_attempts = 4,
+                                 .backoff = cal::WorkDuration::minutes(0),
+                                 .timeout = cal::WorkDuration::minutes(500)};
+  opts.tool_retry["ned"] = {.max_attempts = 3};
+  m->set_exec_options(std::move(opts));
+  return m;
+}
+
+TEST(Persist, ConfigurationSurvivesSaveLoadSave) {
+  auto m = configured_scenario();
+  const std::string once = save_to_json(*m);
+  auto loaded = load_from_json(once);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().str();
+  WorkflowManager& r = *loaded.value();
+  EXPECT_EQ(save_to_json(r), once);
+
+  ASSERT_EQ(r.tools().instances(), (std::vector<std::string>{"ned", "spice@s1"}));
+  const exec::ToolSpec& spice = r.tools().spec("spice@s1");
+  EXPECT_EQ(spice.tool_type, "simulator");
+  EXPECT_EQ(spice.nominal.count_minutes(), 370);
+  EXPECT_EQ(spice.noise_frac, 0.3);
+  EXPECT_EQ(spice.fail_rate, 0.25);
+  EXPECT_EQ(r.tools().spec("ned").nominal.count_minutes(), 95);
+
+  // The saved intuition wins over the schema's [est 2d]; the schema-seeded
+  // Simulate estimate and the intuition for an activity outside the schema
+  // come back too.
+  EXPECT_EQ(r.estimator().intuitions(), m->estimator().intuitions());
+  EXPECT_EQ(r.estimator().intuitions().at("Create").count_minutes(), 700);
+  EXPECT_EQ(r.estimator().intuitions().at("Simulate").count_minutes(), 180);
+  EXPECT_EQ(r.estimator().fallback().count_minutes(), 333);
+
+  const exec::ExecutionOptions& opts = r.exec_options();
+  EXPECT_EQ(opts.on_failure, exec::FailurePolicy::kContinueIndependent);
+  EXPECT_EQ(opts.retry.max_attempts, 2);
+  EXPECT_EQ(opts.retry.timeout.count_minutes(), 600);
+  ASSERT_EQ(opts.tool_retry.size(), 2u);
+  EXPECT_EQ(opts.tool_retry.at("spice@s1").max_attempts, 4);
+  EXPECT_EQ(opts.tool_retry.at("spice@s1").timeout.count_minutes(), 500);
+  EXPECT_EQ(opts.tool_retry.at("ned").max_attempts, 3);
+}
+
+TEST(Persist, V1DocumentIsRefused) {
+  // A v1 snapshot lacks the configuration a loaded project runs with.
+  auto doc = util::Json::parse(save_to_json(*configured_scenario())).take();
+  doc.as_object().set("format", "hercsched-db-v1");
+  auto loaded = load_from_json(doc.dump(2));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalid);
+  EXPECT_NE(loaded.error().message.find("unknown database format"), std::string::npos)
+      << loaded.error().str();
+}
+
+TEST(Persist, RefusedToolEntriesFailTheLoad) {
+  const std::string text = save_to_json(*configured_scenario());
+  auto mutate = [&](auto&& fn) {
+    auto doc = util::Json::parse(text).take();
+    fn(doc.as_object().at("tools").as_array());
+    return load_from_json(doc.dump(2));
+  };
+  auto zero_nominal = mutate([](util::JsonArray& tools) {
+    tools[1].as_object().set("nominal", 0);
+  });
+  ASSERT_FALSE(zero_nominal.ok());
+  EXPECT_EQ(zero_nominal.error().code, util::Error::Code::kInvalid);
+  auto duplicate = mutate([](util::JsonArray& tools) {
+    tools[1].as_object().set("instance", "ned");
+  });
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.error().code, util::Error::Code::kConflict);
+  auto bad_rate = mutate([](util::JsonArray& tools) {
+    tools[1].as_object().set("fail_rate", 2.5);
+  });
+  ASSERT_FALSE(bad_rate.ok());
+  EXPECT_EQ(bad_rate.error().code, util::Error::Code::kInvalid);
+  auto wrong_type = mutate([](util::JsonArray& tools) {
+    tools[0].as_object().set("nominal", "95m");
+  });
+  ASSERT_FALSE(wrong_type.ok());
+  EXPECT_EQ(wrong_type.error().code, util::Error::Code::kParse);
+}
+
+TEST(Persist, ConfigurationOutOfRangeIsRefused) {
+  const std::string text = save_to_json(*configured_scenario());
+  auto mutate = [&](auto&& fn) {
+    auto doc = util::Json::parse(text).take();
+    fn(doc.as_object());
+    return load_from_json(doc.dump(2));
+  };
+  auto negative_estimate = mutate([](util::JsonObject& doc) {
+    doc.at("estimator").as_object().at("intuitions").as_object().set("Create", -5);
+  });
+  ASSERT_FALSE(negative_estimate.ok());
+  EXPECT_EQ(negative_estimate.error().code, util::Error::Code::kInvalid);
+  auto no_attempts = mutate([](util::JsonObject& doc) {
+    doc.at("exec_options").as_object().at("retry").as_object().set("max_attempts", 0);
+  });
+  ASSERT_FALSE(no_attempts.ok());
+  EXPECT_EQ(no_attempts.error().code, util::Error::Code::kInvalid);
+  auto negative_backoff = mutate([](util::JsonObject& doc) {
+    doc.at("exec_options").as_object().at("tool_retry").as_object().at("ned")
+        .as_object().set("backoff", -1);
+  });
+  ASSERT_FALSE(negative_backoff.ok());
+  EXPECT_EQ(negative_backoff.error().code, util::Error::Code::kInvalid);
+  auto unknown_policy = mutate([](util::JsonObject& doc) {
+    doc.at("exec_options").as_object().set("on_failure", "sometimes");
+  });
+  ASSERT_FALSE(unknown_policy.ok());
+  EXPECT_EQ(unknown_policy.error().code, util::Error::Code::kParse);
 }
 
 TEST(Persist, RejectsTamperedIds) {
@@ -139,16 +275,19 @@ TEST(Persist, MalformedDocumentCorpusRejectedCleanly) {
   // Structurally valid JSON with broken content: every case must produce a
   // kParse/kInvalid/kConflict error, never a crash or an UB read.
   const char* corpus[] = {
-      R"({"format": "hercsched-db-v1"})",              // missing sections
-      R"({"format": "hercsched-db-v1", "schema": 7})", // wrong type
-      R"({"format": "hercsched-db-v1", "schema": "not a schema"})",
+      R"({"format": "hercsched-db-v2"})",              // missing sections
+      R"({"format": "hercsched-db-v2", "schema": 7})", // wrong type
+      R"({"format": "hercsched-db-v2", "schema": "not a schema"})",
       "[1, 2, 3]",                                     // not an object
       "null",
-      "\"hercsched-db-v1\"",
+      "\"hercsched-db-v2\"",
   };
   for (const char* text : corpus) {
     auto loaded = load_from_json(text);
     ASSERT_FALSE(loaded.ok()) << text;
+    // Refused for its content, not for its format.
+    EXPECT_EQ(loaded.error().message.find("unknown database format"), std::string::npos)
+        << text;
   }
 }
 

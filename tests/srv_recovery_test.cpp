@@ -103,6 +103,87 @@ TEST(SrvRecovery, CrashLosesNothingAcknowledged) {
   EXPECT_EQ(stats.as_object().at("run_count").as_int(), acked_runs);
 }
 
+wire::Request project_request(std::uint64_t id, const std::string& op,
+                              JsonObject args = {}) {
+  wire::Request request;
+  request.id = id;
+  request.project = "p";
+  request.op = op;
+  request.args = std::move(args);
+  return request;
+}
+
+/// A scenario whose configuration differs from the defaults recovery once
+/// rebuilt a project with (120-minute tools, a 480-minute fallback, no
+/// intuitions), with a distinct intuition per activity.
+gen::Scenario configured_scenario() {
+  gen::Scenario s = small_scenario(11);
+  s.tool_minutes = 97;
+  s.fallback_minutes = 333;
+  for (std::size_t i = 0; i < s.graph.rules.size(); ++i)
+    s.graph.rules[i].est_minutes = 50 + 37 * static_cast<std::int64_t>(i);
+  return s;
+}
+
+/// What a restarted project must reproduce: an execute's clock, then a
+/// replan's schedule rows.
+struct Continuation {
+  std::int64_t clock_minutes = 0;
+  std::string schedule;
+};
+
+Continuation execute_and_replan(ProjectShard& shard) {
+  Continuation out;
+  JsonObject designer;
+  designer.set("designer", "pat");
+  auto executed = shard.apply(project_request(10, "execute", std::move(designer)));
+  EXPECT_TRUE(executed.ok) << executed.error.str();
+  if (executed.ok)
+    out.clock_minutes = executed.result.as_object().at("clock_minutes").as_int();
+  auto replanned = shard.apply(project_request(11, "replan"));
+  EXPECT_TRUE(replanned.ok) << replanned.error.str();
+  JsonObject statement;
+  statement.set("statement", "select schedule");
+  auto rows = shard.apply(project_request(12, "query", std::move(statement)));
+  EXPECT_TRUE(rows.ok) << rows.error.str();
+  if (rows.ok) out.schedule = rows.result.as_object().at("text").as_string();
+  return out;
+}
+
+// The snapshot carries the scenario's tools, estimator and execution
+// options, so a project recovered after a clean close or a crash executes
+// and replans exactly like a twin that never restarted.
+TEST(SrvRecovery, RecoveredProjectContinuesLikeItsTwin) {
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "after simulate_crash" : "after close");
+    TempDir tmp(crash ? "twin_crash" : "twin_close");
+    TempDir twin_dir(crash ? "twin_crash_ref" : "twin_close_ref");
+    auto shard = ProjectShard::create("p", configured_scenario(), options_in(tmp));
+    auto twin = ProjectShard::create("p", configured_scenario(), options_in(twin_dir));
+    ASSERT_TRUE(shard.ok()) << shard.error().str();
+    ASSERT_TRUE(twin.ok()) << twin.error().str();
+    for (ProjectShard* s : {shard.value().get(), twin.value().get()}) {
+      ASSERT_TRUE(s->apply(project_request(1, "plan")).ok);
+      ASSERT_TRUE(s->apply(execute_request(2, "pat")).ok);
+    }
+
+    if (crash) {
+      shard.value()->simulate_crash();
+    } else {
+      ASSERT_TRUE(shard.value()->shutdown().ok());
+    }
+    shard.value().reset();
+    auto recovered = ProjectShard::recover("p", options_in(tmp));
+    ASSERT_TRUE(recovered.ok()) << recovered.error().str();
+
+    const Continuation expected = execute_and_replan(*twin.value());
+    const Continuation got = execute_and_replan(*recovered.value());
+    EXPECT_EQ(got.clock_minutes, expected.clock_minutes);
+    EXPECT_EQ(got.schedule, expected.schedule);
+    EXPECT_FALSE(expected.schedule.empty());
+  }
+}
+
 TEST(SrvRecovery, RecoveryIsDeterministic) {
   TempDir tmp("det");
   auto shard = ProjectShard::create("p", small_scenario(2), options_in(tmp));

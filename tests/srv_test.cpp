@@ -6,13 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "gen/gen.hpp"
 #include "hercules/persist.hpp"
@@ -286,6 +293,87 @@ TEST(Server, UnparsableTcpHostLeaksNoDescriptor) {
 
 // runs_executed counts the runs executed through this shard: none right
 // after a recovery, whatever the recovered project holds.
+// `open` builds or recovers its shard outside the registry mutex.  A
+// recovery held inside its snapshot read (a FIFO nobody has written yet)
+// must not stall a request to another open project, a second `open` of the
+// reserved name is a conflict, and the first lands once the snapshot
+// arrives.
+TEST(Server, OpenDoesNotStallOtherProjects) {
+  TempServerDir tmp("openstall");
+  auto server = Server::start(base_config(tmp));
+  ASSERT_TRUE(server.ok());
+  const std::string address = server.value()->unix_address();
+  auto client = Client::connect(address);
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("live", 3)).ok());
+  ASSERT_TRUE(client.value()->invoke("", "open", open_args("slow", 4)).ok());
+  JsonObject closing;
+  closing.set("name", "slow");
+  ASSERT_TRUE(client.value()->invoke("", "close", std::move(closing)).ok());
+
+  const std::string snapshot = tmp.path() + "/slow.snapshot.json";
+  auto saved = util::read_file(snapshot);
+  ASSERT_TRUE(saved.ok()) << saved.error().str();
+  std::filesystem::remove(snapshot);
+  ASSERT_EQ(::mkfifo(snapshot.c_str(), 0600), 0) << std::strerror(errno);
+
+  auto reopened = std::async(std::launch::async, [&] {
+    auto opener = Client::connect(address);
+    if (!opener.ok()) return opener.error().str();
+    JsonObject args;
+    args.set("name", "slow");
+    args.set("recover", true);
+    auto opened = opener.value()->invoke("", "open", std::move(args));
+    return opened.ok() ? std::string() : opened.error().str();
+  });
+
+  // A writer can open the FIFO only once the server has it open for
+  // reading: from then on the server is inside the recovery.
+  int fd = -1;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((fd = ::open(snapshot.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GE(fd, 0) << "the server never opened the snapshot";
+
+  auto other = std::async(std::launch::async, [&]() -> std::string {
+    auto reader = Client::connect(address);
+    if (!reader.ok()) return reader.error().str();
+    auto stats = reader.value()->invoke("live", "stats");
+    if (!stats.ok()) return "stats: " + stats.error().str();
+    JsonObject again;
+    again.set("name", "slow");
+    again.set("recover", true);
+    auto second = reader.value()->call("", "open", std::move(again));
+    if (!second.ok()) return second.error().str();
+    if (second.value().ok || second.value().error.code != util::Error::Code::kConflict)
+      return "a second open of a reserved name was not a conflict";
+    return "";
+  });
+  const bool answered_during_recovery =
+      other.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+
+  // Release the recovery whatever happened, so nothing is left blocked.
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK);
+  const std::string& bytes = saved.value();
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+
+  EXPECT_TRUE(answered_during_recovery)
+      << "a stats request to another project waited for the recovery";
+  EXPECT_EQ(other.get(), "");
+  EXPECT_EQ(written, bytes.size());
+  EXPECT_EQ(reopened.get(), "");
+  auto executed = client.value()->invoke("slow", "execute", designer_args("pat"));
+  EXPECT_TRUE(executed.ok()) << executed.error().str();
+  server.value()->stop();
+}
+
 TEST(Server, RunsExecutedExcludesRecoveredRuns) {
   TempServerDir tmp("recovered");
   auto server = Server::start(base_config(tmp));

@@ -1,8 +1,6 @@
 // herc_chaos — storage fault-injection sweep for the shard durability stack.
 //
-//   herc_chaos [--dir DIR] [--seed N] [--ops N] [--save-every K]
-//              [--flow-size N] [--max-points N] [--random-trials N]
-//              [--fail-prob P] [--quiet]
+//   herc_chaos [--dir DIR] [--seed N] [--ops N] [--quiet]
 //
 // Enumerates the workload's IO points, then replays it once per
 // (IO point, fault kind) — EIO, ENOSPC, short write, torn write, crash —
@@ -10,11 +8,15 @@
 // checking acknowledged => recovered byte-identity, recovery determinism,
 // and read-only shard degradation (see src/srv/chaos.hpp).
 //
+// The other sweep knobs (ChaosOptions) keep their defaults here; tests set
+// them directly.  N is decimal digits only.
+//
 // Exit status: 0 all contracts held, 1 violations or harness failure, 2 usage.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "srv/chaos.hpp"
@@ -23,11 +25,19 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--dir DIR] [--seed N] [--ops N] [--save-every K]\n"
-               "          [--flow-size N] [--max-points N] [--random-trials N]\n"
-               "          [--fail-prob P] [--quiet]\n",
+               "usage: %s [--dir DIR] [--seed N] [--ops N] [--quiet]\n"
+               "N is decimal digits only.\n",
                argv0);
   return 2;
+}
+
+/// A count in decimal digits only, at most `max`; false for anything else.
+bool parse_count(const char* text, unsigned long long max, unsigned long long& out) {
+  const std::string s = text;
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) return false;
+  errno = 0;
+  out = std::strtoull(s.c_str(), nullptr, 10);
+  return errno == 0 && out <= max;
 }
 
 }  // namespace
@@ -44,19 +54,14 @@ int main(int argc, char** argv) {
     if (arg == "--dir" && (v = next())) {
       options.dir = v;
     } else if (arg == "--seed" && (v = next())) {
-      options.seed = std::strtoull(v, nullptr, 10);
+      unsigned long long seed = 0;
+      if (!parse_count(v, std::numeric_limits<std::uint64_t>::max(), seed))
+        return usage(argv[0]);
+      options.seed = seed;
     } else if (arg == "--ops" && (v = next())) {
-      options.ops = std::atoi(v);
-    } else if (arg == "--save-every" && (v = next())) {
-      options.save_every = std::atoi(v);
-    } else if (arg == "--flow-size" && (v = next())) {
-      options.flow_size = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--max-points" && (v = next())) {
-      options.max_points = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--random-trials" && (v = next())) {
-      options.random_trials = std::atoi(v);
-    } else if (arg == "--fail-prob" && (v = next())) {
-      options.fail_prob = std::atof(v);
+      unsigned long long ops = 0;
+      if (!parse_count(v, std::numeric_limits<int>::max(), ops)) return usage(argv[0]);
+      options.ops = static_cast<int>(ops);
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
