@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -146,6 +147,14 @@ std::int64_t WorkCalendar::workdays_until(Date d) const {
 bool WorkCalendar::past_last_day(WorkInstant t) const {
   return std::max<std::int64_t>(t.minutes_since_epoch(), 0) / cfg_.minutes_per_day >=
          workdays_through_last_day();
+}
+
+util::Result<WorkInstant> WorkCalendar::checked_add(WorkInstant t, WorkDuration d) const {
+  if (d.count_minutes() >
+          std::numeric_limits<std::int64_t>::max() - t.minutes_since_epoch() ||
+      past_last_day(t + d))
+    return util::invalid("the clock would pass " + last_day().str());
+  return t + d;
 }
 
 CivilTime WorkCalendar::to_civil(WorkInstant t) const {

@@ -143,6 +143,12 @@ class WorkCalendar {
   /// True when `t` falls on a workday past last_day().
   [[nodiscard]] bool past_last_day(WorkInstant t) const;
 
+  /// `t + d`, or kInvalid when the sum would overflow 64-bit minutes or fall
+  /// past last_day().  Every clock step and every executed run's finish
+  /// goes through it.
+  [[nodiscard]] util::Result<WorkInstant> checked_add(WorkInstant t,
+                                                    WorkDuration d) const;
+
   /// Converts a work instant to civil time.  Instants before the epoch clamp
   /// to the epoch's workday start; instants past last_day() render as the
   /// start of last_day().

@@ -30,7 +30,7 @@ constexpr const char* kHelp = R"(commands:
   show schema|db|task <name>
   tool <instance> <type> <nominal> [noise <frac>] [fail <rate>]
   resource <name> [kind] [capacity]
-  vacation <resource> <start-date> <days>   (leveled plans schedule around it)
+  vacation <resource> <start-date> <days>   (leveled plans and dispatch wait for it)
   task <name> <target-type> [stop <type> ...]
   bind <task> <type> <instance>
   estimate <activity> <duration> | estimate fallback <duration>

@@ -2,43 +2,78 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
+#include <string>
 
 namespace herc::sched {
 
-namespace {
-
-/// Booked intervals of one resource, kept unsorted; usage queries scan.
-struct ResourceTimeline {
-  struct Interval {
-    std::int64_t start, finish;
-    int units;
-  };
-  std::vector<Interval> booked;
-
-  /// Units booked across instant t (intervals are half-open).
-  [[nodiscard]] int usage_at(std::int64_t t) const {
-    int n = 0;
-    for (const auto& iv : booked)
-      if (iv.start <= t && t < iv.finish) n += iv.units;
-    return n;
-  }
-};
-
-/// Units per distinct resource in one requirement list, in first-appearance
-/// order: a repeated entry is another unit of the same resource.
-void count_units(const std::vector<std::size_t>& reqs,
-                 std::vector<std::pair<std::size_t, int>>& out) {
-  out.clear();
-  for (std::size_t r : reqs) {
+util::Result<Demand> demand_of(const std::vector<std::size_t>& requirements,
+                               const std::vector<int>& capacities) {
+  Demand out;
+  for (std::size_t r : requirements) {
+    if (r >= capacities.size())
+      return util::invalid("unknown resource index " + std::to_string(r));
     auto it = std::find_if(out.begin(), out.end(),
                            [r](const auto& d) { return d.first == r; });
     if (it == out.end()) out.emplace_back(r, 1);
     else ++it->second;
   }
+  for (auto [r, units] : out)
+    if (units > capacities[r])
+      return util::invalid("requires " + std::to_string(units) + " units of resource " +
+                           std::to_string(r) + " but its capacity is " +
+                           std::to_string(capacities[r]));
+  return out;
 }
 
-}  // namespace
+int ResourceBookings::usage_at(std::size_t r, std::int64_t t) const {
+  int n = 0;
+  for (const auto& iv : booked_[r])
+    if (iv.start <= t && t < iv.finish) n += iv.units;
+  return n;
+}
+
+bool ResourceBookings::fits(const Demand& demand, std::int64_t t,
+                            std::int64_t duration) const {
+  // Usage only changes at booked-interval starts, so check t and each booked
+  // start inside the window.  `iv.start - t < duration` rather than
+  // `iv.start < t + duration`: a duration the caller has not yet bounded
+  // must not overflow here.
+  for (auto [r, units] : demand) {
+    const int room = capacities_[r] - units;
+    if (usage_at(r, t) > room) return false;
+    for (const auto& iv : booked_[r])
+      if (iv.start > t && iv.start - t < duration && usage_at(r, iv.start) > room)
+        return false;
+  }
+  return true;
+}
+
+std::int64_t ResourceBookings::earliest_fit(const Demand& demand, std::int64_t earliest,
+                                            std::int64_t duration) const {
+  if (demand.empty()) return earliest;
+  // Candidate starts: `earliest` plus every booked-interval finish after it
+  // on a required resource (capacity can only free up there).
+  std::vector<std::int64_t> candidates{earliest};
+  for (auto [r, units] : demand)
+    for (const auto& iv : booked_[r])
+      if (iv.finish > earliest) candidates.push_back(iv.finish);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  // The last candidate always fits: every booking on a required resource
+  // has ended by then, and demand_of refused demand above capacity.
+  for (std::int64_t t : candidates)
+    if (fits(demand, t, duration)) return t;
+  return candidates.back();
+}
+
+void ResourceBookings::book(const Demand& demand, std::int64_t start,
+                            std::int64_t finish) {
+  for (auto [r, units] : demand) booked_[r].push_back({start, finish, units});
+}
+
+void ResourceBookings::block(std::size_t r, std::int64_t start, std::int64_t finish) {
+  booked_[r].push_back({start, finish, capacities_[r]});
+}
 
 util::Result<LevelingResult> level_serial(const LevelingInput& input) {
   const std::size_t n = input.activities.size();
@@ -46,19 +81,13 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
     return util::invalid("leveling: requirements size mismatch");
   for (int c : input.capacities)
     if (c <= 0) return util::invalid("leveling: capacities must be positive");
-  std::vector<std::pair<std::size_t, int>> need;  // (resource, units), reused
+  std::vector<Demand> demands(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r : input.requirements[i])
-      if (r >= input.capacities.size())
-        return util::invalid("leveling: unknown resource index " + std::to_string(r));
-    // No instant can fit demand above capacity; placing it would over-book.
-    count_units(input.requirements[i], need);
-    for (auto [r, units] : need)
-      if (units > input.capacities[r])
-        return util::invalid("leveling: activity " + std::to_string(i) + " requires " +
-                             std::to_string(units) + " units of resource " +
-                             std::to_string(r) + " but its capacity is " +
-                             std::to_string(input.capacities[r]));
+    auto demand = demand_of(input.requirements[i], input.capacities);
+    if (!demand.ok())
+      return util::invalid("leveling: activity " + std::to_string(i) + " " +
+                           demand.error().message);
+    demands[i] = std::move(demand).take();
   }
   if (!input.blocked.empty() && input.blocked.size() != input.capacities.size())
     return util::invalid("leveling: blocked windows must cover every resource");
@@ -79,16 +108,12 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
   out.start.assign(n, 0);
   out.finish.assign(n, 0);
   std::vector<bool> placed(n, false);
-  std::vector<ResourceTimeline> timelines(input.capacities.size());
-  // Time-off windows saturate the resource: book all of its capacity so no
-  // activity can be placed across them.
-  if (!input.blocked.empty()) {
-    for (std::size_t r = 0; r < timelines.size(); ++r)
-      for (auto [s, e] : input.blocked[r]) {
-        if (e <= s) return util::invalid("leveling: empty blocked window");
-        timelines[r].booked.push_back({s, e, input.capacities[r]});
-      }
-  }
+  ResourceBookings bookings(input.capacities);
+  for (std::size_t r = 0; r < input.blocked.size(); ++r)
+    for (auto [s, e] : input.blocked[r]) {
+      if (e <= s) return util::invalid("leveling: empty blocked window");
+      bookings.block(r, s, e);
+    }
 
   // The CPM priority order is NOT necessarily a topological order once
   // releases differ, so we repeatedly sweep for the first unplaced activity
@@ -113,52 +138,15 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
     if (chosen == n) return util::invalid("leveling: precedence cycle");
 
     const CpmActivity& act = input.activities[chosen];
-    count_units(input.requirements[chosen], need);
     std::int64_t earliest = act.release;
     for (std::size_t p : act.preds) earliest = std::max(earliest, out.finish[p]);
-
-    // Candidate start times: `earliest` plus every booked-interval finish
-    // after it on a required resource (capacity can only free up there).
-    std::set<std::int64_t> candidates{earliest};
-    for (auto [r, units] : need)
-      for (const auto& iv : timelines[r].booked)
-        if (iv.finish > earliest) candidates.insert(iv.finish);
-
-    std::int64_t start = earliest;
-    for (std::int64_t t : candidates) {
-      // Feasible iff every required resource has `units` spare across
-      // [t, t+dur).  Usage only changes at booked-interval starts, so check
-      // t and each booked start inside the window.
-      bool feasible = true;
-      for (auto [r, units] : need) {
-        const auto& tl = timelines[r];
-        const int room = input.capacities[r] - units;
-        if (tl.usage_at(t) > room) {
-          feasible = false;
-          break;
-        }
-        for (const auto& iv : tl.booked) {
-          if (iv.start > t && iv.start < t + act.duration &&
-              tl.usage_at(iv.start) > room) {
-            feasible = false;
-            break;
-          }
-        }
-        if (!feasible) break;
-      }
-      if (feasible) {
-        start = t;
-        break;
-      }
-      start = t;  // if no candidate is feasible the last (latest) one is:
-                  // all conflicting bookings have finished by then
-    }
+    const std::int64_t start =
+        bookings.earliest_fit(demands[chosen], earliest, act.duration);
 
     out.start[chosen] = start;
     out.finish[chosen] = start + act.duration;
     out.makespan = std::max(out.makespan, out.finish[chosen]);
-    for (auto [r, units] : need)
-      timelines[r].booked.push_back({start, out.finish[chosen], units});
+    bookings.book(demands[chosen], start, out.finish[chosen]);
     placed[chosen] = true;
   }
 

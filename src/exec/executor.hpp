@@ -5,10 +5,21 @@
 // "At each step in the execution, entity instances are created in the
 //  Hercules database for each non-leaf node" — paper, Sec. IV.A.
 //
-// Execution happens on a virtual clock (SimClock) in work time; the executor
-// advances the clock by each tool's simulated duration.  Designers can
-// advance the clock manually between runs to model think time, which is how
-// the examples inject schedule slips.
+// Execution happens on a virtual clock (SimClock) in work time.  Designers
+// can advance the clock manually between runs to model think time, which is
+// how the examples inject schedule slips.
+//
+// Serial execution, single-activity iterations and concurrent dispatch run
+// one per-activity attempt loop.  It gathers the activity's inputs once;
+// then each attempt invokes the tool, kills the run at the timeout budget,
+// places it at the earliest start where its inputs exist and its assigned
+// resources have room (sched::ResourceBookings, the rule resource leveling
+// uses), records it, and publishes run_started / run_finished.  A failed
+// attempt is retried from its finish plus the backoff.  A run whose finish,
+// or a retry whose start, would fall past the calendar's last day is
+// refused (invalid) before anything is recorded.  The modes differ only in
+// the clock: serial execution moves it to each run's finish, dispatch moves
+// it to the makespan when the sweep ends, errors included.
 
 #include <optional>
 #include <string>
@@ -105,16 +116,15 @@ struct ExecutionOptions {
 
 class Executor {
  public:
-  /// All dependencies are borrowed; the WorkflowManager owns them.  `bus`
-  /// (optional) receives run_started / run_finished events and wall-clock
-  /// scopes; a null or subscriber-less bus costs one atomic load per event.
+  /// All dependencies are borrowed; the WorkflowManager owns them.  The
+  /// calendar bounds every instant a run may reach.  `bus` (optional)
+  /// receives run_started / run_finished events and wall-clock scopes; a
+  /// null or subscriber-less bus costs one atomic load per event.
   Executor(meta::Database& db, data::DataStore& store, ToolRegistry& tools,
-           SimClock& clock, obs::EventBus* bus = nullptr, ExecutionOptions options = {})
-      : db_(&db), store_(&store), tools_(&tools), clock_(&clock), bus_(bus),
-        options_(std::move(options)) {}
-
-  [[nodiscard]] const ExecutionOptions& options() const { return options_; }
-  void set_options(ExecutionOptions options) { options_ = std::move(options); }
+           SimClock& clock, const cal::WorkCalendar& calendar,
+           obs::EventBus* bus = nullptr, ExecutionOptions options = {})
+      : db_(&db), store_(&store), tools_(&tools), clock_(&clock), calendar_(&calendar),
+        bus_(bus), options_(std::move(options)) {}
 
   /// Executes the whole bound tree in post-order.  With the default options
   /// it stops at the first failed run (the paper's designers fix and
@@ -133,17 +143,20 @@ class Executor {
       const std::string& designer);
 
   /// Concurrent-dispatch options: which resources each activity occupies
-  /// while it runs (capacities come from the database's resource registry).
+  /// while it runs, one unit per entry (a repeated resource takes another
+  /// unit).  Capacities and time off come from the database's resources.
   struct DispatchOptions {
     std::unordered_map<std::string, std::vector<meta::ResourceId>> assignments;
   };
 
   /// Executes the whole tree the way a team would: independent activities
   /// run in OVERLAPPING work time, each starting as soon as its inputs exist
-  /// and its assigned resources are free (same serial-dispatch rule as
-  /// resource leveling; activities are non-preemptible).  Recorded run
-  /// timestamps overlap accordingly and the clock advances to the dispatch
-  /// makespan.  Activities with no assignment entry are only input-limited.
+  /// and its assigned resources have room outside their time off (the
+  /// placement rule of resource leveling; activities are non-preemptible).
+  /// Recorded run timestamps overlap accordingly and the clock advances to
+  /// the dispatch makespan, also when the sweep stops on an error.
+  /// Activities with no assignment entry are only input-limited; a demand
+  /// above a resource's capacity is refused (invalid) before anything runs.
   /// Under the default kAbort policy, tool failures abort the remaining
   /// dispatch (partial result returned with success = false); under
   /// kContinueIndependent the failed activity's ancestor chain is skipped
@@ -155,43 +168,42 @@ class Executor {
 
   /// Publishes the fault-counter deltas accumulated by the current execute
   /// call as one "exec.faults" kScope event (no-op when all are zero).
-  /// Called automatically on exit from execute / execute_concurrent.
+  /// Called automatically on exit from every execute call.
   void publish_fault_stats();
 
  private:
+  /// Per-call state of one sweep over a tree (defined in executor.cpp).
+  struct Sweep;
+
+  /// The post-order traversal execute and execute_concurrent share: runs
+  /// every activity through run_activity, skipping the ancestors of a
+  /// failure under kContinueIndependent.
+  util::Result<ExecutionResult> sweep(const flow::TaskTree& tree,
+                                      const std::string& designer, Sweep& s);
+
+  /// The per-activity attempt loop (see the file comment).  Appends every
+  /// recorded attempt to `attempts`.
+  util::Result<ActivityRunResult> run_activity(const flow::TaskTree& tree,
+                                               flow::TaskNodeId activity,
+                                               const std::string& designer, Sweep& s,
+                                               std::vector<ActivityRunResult>& attempts);
+
   /// Ensures a primary-input binding has an entity instance, importing one
   /// (plus a synthetic Level-4 object) on first use.
   meta::EntityInstanceId import_input(const std::string& type_name,
                                       const std::string& data_name);
 
-  util::Result<ActivityRunResult> run_one(const flow::TaskTree& tree,
-                                          flow::TaskNodeId activity,
-                                          const std::string& designer,
-                                          bool resolve_from_db, int attempt);
-
-  /// run_one with the activity's retry policy applied: re-attempts failed
-  /// runs (each attempt is its own recorded run, appended to `all_attempts`)
-  /// with the policy's work-time backoff between attempts.
-  util::Result<ActivityRunResult> run_with_retry(
-      const flow::TaskTree& tree, flow::TaskNodeId activity,
-      const std::string& designer, bool resolve_from_db,
-      std::vector<ActivityRunResult>& all_attempts);
-
-  /// True when the policy allows more than one attempt (kAbort never does).
-  [[nodiscard]] int attempts_allowed(const std::string& tool_binding) const;
-
-  /// Publishes a kRunFinished event for a freshly recorded run.
-  void publish_run(const meta::Run& run, int attempt, bool timed_out);
+  /// Publishes kRunStarted (before the run is recorded) or kRunFinished.
+  void publish_run(obs::EventKind kind, const meta::Run& run, int attempt,
+                   bool timed_out);
 
   meta::Database* db_;
   data::DataStore* store_;
   ToolRegistry* tools_;
   SimClock* clock_;
+  const cal::WorkCalendar* calendar_;
   obs::EventBus* bus_ = nullptr;
   ExecutionOptions options_;
-  // Within one execute() call, maps activity nodes to the instances they
-  // produced, so parents consume exactly their children's outputs.
-  std::vector<meta::EntityInstanceId> produced_;
   // Per-call fault counters, published as one exec.faults event.
   std::uint64_t retries_ = 0, timeouts_ = 0, degraded_ = 0;
 };

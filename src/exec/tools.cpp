@@ -1,6 +1,7 @@
 #include "exec/tools.hpp"
 
 #include <cstdio>
+#include <limits>
 
 #include "data/data_store.hpp"
 
@@ -68,8 +69,11 @@ util::Result<ToolOutcome> ToolRegistry::invoke(const std::string& instance_name,
   if (spec.noise_frac > 0)
     factor += rng_.uniform(-spec.noise_frac, spec.noise_frac);
   factor *= fault.latency_factor;
-  auto minutes =
-      static_cast<std::int64_t>(static_cast<double>(spec.nominal.count_minutes()) * factor);
+  // A product of 2^63 or more has no int64 value: saturate, and the
+  // executor refuses a run that would end past the calendar.
+  const double scaled = static_cast<double>(spec.nominal.count_minutes()) * factor;
+  std::int64_t minutes = scaled >= 0x1p63 ? std::numeric_limits<std::int64_t>::max()
+                                          : static_cast<std::int64_t>(scaled);
   if (minutes < 1) minutes = 1;
   out.duration = cal::WorkDuration::minutes(minutes);
 

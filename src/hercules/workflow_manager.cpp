@@ -1,6 +1,5 @@
 #include "hercules/workflow_manager.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "gantt/gantt.hpp"
@@ -42,12 +41,8 @@ void WorkflowManager::disable_journal() {
 }
 
 util::Status WorkflowManager::advance_clock(cal::WorkDuration step) {
-  const cal::WorkInstant now = clock_.now();
-  if (step.count_minutes() >
-          std::numeric_limits<std::int64_t>::max() - now.minutes_since_epoch() ||
-      calendar_.past_last_day(now + step))
-    return util::invalid("advance: the clock would pass " +
-                         cal::WorkCalendar::last_day().str());
+  auto to = calendar_.checked_add(clock_.now(), step);
+  if (!to.ok()) return util::invalid("advance: " + to.error().message);
   clock_.advance(step);
   return util::Status::ok_status();
 }
@@ -179,7 +174,8 @@ util::Result<exec::ExecutionResult> WorkflowManager::execute_task(
   // Runs must stamp THIS task's plan (several tasks may share activity
   // names when they instantiate the same schema).
   if (auto plan = plan_of(task_name)) tracker_->watch_plan(*plan);
-  exec::Executor executor(*db_, *store_, *tools_, clock_, &bus_, exec_options_);
+  exec::Executor executor(*db_, *store_, *tools_, clock_, calendar_, &bus_,
+                          exec_options_);
   return executor.execute(*t.value(), designer);
 }
 
@@ -189,7 +185,8 @@ util::Result<exec::ExecutionResult> WorkflowManager::execute_task_concurrent(
   auto t = task(task_name);
   if (!t.ok()) return t.error();
   if (auto plan = plan_of(task_name)) tracker_->watch_plan(*plan);
-  exec::Executor executor(*db_, *store_, *tools_, clock_, &bus_, exec_options_);
+  exec::Executor executor(*db_, *store_, *tools_, clock_, calendar_, &bus_,
+                          exec_options_);
   return executor.execute_concurrent(*t.value(), designer, options);
 }
 
@@ -202,7 +199,8 @@ util::Result<exec::ActivityRunResult> WorkflowManager::run_activity(
   for (flow::TaskNodeId id : tree.activities_post_order()) {
     if (tree.activity_name(id) == activity) {
       if (auto plan = plan_of(task_name)) tracker_->watch_plan(*plan);
-      exec::Executor executor(*db_, *store_, *tools_, clock_, &bus_, exec_options_);
+      exec::Executor executor(*db_, *store_, *tools_, clock_, calendar_, &bus_,
+                              exec_options_);
       return executor.execute_activity(tree, id, designer);
     }
   }
@@ -233,7 +231,8 @@ util::Result<std::vector<exec::ActivityRunResult>> WorkflowManager::refresh_task
   };
 
   std::vector<exec::ActivityRunResult> performed;
-  exec::Executor executor(*db_, *store_, *tools_, clock_, &bus_, exec_options_);
+  exec::Executor executor(*db_, *store_, *tools_, clock_, calendar_, &bus_,
+                          exec_options_);
   for (flow::TaskNodeId act : tree.activities_post_order()) {
     if (!needs_rerun(act)) continue;
     auto one = executor.execute_activity(tree, act, designer);

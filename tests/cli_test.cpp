@@ -202,6 +202,26 @@ TEST(Cli, ClockCommands) {
   EXPECT_EQ(ok(s, "now"), after);
 }
 
+// A tool whose run would end past 9999-12-31 is refused by every way of
+// executing it: nothing is recorded and the clock stays where it was, with
+// or without noise (which can push the duration past int64).
+TEST(Cli, RunPastTheCalendarIsRefused) {
+  for (const char* noise : {"", " noise 0.5"}) {
+    SCOPED_TRACE(noise);
+    CliSession s;
+    ok(s, "schema schema c { data n; tool ed; rule Create: n <- ed(); }");
+    ok(s, std::string("tool e ed 9000000000000000000m") + noise);
+    ok(s, "task t n");
+    ok(s, "bind t ed e");
+    for (const char* line : {"execute t alice", "dispatch t alice", "run t Create alice",
+                             "refresh t alice"}) {
+      EXPECT_EQ(fail(s, line).rfind("invalid", 0), 0u) << line;
+      EXPECT_EQ(ok(s, "now"), "now: 1970-01-01 09:00\n") << line;
+      EXPECT_EQ(s.manager()->db().run_count(), 0u) << line;
+    }
+  }
+}
+
 TEST(Cli, WhatIfDelayAndCrash) {
   CliSession s = circuit_session();
   ok(s, "plan adder");

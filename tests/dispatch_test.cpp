@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 #include "common.hpp"
 #include "exec/fault.hpp"
+#include "hercules/journal.hpp"
 #include "hercules/persist.hpp"
 
 namespace herc::exec {
@@ -82,28 +87,147 @@ TEST(Dispatch, CapacityTwoKeepsParallelism) {
   EXPECT_EQ(m->clock().now().minutes_since_epoch(), 8 * 60);
 }
 
+/// The latest planned finish of the task's leveled plan for `assignments`,
+/// with every estimate equal to the tool's 4h run time.
+cal::WorkInstant leveled_finish(
+    hercules::WorkflowManager& m,
+    const std::unordered_map<std::string, std::vector<meta::ResourceId>>& assignments) {
+  m.estimator().set_fallback(cal::WorkDuration::hours(4));
+  sched::PlanRequest req;
+  req.anchor = m.clock().now();
+  req.assignments = assignments;
+  req.level_resources = true;
+  auto plan = m.plan_task("job", req).value();
+  const auto& space = m.schedule_space();
+  cal::WorkInstant planned_finish;
+  for (auto nid : space.plan(plan).nodes)
+    planned_finish = std::max(planned_finish, space.node(nid).planned_finish);
+  return planned_finish;
+}
+
 TEST(Dispatch, MakespanMatchesLeveledPlanShape) {
   // The dispatch rule is the leveling rule, so with identical durations the
   // executed makespan equals the leveled plan's.
   auto m = par_manager();
   auto alice = m->add_resource("alice");
-  m->estimator().set_fallback(cal::WorkDuration::hours(4));  // = tool time
-  sched::PlanRequest req;
-  req.anchor = m->clock().now();
-  req.assignments["MakeA"] = {alice};
-  req.assignments["MakeB"] = {alice};
-  req.level_resources = true;
-  auto plan = m->plan_task("job", req).value();
-  const auto& space = m->schedule_space();
-  cal::WorkInstant planned_finish;
-  for (auto nid : space.plan(plan).nodes)
-    planned_finish = std::max(planned_finish, space.node(nid).planned_finish);
-
   Executor::DispatchOptions opt;
   opt.assignments["MakeA"] = {alice};
   opt.assignments["MakeB"] = {alice};
-  m->execute_task_concurrent("job", "alice", opt).value();
+  const cal::WorkInstant planned_finish = leveled_finish(*m, opt.assignments);
+  ASSERT_TRUE(m->execute_task_concurrent("job", "alice", opt).ok());
   EXPECT_EQ(m->clock().now(), planned_finish);
+
+  // Time off counts too: alice is away for the first workday, so both the
+  // plan and the dispatch start her work at 480 and finish the Join at
+  // 480 + 4h + 4h + 4h.
+  auto away = par_manager();
+  auto off = away->add_resource("alice");
+  away->db()
+      .add_time_off(off, cal::WorkInstant(0), cal::WorkInstant(480))
+      .expect("time off");
+  Executor::DispatchOptions vacation;
+  vacation.assignments["MakeA"] = {off};
+  vacation.assignments["MakeB"] = {off};
+  const cal::WorkInstant vacation_finish = leveled_finish(*away, vacation.assignments);
+  ASSERT_TRUE(away->execute_task_concurrent("job", "alice", vacation).ok());
+  const auto& a = away->db().run(away->db().runs_of_activity("MakeA").front());
+  EXPECT_EQ(a.started_at.minutes_since_epoch(), 480);
+  EXPECT_EQ(away->clock().now().minutes_since_epoch(), 480 + 12 * 60);
+  EXPECT_EQ(away->clock().now(), vacation_finish);
+}
+
+TEST(Dispatch, MultiUnitDemandPlacesRunsLikeTheLeveledPlan) {
+  // MakeB takes both units of the farm, so it cannot start beside MakeA.
+  auto m = par_manager();
+  auto farm = m->add_resource("farm", "machine", 2);
+  Executor::DispatchOptions opt;
+  opt.assignments["MakeA"] = {farm};
+  opt.assignments["MakeB"] = {farm, farm};
+  const cal::WorkInstant planned_finish = leveled_finish(*m, opt.assignments);
+  ASSERT_TRUE(m->execute_task_concurrent("job", "team", opt).ok());
+  const auto& b = m->db().run(m->db().runs_of_activity("MakeB").front());
+  EXPECT_EQ(b.started_at.minutes_since_epoch(), 240);
+  EXPECT_EQ(m->clock().now(), planned_finish);
+}
+
+TEST(Dispatch, DemandAboveCapacityIsRefusedBeforeAnyRun) {
+  auto m = par_manager();
+  auto alice = m->add_resource("alice");
+  Executor::DispatchOptions opt;
+  opt.assignments["MakeB"] = {alice, alice};
+  auto result = m->execute_task_concurrent("job", "team", opt);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, util::Error::Code::kInvalid);
+  EXPECT_EQ(m->db().run_count(), 0u);
+  EXPECT_EQ(m->db().instance_count(), 0u);
+  EXPECT_EQ(m->clock().now().minutes_since_epoch(), 0);
+}
+
+/// Counts run_started and run_finished events.
+struct RunEventCounter : obs::Subscriber {
+  int started = 0, finished = 0;
+  void on_event(const obs::Event& e) override {
+    if (e.kind == obs::EventKind::kRunStarted) ++started;
+    if (e.kind == obs::EventKind::kRunFinished) ++finished;
+  }
+};
+
+TEST(Dispatch, PublishesRunStartedForEveryRun) {
+  auto m = par_manager();
+  FaultPlan plan;
+  plan.tools["t1"] = {.fail_on = {1}};
+  m->set_faults(1, std::move(plan));
+  ExecutionOptions options;
+  options.on_failure = FailurePolicy::kRetryThenAbort;
+  options.retry.max_attempts = 2;
+  m->set_exec_options(options);
+  RunEventCounter counter;
+  m->bus().subscribe(&counter);
+  auto result = m->execute_task_concurrent("job", "team");
+  m->bus().unsubscribe(&counter);
+  ASSERT_TRUE(result.ok()) << result.error().str();
+  EXPECT_EQ(counter.finished, 4);  // MakeA twice, MakeB, Join
+  EXPECT_EQ(counter.started, counter.finished);
+}
+
+TEST(Dispatch, ErrorMidSweepLeavesTheClockWhereRecoveryPutsIt) {
+  // MakeB's tool instance was never registered: the dispatch runs MakeA
+  // (0..240), then stops with an error.  The journal holds MakeA's run, so a
+  // recovery puts the clock at 240; the live manager must agree.
+  constexpr const char* kTwoToolSchema = R"(
+schema par {
+  data a, b, c;
+  tool t, u;
+  rule MakeA: a <- t();
+  rule MakeB: b <- u();
+  rule Join:  c <- t(a, b);
+}
+)";
+  const std::string wal = "/tmp/herc_dispatch_error.wal";
+  std::remove(wal.c_str());
+  auto m = hercules::WorkflowManager::create(kTwoToolSchema).take();
+  m->register_tool({.instance_name = "t1", .tool_type = "t",
+                    .nominal = cal::WorkDuration::hours(4)})
+      .expect("tool");
+  m->extract_task("job", "c").expect("extract");
+  m->bind("job", "t", "t1").expect("bind");
+  m->bind("job", "u", "ghost").expect("bind");
+  ASSERT_TRUE(m->enable_journal(wal).ok());
+  const std::string snapshot = hercules::save_to_json(*m);
+
+  auto result = m->execute_task_concurrent("job", "team");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(m->db().run_count(), 1u);
+  EXPECT_EQ(m->clock().now().minutes_since_epoch(), 240);
+
+  m->disable_journal();
+  std::ifstream in(wal, std::ios::binary);
+  std::stringstream journal;
+  journal << in.rdbuf();
+  auto recovered = hercules::recover_from_json(snapshot, journal.str());
+  ASSERT_TRUE(recovered.ok()) << recovered.error().str();
+  EXPECT_EQ(recovered.value()->clock().now(), m->clock().now());
+  std::remove(wal.c_str());
 }
 
 TEST(Dispatch, ValidationErrors) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common.hpp"
 #include "exec/executor.hpp"
 #include "exec/fault.hpp"
@@ -136,6 +138,23 @@ TEST(ToolRegistryFaults, LatencyFactorStretchesDuration) {
   reg.set_fault_injector(&inj);
   ToolInvocation inv{.activity = "A", .output_type = "o"};
   EXPECT_EQ(reg.invoke("slow", "x", inv).value().duration.count_minutes(), 300);
+}
+
+TEST(ToolRegistryFaults, DurationPastInt64Saturates) {
+  // 9e18 minutes x 3 has no int64 value; the run lasts "forever", which the
+  // executor then refuses as past the calendar.
+  ToolRegistry reg;
+  reg.add({.instance_name = "slow",
+           .tool_type = "x",
+           .nominal = cal::WorkDuration::minutes(9'000'000'000'000'000'000)})
+      .expect("add");
+  FaultPlan plan;
+  plan.tools["slow"] = {.latency_factor = 3.0};
+  FaultInjector inj(1, std::move(plan));
+  reg.set_fault_injector(&inj);
+  ToolInvocation inv{.activity = "A", .output_type = "o"};
+  EXPECT_EQ(reg.invoke("slow", "x", inv).value().duration.count_minutes(),
+            std::numeric_limits<std::int64_t>::max());
 }
 
 // --- Executor failure policies ---------------------------------------------

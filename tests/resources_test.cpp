@@ -1,4 +1,5 @@
-// Unit + property tests for serial resource leveling.
+// Unit + property tests for serial resource leveling and the placement rule
+// it shares with concurrent dispatch.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +197,29 @@ TEST(Leveling, RejectsDemandAboveCapacity) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, util::Error::Code::kInvalid);
   EXPECT_NE(r.error().message.find("capacity"), std::string::npos);
+}
+
+// --- the placement rule ---------------------------------------------------------
+
+TEST(ResourceBookings, DemandCountsUnitsAndRefusesAboveCapacity) {
+  EXPECT_EQ(demand_of({1, 0, 1}, {1, 2}).value(), (Demand{{1, 2}, {0, 1}}));
+  EXPECT_TRUE(demand_of({}, {}).value().empty());
+  EXPECT_EQ(demand_of({0, 0}, {1}).error().code, util::Error::Code::kInvalid);
+  EXPECT_EQ(demand_of({3}, {1}).error().code, util::Error::Code::kInvalid);
+}
+
+TEST(ResourceBookings, EarliestFitWaitsForUnitsAndTimeOff) {
+  ResourceBookings bookings({2});
+  const Demand one = demand_of({0}, {2}).value();
+  const Demand both = demand_of({0, 0}, {2}).value();
+  EXPECT_EQ(bookings.earliest_fit({}, 5, 10), 5);  // no demand: no wait
+  bookings.book(one, 0, 10);
+  EXPECT_EQ(bookings.earliest_fit(one, 0, 10), 0);    // the second unit is free
+  EXPECT_EQ(bookings.earliest_fit(both, 0, 10), 10);  // both only once it ends
+  bookings.block(0, 12, 20);
+  // [5, 15) would run into the time off, as would [10, 20); [2, 12) fits.
+  EXPECT_EQ(bookings.earliest_fit(one, 5, 10), 20);
+  EXPECT_EQ(bookings.earliest_fit(one, 2, 10), 2);
 }
 
 // --- property: random contention never violates capacity or precedence -------

@@ -184,6 +184,50 @@ TEST(SrvRecovery, RecoveredProjectContinuesLikeItsTwin) {
   }
 }
 
+// A concurrent execute records overlapping runs and moves the clock to the
+// makespan only when its sweep ends, retries included.  Recovery after a
+// crash and after a clean shutdown must still rebuild the live project
+// byte for byte.
+TEST(SrvRecovery, ConcurrentExecutesRecoverByteIdentically) {
+  gen::ScenarioSpec spec;
+  spec.seed = 4;
+  spec.shape = gen::Shape::kLayered;
+  spec.size = 3;
+  spec.fault_seed = 5;
+  spec.fail_prob = 0.2;
+  spec.policy = exec::FailurePolicy::kRetryThenAbort;
+  spec.max_attempts = 3;
+  const gen::Scenario scenario = gen::generate(spec);
+  for (const bool crash : {false, true}) {
+    SCOPED_TRACE(crash ? "after simulate_crash" : "after shutdown");
+    TempDir tmp(crash ? "dispatch_crash" : "dispatch_close");
+    auto shard = ProjectShard::create("p", scenario, options_in(tmp));
+    ASSERT_TRUE(shard.ok()) << shard.error().str();
+    ASSERT_TRUE(shard.value()->apply(project_request(1, "plan")).ok);
+    for (std::uint64_t id = 2; id < 8; ++id) {
+      JsonObject args;
+      args.set("designer", "pat");
+      args.set("mode", "concurrent");
+      auto response =
+          shard.value()->apply(project_request(id, "execute", std::move(args)));
+      ASSERT_TRUE(response.ok) << response.error.str();
+    }
+    EXPECT_GT(shard.value()->manager_for_test().db().run_count(), 0u);
+    const std::string expected =
+        hercules::save_to_json(shard.value()->manager_for_test());
+
+    if (crash) {
+      shard.value()->simulate_crash();
+    } else {
+      ASSERT_TRUE(shard.value()->shutdown().ok());
+    }
+    shard.value().reset();
+    auto recovered = ProjectShard::recover("p", options_in(tmp));
+    ASSERT_TRUE(recovered.ok()) << recovered.error().str();
+    EXPECT_EQ(hercules::save_to_json(recovered.value()->manager_for_test()), expected);
+  }
+}
+
 TEST(SrvRecovery, RecoveryIsDeterministic) {
   TempDir tmp("det");
   auto shard = ProjectShard::create("p", small_scenario(2), options_in(tmp));

@@ -14,10 +14,12 @@
 //
 // Exit status: 0 success, 1 driver/server failure, 2 usage.
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -34,10 +36,41 @@ int usage(const char* argv0) {
                "          [--duration SECS[s]] [--read-every K]\n"
                "          [--read-mix PCT [--rate R]] [--warmup N] [--seed N]\n"
                "          [--shape NAME] [--size N] [--durable]\n"
-               "          [--dir DIR] [--bench-json FILE] [--quiet]\n",
+               "          [--dir DIR] [--bench-json FILE] [--quiet]\n"
+               "counts are decimal digits (N, M >= 1, PCT 0-100); SECS and R are\n"
+               "non-negative decimals\n",
                argv0);
   return 2;
 }
+
+/// A count in decimal digits only, within [min, max]; false for anything
+/// else.
+template <typename T>
+bool parse_count(const char* text, unsigned long long min, unsigned long long max,
+                 T& out) {
+  const std::string s = text;
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) return false;
+  errno = 0;
+  const unsigned long long n = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE || n < min || n > max) return false;
+  out = static_cast<T>(n);
+  return true;
+}
+
+/// A non-negative decimal ("10", "2.5", ".5") below 1e15; false for anything
+/// else.
+bool parse_decimal(const std::string& s, double& out) {
+  const auto dot = s.find('.');
+  if (s.find_first_not_of("0123456789.") != std::string::npos ||
+      s.find_first_of("0123456789") == std::string::npos ||
+      (dot != std::string::npos && s.find('.', dot + 1) != std::string::npos))
+    return false;
+  out = std::strtod(s.c_str(), nullptr);
+  return out < 1e15;
+}
+
+constexpr unsigned long long kMaxInt = std::numeric_limits<int>::max();
+constexpr unsigned long long kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
@@ -59,26 +92,30 @@ int main(int argc, char** argv) {
     } else if (arg == "--spawn") {
       spawn = true;
     } else if (arg == "--projects" && (v = next())) {
-      options.projects = std::atoi(v);
+      if (!parse_count(v, 1, kMaxInt, options.projects)) return usage(argv[0]);
     } else if (arg == "--designers" && (v = next())) {
-      options.designers = std::atoi(v);
+      if (!parse_count(v, 1, kMaxInt, options.designers)) return usage(argv[0]);
     } else if (arg == "--duration" && (v = next())) {
-      options.duration = std::chrono::milliseconds(
-          static_cast<std::int64_t>(std::atof(v) * 1000));
+      std::string text = v;
+      if (!text.empty() && text.back() == 's') text.pop_back();
+      double seconds = 0;
+      if (!parse_decimal(text, seconds)) return usage(argv[0]);
+      options.duration =
+          std::chrono::milliseconds(static_cast<std::int64_t>(seconds * 1000));
     } else if (arg == "--rate" && (v = next())) {
-      options.rate_per_designer = std::atof(v);
+      if (!parse_decimal(v, options.rate_per_designer)) return usage(argv[0]);
     } else if (arg == "--read-every" && (v = next())) {
-      options.read_every = std::atoi(v);
+      if (!parse_count(v, 0, kMaxInt, options.read_every)) return usage(argv[0]);
     } else if (arg == "--read-mix" && (v = next())) {
-      options.read_mix = std::atoi(v);
+      if (!parse_count(v, 0, 100, options.read_mix)) return usage(argv[0]);
     } else if (arg == "--warmup" && (v = next())) {
-      options.warmup_executes = std::atoi(v);
+      if (!parse_count(v, 0, kMaxInt, options.warmup_executes)) return usage(argv[0]);
     } else if (arg == "--seed" && (v = next())) {
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_count(v, 0, kMaxU64, options.seed)) return usage(argv[0]);
     } else if (arg == "--shape" && (v = next())) {
       options.shape = v;
     } else if (arg == "--size" && (v = next())) {
-      options.size = static_cast<std::size_t>(std::atoll(v));
+      if (!parse_count(v, 0, kMaxU64, options.size)) return usage(argv[0]);
     } else if (arg == "--durable") {
       config.shard.durable = true;
     } else if (arg == "--dir" && (v = next())) {
