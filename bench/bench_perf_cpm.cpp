@@ -230,7 +230,7 @@ void BM_LevelSerial(benchmark::State& state) {
   in.activities =
       bench::random_cpm_network(static_cast<std::size_t>(state.range(0)), 0.5, 7);
   in.requirements.resize(in.activities.size());
-  in.capacities = {2, 2};
+  in.bookings = sched::ResourceBookings({2, 2});
   for (std::size_t i = 0; i < in.activities.size(); ++i)
     in.requirements[i] = {i % 2};
   for (auto _ : state)

@@ -1,7 +1,10 @@
 #include "cli/cli.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "adapters/trace.hpp"
@@ -70,6 +73,40 @@ constexpr const char* kHelp = R"(commands:
   remote <project> <op> [key=value ...]     (generic op passthrough)
   quit
 )";
+
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+// Every number a command takes goes through one of these two readers.
+// Anything else (a sign, a suffix, spaces, an exponent) is refused, and the
+// command then changes nothing.
+
+/// Reads `text` into `out` when it is a whole number in [lo, hi] written in
+/// decimal digits only; false otherwise.
+template <typename T>
+bool read_number(const std::string& text, std::uint64_t lo, std::uint64_t hi, T& out) {
+  std::uint64_t n = 0;
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos ||
+      std::from_chars(text.data(), text.data() + text.size(), n).ec != std::errc{} ||
+      n < lo || n > hi)
+    return false;
+  out = static_cast<T>(n);
+  return true;
+}
+
+/// Reads `text` into `out` when it is a plain decimal: digits, optionally
+/// followed by a point and more digits ("3", "0.25"); false otherwise.
+bool read_decimal(const std::string& text, double& out) {
+  auto digits = [](std::string_view s) {
+    return !s.empty() && s.find_first_not_of("0123456789") == std::string_view::npos;
+  };
+  const std::string_view v(text);
+  const std::size_t dot = v.find('.');
+  if (!digits(v.substr(0, dot)) || (dot != v.npos && !digits(v.substr(dot + 1))))
+    return false;
+  out = std::strtod(text.c_str(), nullptr);
+  return true;
+}
 
 std::string join_from(const std::vector<std::string>& args, std::size_t from) {
   std::vector<std::string> rest(args.begin() + static_cast<std::ptrdiff_t>(from),
@@ -200,13 +237,11 @@ util::Result<std::string> CliSession::dispatch(const Args& args) {
     if (!plan) return util::conflict("task '" + args[1] + "' has no plan");
     sched::RiskOptions opt;
     opt.bus = &manager->bus();
-    try {
-      if (args.size() > 2) opt.samples = std::stoi(args[2]);
-      if (args.size() > 3) opt.seed = std::stoull(args[3]);
-      if (args.size() > 4) opt.threads = std::stoi(args[4]);
-    } catch (const std::exception&) {
-      return util::invalid("risk: [samples] [seed] [threads] must be numeric");
-    }
+    if ((args.size() > 2 && !read_number(args[2], 1, kMaxInt, opt.samples)) ||
+        (args.size() > 3 && !read_number(args[3], 0, kMaxU64, opt.seed)) ||
+        (args.size() > 4 && !read_number(args[4], 0, kMaxInt, opt.threads)))
+      return util::invalid("risk: [samples] [seed] [threads] must be whole numbers, "
+                           "samples at least 1");
     auto risk =
         sched::analyze_risk(manager->schedule_space(), manager->db(), *plan, opt);
     if (!risk.ok()) return risk.error();
@@ -378,13 +413,12 @@ util::Result<std::string> CliSession::cmd_tool(const Args& args) {
   if (!nominal.ok()) return nominal.error();
   spec.nominal = nominal.value();
   for (std::size_t i = 4; i + 1 < args.size(); i += 2) {
-    try {
-      if (args[i] == "noise") spec.noise_frac = std::stod(args[i + 1]);
-      else if (args[i] == "fail") spec.fail_rate = std::stod(args[i + 1]);
-      else return util::invalid("tool: unknown option '" + args[i] + "'");
-    } catch (const std::exception&) {
+    double* value = args[i] == "noise" ? &spec.noise_frac
+                    : args[i] == "fail" ? &spec.fail_rate
+                                        : nullptr;
+    if (value == nullptr) return util::invalid("tool: unknown option '" + args[i] + "'");
+    if (!read_decimal(args[i + 1], *value))
       return util::invalid("tool: bad number '" + args[i + 1] + "'");
-    }
   }
   auto st = m.value()->register_tool(std::move(spec));
   if (!st.ok()) return st.error();
@@ -398,13 +432,8 @@ util::Result<std::string> CliSession::cmd_resource(const Args& args) {
     return util::invalid("resource <name> [kind] [capacity]");
   std::string kind = args.size() > 2 ? args[2] : "person";
   int capacity = 1;
-  if (args.size() > 3) {
-    try {
-      capacity = std::stoi(args[3]);
-    } catch (const std::exception&) {
-      return util::invalid("resource: bad capacity '" + args[3] + "'");
-    }
-  }
+  if (args.size() > 3 && !read_number(args[3], 1, kMaxInt, capacity))
+    return util::invalid("resource: bad capacity '" + args[3] + "' (need at least 1)");
   auto id = m.value()->add_resource(args[1], kind, capacity);
   return "resource '" + args[1] + "' " + id.str() + " added\n";
 }
@@ -418,12 +447,8 @@ util::Result<std::string> CliSession::cmd_vacation(const Args& args) {
   auto date = cal::Date::parse(args[2]);
   if (!date.ok()) return date.error();
   int days = 0;
-  try {
-    days = std::stoi(args[3]);
-  } catch (const std::exception&) {
-    return util::invalid("vacation: bad day count '" + args[3] + "'");
-  }
-  if (days < 1) return util::invalid("vacation: need at least one day");
+  if (!read_number(args[3], 1, kMaxInt, days))
+    return util::invalid("vacation: bad day count '" + args[3] + "' (need at least one)");
   const auto& calendar = m.value()->calendar();
   cal::WorkInstant from = calendar.at_start_of(date.value());
   cal::WorkInstant to =
@@ -599,12 +624,8 @@ util::Result<std::string> CliSession::cmd_retry(const Args& args) {
   if (args.size() < 2)
     return util::invalid("retry <max> [backoff <dur>] [timeout <dur>] [tool <inst>]");
   exec::RetryPolicy policy;
-  try {
-    policy.max_attempts = std::stoi(args[1]);
-  } catch (const std::exception&) {
-    return util::invalid("retry: bad attempt count '" + args[1] + "'");
-  }
-  if (policy.max_attempts < 1) return util::invalid("retry: need at least 1 attempt");
+  if (!read_number(args[1], 1, kMaxInt, policy.max_attempts))
+    return util::invalid("retry: bad attempt count '" + args[1] + "' (need at least 1)");
   std::string tool;
   for (std::size_t i = 2; i + 1 < args.size(); i += 2) {
     if (args[i] == "backoff" || args[i] == "timeout") {
@@ -688,21 +709,15 @@ util::Result<std::string> CliSession::cmd_faults(const Args& args) {
   }
   if (args[1] == "seed") {
     if (args.size() != 3) return util::invalid("faults seed <n>");
-    try {
-      seed = std::stoull(args[2]);
-    } catch (const std::exception&) {
+    if (!read_number(args[2], 0, kMaxU64, seed))
       return util::invalid("faults: bad seed '" + args[2] + "'");
-    }
     manager->set_faults(seed, std::move(plan));
     return "fault seed " + std::to_string(seed) + "\n";
   }
   if (args[1] == "crashafter") {
     if (args.size() != 3) return util::invalid("faults crashafter <n>");
-    try {
-      plan.crash_after_total = std::stoull(args[2]);
-    } catch (const std::exception&) {
+    if (!read_number(args[2], 0, kMaxU64, plan.crash_after_total))
       return util::invalid("faults: bad invocation count '" + args[2] + "'");
-    }
     manager->set_faults(seed, std::move(plan));
     return "crash after " + args[2] + " total invocations\n";
   }
@@ -711,28 +726,25 @@ util::Result<std::string> CliSession::cmd_faults(const Args& args) {
       return util::invalid(
           "faults tool <inst> [fail <p>] [latency <f>] [failon <k>...] [crashon <k>...]");
     exec::ToolFaults& f = plan.tools[args[2]];
+    const util::Error bad_number = util::invalid("faults: bad number in tool options");
     std::size_t i = 3;
-    try {
-      while (i < args.size()) {
-        if (args[i] == "fail" && i + 1 < args.size()) {
-          f.fail_prob = std::stod(args[i + 1]);
-          i += 2;
-        } else if (args[i] == "latency" && i + 1 < args.size()) {
-          f.latency_factor = std::stod(args[i + 1]);
-          i += 2;
-        } else if (args[i] == "failon" || args[i] == "crashon") {
-          auto& list = args[i] == "failon" ? f.fail_on : f.crash_on;
-          std::size_t j = i + 1;
-          while (j < args.size() && (std::isdigit(args[j][0]) != 0))
-            list.push_back(std::stoi(args[j++]));
-          if (j == i + 1) return util::invalid("faults: " + args[i] + " needs indices");
-          i = j;
-        } else {
-          return util::invalid("faults: unknown option '" + args[i] + "'");
+    while (i < args.size()) {
+      if ((args[i] == "fail" || args[i] == "latency") && i + 1 < args.size()) {
+        double& value = args[i] == "fail" ? f.fail_prob : f.latency_factor;
+        if (!read_decimal(args[i + 1], value)) return bad_number;
+        i += 2;
+      } else if (args[i] == "failon" || args[i] == "crashon") {
+        auto& list = args[i] == "failon" ? f.fail_on : f.crash_on;
+        std::size_t j = i + 1;
+        for (int k = 0; j < args.size() && (std::isdigit(args[j][0]) != 0); ++j) {
+          if (!read_number(args[j], 1, kMaxInt, k)) return bad_number;
+          list.push_back(k);
         }
+        if (j == i + 1) return util::invalid("faults: " + args[i] + " needs indices");
+        i = j;
+      } else {
+        return util::invalid("faults: unknown option '" + args[i] + "'");
       }
-    } catch (const std::exception&) {
-      return util::invalid("faults: bad number in tool options");
     }
     const std::string name = args[2];
     manager->set_faults(seed, std::move(plan));
@@ -832,11 +844,8 @@ util::Result<std::string> CliSession::cmd_browse_ops(const Args& args) {
   if (args[0] == "select") {
     if (args.size() != 2) return util::invalid("select <id>");
     std::uint64_t id = 0;
-    try {
-      id = std::stoull(args[1]);
-    } catch (const std::exception&) {
+    if (!read_number(args[1], 0, kMaxU64, id))
       return util::invalid("select: bad id '" + args[1] + "'");
-    }
     auto st = browser_->select(sched::ScheduleNodeId{id});
     if (!st.ok()) return st.error();
     return "selected " + sched::ScheduleNodeId{id}.str() + "\n";

@@ -65,18 +65,10 @@ util::Result<ScheduleRunId> Planner::plan(const flow::TaskTree& tree,
     }
   }
 
-  // Solve the network.  The creation loop above allocated this plan's node
-  // ids consecutively, so `created` order IS the dense index: a node maps to
-  // (id - first id) with no per-plan hash map.
-  const std::uint64_t first_id = created.empty() ? 0 : created.front().value();
-  std::vector<CpmActivity> acts(created.size());
-  for (std::size_t i = 0; i < created.size(); ++i) {
+  // Solve the plan's network, timed by the estimates.
+  std::vector<CpmActivity> acts = plan_network(*space_, space_->plan(plan_id));
+  for (std::size_t i = 0; i < created.size(); ++i)
     acts[i].duration = space_->node(created[i]).est_duration.count_minutes();
-    acts[i].release = 0;  // anchor handled by offsetting at the end
-  }
-  for (const auto& dep : space_->plan(plan_id).deps)
-    acts[dep.to.value() - first_id].preds.push_back(
-        static_cast<std::size_t>(dep.from.value() - first_id));
 
   CpmResult solved;
   {
@@ -97,21 +89,7 @@ util::Result<ScheduleRunId> Planner::plan(const flow::TaskTree& tree,
     LevelingInput lvl;
     lvl.activities = acts;
     lvl.requirements.resize(created.size());
-    lvl.capacities.reserve(db_->resources().size());
-    for (const auto& r : db_->resources()) lvl.capacities.push_back(r.capacity);
-    // Time-off windows, shifted to plan-relative minutes.  Activities are
-    // non-preemptible: leveled work never spans a vacation of an assigned
-    // resource.
-    lvl.blocked.resize(db_->resources().size());
-    const std::int64_t anchor_min = request.anchor.minutes_since_epoch();
-    for (std::size_t r = 0; r < db_->resources().size(); ++r) {
-      for (auto [from, to] : db_->resources()[r].time_off) {
-        std::int64_t s = from.minutes_since_epoch() - anchor_min;
-        std::int64_t e = to.minutes_since_epoch() - anchor_min;
-        if (e <= 0) continue;  // entirely before the plan
-        lvl.blocked[r].emplace_back(std::max<std::int64_t>(0, s), e);
-      }
-    }
+    lvl.bookings = ResourceBookings::of(*db_, request.anchor);
     for (std::size_t i = 0; i < created.size(); ++i)
       for (util::ResourceId r : space_->node(created[i]).resources)
         lvl.requirements[i].push_back(r.value() - 1);

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <string>
 
+#include "core/schedule_space.hpp"
+
 namespace herc::sched {
 
 util::Result<Demand> demand_of(const std::vector<std::size_t>& requirements,
@@ -71,6 +73,19 @@ void ResourceBookings::book(const Demand& demand, std::int64_t start,
   for (auto [r, units] : demand) booked_[r].push_back({start, finish, units});
 }
 
+ResourceBookings ResourceBookings::of(const meta::Database& db,
+                                      cal::WorkInstant origin) {
+  std::vector<int> capacities;
+  capacities.reserve(db.resources().size());
+  for (const auto& r : db.resources()) capacities.push_back(r.capacity);
+  ResourceBookings bookings(std::move(capacities));
+  for (std::size_t r = 0; r < db.resources().size(); ++r)
+    for (auto [from, to] : db.resources()[r].time_off)
+      if (to > origin)
+        bookings.block(r, minutes_after(origin, from), minutes_after(origin, to));
+  return bookings;
+}
+
 void ResourceBookings::block(std::size_t r, std::int64_t start, std::int64_t finish) {
   booked_[r].push_back({start, finish, capacities_[r]});
 }
@@ -79,18 +94,16 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
   const std::size_t n = input.activities.size();
   if (input.requirements.size() != n)
     return util::invalid("leveling: requirements size mismatch");
-  for (int c : input.capacities)
+  for (int c : input.bookings.capacities())
     if (c <= 0) return util::invalid("leveling: capacities must be positive");
   std::vector<Demand> demands(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto demand = demand_of(input.requirements[i], input.capacities);
+    auto demand = demand_of(input.requirements[i], input.bookings.capacities());
     if (!demand.ok())
       return util::invalid("leveling: activity " + std::to_string(i) + " " +
                            demand.error().message);
     demands[i] = std::move(demand).take();
   }
-  if (!input.blocked.empty() && input.blocked.size() != input.capacities.size())
-    return util::invalid("leveling: blocked windows must cover every resource");
 
   auto cpm = compute_cpm(input.activities);
   if (!cpm.ok()) return cpm.error();
@@ -108,12 +121,7 @@ util::Result<LevelingResult> level_serial(const LevelingInput& input) {
   out.start.assign(n, 0);
   out.finish.assign(n, 0);
   std::vector<bool> placed(n, false);
-  ResourceBookings bookings(input.capacities);
-  for (std::size_t r = 0; r < input.blocked.size(); ++r)
-    for (auto [s, e] : input.blocked[r]) {
-      if (e <= s) return util::invalid("leveling: empty blocked window");
-      bookings.block(r, s, e);
-    }
+  ResourceBookings bookings = input.bookings;
 
   // The CPM priority order is NOT necessarily a topological order once
   // releases differ, so we repeatedly sweep for the first unplaced activity

@@ -9,20 +9,24 @@
 // early-start priority order at the earliest time where every required
 // resource has spare capacity, never violating precedence.
 //
-// The placement rule itself is ResourceBookings::earliest_fit.  Planning
-// calls it through level_serial; the executor's concurrent dispatch calls it
-// directly, run by run, so an executed dispatch and a leveled plan of the
+// ResourceBookings::of is the one place where the database's capacities and
+// time off become placement state, and ResourceBookings::earliest_fit is the
+// placement rule.  Planning calls it through level_serial, over bookings
+// from the plan's anchor; concurrent dispatch calls it run by run, over
+// bookings from minute 0.  So an executed dispatch and a leveled plan of the
 // same durations put every activity at the same start, multi-unit demands
 // and time off included.
 //
-// Like cpm.hpp this is independent of the schedule-space object model so it
-// can be benchmarked standalone; the Planner adapts plans to/from it.
+// level_serial is independent of the schedule-space object model so it can
+// be benchmarked standalone; the Planner adapts plans to/from it.
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "calendar/work_calendar.hpp"
 #include "core/cpm.hpp"
+#include "metadata/database.hpp"
 #include "util/result.hpp"
 
 namespace herc::sched {
@@ -44,6 +48,14 @@ class ResourceBookings {
   /// capacities[r] = units of resource r available concurrently.
   explicit ResourceBookings(std::vector<int> capacities = {})
       : capacities_(std::move(capacities)), booked_(capacities_.size()) {}
+
+  /// The database's resources in minutes after `origin`: resource r (id
+  /// r + 1) at its capacity, blocked over its time off.  A window is clipped
+  /// at the origin, and one over before it is left out.
+  [[nodiscard]] static ResourceBookings of(const meta::Database& db,
+                                           cal::WorkInstant origin);
+
+  [[nodiscard]] const std::vector<int>& capacities() const { return capacities_; }
 
   /// The earliest start >= `earliest` at which every resource in `demand`
   /// (from demand_of) has its units spare for `duration`.  An empty demand
@@ -79,12 +91,9 @@ struct LevelingInput {
   /// whole duration, one unit per entry (a repeated index takes another
   /// unit).  May be empty (no constraint).
   std::vector<std::vector<std::size_t>> requirements;
-  /// capacities[r] = units of resource r available concurrently (>= 1).
-  std::vector<int> capacities;
-  /// blocked[r] = half-open [start, finish) windows when resource r is fully
-  /// unavailable (vacations).  Optional; if non-empty it must have one entry
-  /// per resource.
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> blocked;
+  /// Every resource's capacity (>= 1) and time off, in the activities'
+  /// minutes; leveling books the activities on a copy.
+  ResourceBookings bookings;
 };
 
 struct LevelingResult {

@@ -1,7 +1,6 @@
 #include "core/risk.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/cpm_solver.hpp"
 #include "core/estimate.hpp"
@@ -46,33 +45,18 @@ util::Result<RiskReport> analyze_risk(const ScheduleSpace& space,
   if (plan.nodes.empty()) return util::invalid("risk: plan has no activities");
 
   const std::int64_t anchor = plan.anchor.minutes_since_epoch();
-  auto rel = [&](cal::WorkInstant t) {
-    return std::max<std::int64_t>(0, t.minutes_since_epoch() - anchor);
-  };
 
-  // Static structure shared by all samples.
+  // Static structure shared by all samples: the plan network, whose pinned
+  // activities keep their actuals while the others sample durations.
   const std::size_t n = plan.nodes.size();
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  std::vector<CpmActivity> base(n);
+  const std::vector<CpmActivity> base = plan_network(space, plan);
   std::vector<std::vector<cal::WorkDuration>> histories(n);
   std::vector<bool> fixed(n, false);
   for (std::size_t i = 0; i < n; ++i) {
     const ScheduleNode& node = space.node(plan.nodes[i]);
-    index[plan.nodes[i].value()] = i;
-    if (node.completed && node.actual_finish) {
-      std::int64_t start =
-          node.actual_start ? rel(*node.actual_start) : rel(*node.actual_finish);
-      base[i].release = start;
-      base[i].duration = rel(*node.actual_finish) - start;
-      fixed[i] = true;
-    } else {
-      base[i].release = node.actual_start ? rel(*node.actual_start) : 0;
-      base[i].duration = (node.planned_finish - node.planned_start).count_minutes();
-      histories[i] = DurationEstimator::history(db, node.activity);
-    }
+    fixed[i] = pinned(node);
+    if (!fixed[i]) histories[i] = DurationEstimator::history(db, node.activity);
   }
-  for (const auto& dep : plan.deps)
-    base[index.at(dep.to.value())].preds.push_back(index.at(dep.from.value()));
 
   // Compile once; fixed durations and releases are baked in, only the
   // uncertain durations change per sample.

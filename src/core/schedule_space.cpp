@@ -1,5 +1,6 @@
 #include "core/schedule_space.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace herc::sched {
@@ -161,6 +162,43 @@ std::string ScheduleSpace::dump_containers(const meta::Database& db) const {
     }
   }
   return out;
+}
+
+std::int64_t minutes_after(cal::WorkInstant origin, cal::WorkInstant t) {
+  return std::max<std::int64_t>(0, (t - origin).count_minutes());
+}
+
+bool pinned(const ScheduleNode& node) {
+  return node.completed && node.actual_finish.has_value();
+}
+
+NodeSpan node_span(const ScheduleNode& node, cal::WorkInstant anchor) {
+  if (pinned(node)) {
+    const std::int64_t start =
+        minutes_after(anchor, node.actual_start.value_or(*node.actual_finish));
+    return {start, minutes_after(anchor, *node.actual_finish) - start};
+  }
+  return {node.actual_start ? minutes_after(anchor, *node.actual_start) : 0,
+          (node.planned_finish - node.planned_start).count_minutes()};
+}
+
+std::vector<CpmActivity> plan_network(const ScheduleSpace& space,
+                                      const ScheduleRun& plan) {
+  std::vector<CpmActivity> acts(plan.nodes.size());
+  for (std::size_t i = 0; i < acts.size(); ++i) {
+    const NodeSpan span = node_span(space.node(plan.nodes[i]), plan.anchor);
+    acts[i].release = span.release;
+    acts[i].duration = span.duration;
+  }
+  // A plan's node ids ascend in creation order, so a node's index is its
+  // rank among them.
+  auto index = [&](ScheduleNodeId id) {
+    return static_cast<std::size_t>(
+        std::lower_bound(plan.nodes.begin(), plan.nodes.end(), id) - plan.nodes.begin());
+  };
+  for (const ScheduleDep& dep : plan.deps)
+    acts[index(dep.to)].preds.push_back(index(dep.from));
+  return acts;
 }
 
 }  // namespace herc::sched

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "calendar/work_calendar.hpp"
+#include "core/cpm.hpp"
 #include "metadata/database.hpp"
 #include "util/cow.hpp"
 #include "util/ids.hpp"
@@ -168,5 +169,35 @@ class ScheduleSpace {
   util::SymbolPool symbols_;
   std::uint64_t version_ = 0;
 };
+
+// --- the plan network ---------------------------------------------------------
+//
+// Planning, tracking, what-if and risk all read a plan as one CPM network
+// ("the schedule plan updates automatically" as actuals arrive, Sec. IV.C).
+// Its rules live here; each analysis overrides only what it changes.
+
+/// Minutes from `origin` to `t`, floored at 0: a plan network's time axis,
+/// whose origin is the plan's anchor.
+[[nodiscard]] std::int64_t minutes_after(cal::WorkInstant origin, cal::WorkInstant t);
+
+/// True when `node` is history: complete, with an actual finish.  Its
+/// network activity is pinned at its actuals, and no analysis moves it.
+[[nodiscard]] bool pinned(const ScheduleNode& node);
+
+/// Release and duration of one activity, in minutes after the anchor.
+struct NodeSpan {
+  std::int64_t release = 0;
+  std::int64_t duration = 0;
+};
+
+/// `node` in its plan's network: a pinned node spans its actuals; any other
+/// node is released at its actual start (0 before it starts) and lasts its
+/// planned span.
+[[nodiscard]] NodeSpan node_span(const ScheduleNode& node, cal::WorkInstant anchor);
+
+/// The CPM activities of `plan`: activity i is plan.nodes[i], timed by
+/// node_span, with its predecessors from plan.deps.
+[[nodiscard]] std::vector<CpmActivity> plan_network(const ScheduleSpace& space,
+                                                    const ScheduleRun& plan);
 
 }  // namespace herc::sched

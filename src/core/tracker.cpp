@@ -1,9 +1,6 @@
 #include "core/tracker.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-
-#include "core/cpm.hpp"
 
 namespace herc::sched {
 
@@ -73,30 +70,18 @@ void ScheduleTracker::project(cal::WorkInstant now) {
   const auto& node_ids = plan.nodes;
   if (node_ids.empty()) return;
 
-  const std::int64_t anchor = plan.anchor.minutes_since_epoch();
-  const std::int64_t now_rel = std::max<std::int64_t>(0, now.minutes_since_epoch() - anchor);
+  const std::int64_t now_rel = minutes_after(plan.anchor, now);
 
-  // Release/duration of node i under the projection rules.
-  auto value_of = [&](std::size_t i) -> std::pair<std::int64_t, std::int64_t> {
+  // Node i in the plan network as tracking reads it: work not yet finished
+  // still needs its estimate and cannot finish before `now`; unstarted work
+  // cannot start before `now`.
+  auto span_now = [&](std::size_t i) {
     const ScheduleNode& n = space_->node(node_ids[i]);
-    auto rel = [&](cal::WorkInstant t) {
-      return std::max<std::int64_t>(0, t.minutes_since_epoch() - anchor);
-    };
-    if (n.completed && n.actual_finish) {
-      // Fixed history: pin exactly at the actuals.
-      std::int64_t start = n.actual_start ? rel(*n.actual_start) : rel(*n.actual_finish);
-      return {start, rel(*n.actual_finish) - start};
-    }
-    if (n.actual_start) {
-      // In progress: started when it started; cannot finish before `now`,
-      // and still needs its estimated duration if that projects later.
-      std::int64_t start = rel(*n.actual_start);
-      std::int64_t projected_finish =
-          std::max(start + n.est_duration.count_minutes(), now_rel);
-      return {start, projected_finish - start};
-    }
-    // Not started: full estimate, not before now.
-    return {now_rel, n.est_duration.count_minutes()};
+    if (pinned(n)) return node_span(n, plan.anchor);
+    const std::int64_t estimate = n.est_duration.count_minutes();
+    if (!n.actual_start) return NodeSpan{now_rel, estimate};
+    const std::int64_t start = node_span(n, plan.anchor).release;
+    return NodeSpan{start, std::max(start + estimate, now_rel) - start};
   };
 
   // The plan's node/dep lists are append-only, so count equality means the
@@ -105,18 +90,12 @@ void ScheduleTracker::project(cal::WorkInstant now) {
                      cache_->nodes == node_ids.size() &&
                      cache_->deps == plan.deps.size();
   if (!reuse) {
-    PlanSolverCache fresh;
-    fresh.plan = *plan_;
-    fresh.nodes = node_ids.size();
-    fresh.deps = plan.deps.size();
-    for (std::size_t i = 0; i < node_ids.size(); ++i)
-      fresh.index[node_ids[i].value()] = i;
-    std::vector<CpmActivity> acts(node_ids.size());
-    for (std::size_t i = 0; i < node_ids.size(); ++i)
-      std::tie(acts[i].release, acts[i].duration) = value_of(i);
-    for (const auto& dep : plan.deps)
-      acts[fresh.index.at(dep.to.value())].preds.push_back(
-          fresh.index.at(dep.from.value()));
+    std::vector<CpmActivity> acts = plan_network(*space_, plan);
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      const NodeSpan span = span_now(i);
+      acts[i].release = span.release;
+      acts[i].duration = span.duration;
+    }
     auto compiled = CpmSolver::compile(acts);
     if (!compiled.ok()) {
       // Plan deps come from a tree, so this "cannot happen" — but a silent
@@ -135,14 +114,14 @@ void ScheduleTracker::project(cal::WorkInstant now) {
       }
       return;
     }
-    cache_.emplace(std::move(fresh));
-    cache_->solver = std::move(compiled.value());
+    cache_.emplace(PlanSolverCache{*plan_, node_ids.size(), plan.deps.size(),
+                                   std::move(compiled.value()), {}});
   } else {
     // Structure unchanged: durations/releases-only incremental re-solve.
     for (std::size_t i = 0; i < node_ids.size(); ++i) {
-      auto [release, duration] = value_of(i);
-      cache_->solver.set_release(i, release);
-      cache_->solver.set_duration(i, duration);
+      const NodeSpan span = span_now(i);
+      cache_->solver.set_release(i, span.release);
+      cache_->solver.set_duration(i, span.duration);
     }
   }
   cache_->solver.solve(cache_->result);

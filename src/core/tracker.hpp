@@ -18,7 +18,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "core/cpm_solver.hpp"
 #include "core/schedule_space.hpp"
@@ -69,12 +68,11 @@ class ScheduleTracker : public meta::DatabaseObserver {
   /// plan's node and dep lists are append-only, so the cache is valid while
   /// the (plan id, node count, dep count) triple is unchanged; a recorded
   /// run then costs a durations/releases-only re-solve — no graph rebuild,
-  /// no toposort, no per-call index map, no allocation.
+  /// no toposort, no allocation.
   struct PlanSolverCache {
     ScheduleRunId plan;
     std::size_t nodes = 0;
     std::size_t deps = 0;
-    std::unordered_map<std::uint64_t, std::size_t> index;  ///< node id -> dense
     CpmSolver solver;
     CpmResult result;  ///< reused solve buffer
   };

@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/cpm.hpp"
 #include "core/cpm_solver.hpp"
 
 namespace herc::sched {
 
 namespace {
-
-/// Dense CPM view of one plan.
-struct PlanNetwork {
-  std::vector<CpmActivity> acts;
-  std::vector<ScheduleNodeId> nodes;
-  std::unordered_map<std::uint64_t, std::size_t> index;
-  std::int64_t anchor = 0;
-};
 
 enum class NetworkMode {
   kPinned,  ///< releases pin every activity at its current projection —
@@ -25,15 +16,10 @@ enum class NetworkMode {
             ///< right for crash analysis (shortening may pull work earlier)
 };
 
-PlanNetwork build_network(const ScheduleSpace& space, ScheduleRunId plan_id,
-                          NetworkMode mode) {
-  PlanNetwork net;
-  const ScheduleRun& plan = space.plan(plan_id);
-  net.anchor = plan.anchor.minutes_since_epoch();
-  auto rel = [&](cal::WorkInstant t) {
-    return std::max<std::int64_t>(0, t.minutes_since_epoch() - net.anchor);
-  };
-
+/// The plan's network with unstarted work released as `mode` says.
+std::vector<CpmActivity> build_network(const ScheduleSpace& space,
+                                       const ScheduleRun& plan, NetworkMode mode) {
+  std::vector<CpmActivity> acts = plan_network(space, plan);
   // "Now" proxy for kFree: the earliest instant any incomplete activity is
   // currently projected to start (the tracker maintains planned_start >= now).
   std::int64_t now_rel = 0;
@@ -41,102 +27,86 @@ PlanNetwork build_network(const ScheduleSpace& space, ScheduleRunId plan_id,
   for (ScheduleNodeId nid : plan.nodes) {
     const ScheduleNode& n = space.node(nid);
     if (n.completed) continue;
-    now_rel = any_incomplete ? std::min(now_rel, rel(n.planned_start))
-                             : rel(n.planned_start);
+    const std::int64_t start = minutes_after(plan.anchor, n.planned_start);
+    now_rel = any_incomplete ? std::min(now_rel, start) : start;
     any_incomplete = true;
   }
-
-  for (ScheduleNodeId nid : plan.nodes) {
-    const ScheduleNode& n = space.node(nid);
-    net.index[nid.value()] = net.nodes.size();
-    net.nodes.push_back(nid);
-    CpmActivity act;
-    if (n.completed && n.actual_finish) {
-      std::int64_t start = n.actual_start ? rel(*n.actual_start) : rel(*n.actual_finish);
-      act.release = start;
-      act.duration = rel(*n.actual_finish) - start;
-    } else {
-      act.duration = (n.planned_finish - n.planned_start).count_minutes();
-      if (n.actual_start) {
-        act.release = rel(*n.actual_start);
-      } else {
-        act.release = mode == NetworkMode::kPinned ? rel(n.planned_start) : now_rel;
-      }
-    }
-    net.acts.push_back(std::move(act));
+  for (std::size_t i = 0; i < acts.size(); ++i) {
+    const ScheduleNode& n = space.node(plan.nodes[i]);
+    if (pinned(n) || n.actual_start) continue;
+    acts[i].release = mode == NetworkMode::kPinned
+                          ? minutes_after(plan.anchor, n.planned_start)
+                          : now_rel;
   }
-  for (const auto& dep : plan.deps)
-    net.acts[net.index.at(dep.to.value())].preds.push_back(
-        net.index.at(dep.from.value()));
-  return net;
+  return acts;
 }
 
 }  // namespace
 
-util::Result<SlipImpact> simulate_delay(const ScheduleSpace& space, ScheduleRunId plan,
+util::Result<SlipImpact> simulate_delay(const ScheduleSpace& space, ScheduleRunId plan_id,
                                         const std::string& activity,
                                         cal::WorkDuration delay) {
   if (delay.count_minutes() < 0) return util::invalid("simulate_delay: negative delay");
-  auto nid = space.node_in_plan(plan, activity);
+  auto nid = space.node_in_plan(plan_id, activity);
   if (!nid)
     return util::not_found("simulate_delay: plan has no activity '" + activity + "'");
   if (space.node(*nid).completed)
     return util::conflict("simulate_delay: '" + activity +
                           "' is complete; its dates are history");
 
-  PlanNetwork net = build_network(space, plan, NetworkMode::kPinned);
-  auto solver = CpmSolver::compile(net.acts);
+  const ScheduleRun& plan = space.plan(plan_id);
+  const std::vector<CpmActivity> acts = build_network(space, plan, NetworkMode::kPinned);
+  auto solver = CpmSolver::compile(acts);
   if (!solver.ok()) return solver.error();
   CpmResult base;
   solver.value().solve(base);
 
-  std::size_t target = net.index.at(nid->value());
-  solver.value().set_duration(target,
-                              net.acts[target].duration + delay.count_minutes());
+  const auto target = static_cast<std::size_t>(
+      std::find(plan.nodes.begin(), plan.nodes.end(), *nid) - plan.nodes.begin());
+  solver.value().set_duration(target, acts[target].duration + delay.count_minutes());
   CpmResult delayed;
   solver.value().solve(delayed);
 
   SlipImpact impact;
   impact.activity = activity;
   impact.delay = delay;
-  impact.old_finish = cal::WorkInstant(net.anchor + base.makespan);
-  impact.new_finish = cal::WorkInstant(net.anchor + delayed.makespan);
+  impact.old_finish = plan.anchor + cal::WorkDuration::minutes(base.makespan);
+  impact.new_finish = plan.anchor + cal::WorkDuration::minutes(delayed.makespan);
   impact.project_slip = impact.new_finish - impact.old_finish;
   impact.absorbed = impact.project_slip.count_minutes() == 0;
-  for (std::size_t i = 0; i < net.nodes.size(); ++i) {
+  for (std::size_t i = 0; i < acts.size(); ++i) {
     if (i == target) continue;
     if (delayed.early_start[i] != base.early_start[i])
-      impact.shifted_activities.push_back(space.node(net.nodes[i]).activity);
+      impact.shifted_activities.push_back(space.node(plan.nodes[i]).activity);
   }
   return impact;
 }
 
 util::Result<CrashPlan> crash_to_deadline(const ScheduleSpace& space,
-                                          ScheduleRunId plan, cal::WorkInstant deadline,
+                                          ScheduleRunId plan_id,
+                                          cal::WorkInstant deadline,
                                           cal::WorkDuration floor) {
   if (floor.count_minutes() < 1)
     return util::invalid("crash_to_deadline: floor must be at least a minute");
 
-  PlanNetwork net = build_network(space, plan, NetworkMode::kFree);
-  const std::int64_t deadline_rel =
-      deadline.minutes_since_epoch() - net.anchor;
+  const ScheduleRun& plan = space.plan(plan_id);
+  const std::vector<CpmActivity> acts = build_network(space, plan, NetworkMode::kFree);
+  const std::int64_t deadline_rel = (deadline - plan.anchor).count_minutes();
 
   // One compiled network for the whole greedy search: each round is a
   // durations-only incremental re-solve (up to 10k of them).
-  auto solver = CpmSolver::compile(net.acts).take();  // plan deps are acyclic
+  auto solver = CpmSolver::compile(acts).take();  // plan deps are acyclic
   CpmResult solved;
 
   CrashPlan result;
   result.deadline = deadline;
   solver.solve(solved);
-  result.projected_finish = cal::WorkInstant(net.anchor + solved.makespan);
+  result.projected_finish = plan.anchor + cal::WorkDuration::minutes(solved.makespan);
   result.shortfall = result.projected_finish - deadline;
   if (result.shortfall.count_minutes() <= 0) return result;  // already met
 
   // Accumulate reductions per activity index.
   std::unordered_map<std::size_t, std::int64_t> cut;
-  std::vector<std::int64_t> original(net.acts.size());
-  for (std::size_t i = 0; i < net.acts.size(); ++i) original[i] = net.acts[i].duration;
 
   // Greedy: each round, shorten the longest critical incomplete activity.
   for (int rounds = 0; rounds < 10000; ++rounds) {
@@ -144,17 +114,17 @@ util::Result<CrashPlan> crash_to_deadline(const ScheduleSpace& space,
     std::int64_t over = solved.makespan - deadline_rel;
     if (over <= 0) break;
 
-    std::size_t best = net.acts.size();
+    std::size_t best = acts.size();
     std::int64_t best_len = floor.count_minutes();
-    for (std::size_t i = 0; i < net.acts.size(); ++i) {
-      if (space.node(net.nodes[i]).completed) continue;
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      if (space.node(plan.nodes[i]).completed) continue;
       if (!solved.critical[i]) continue;
       if (solver.duration(i) > best_len) {
         best_len = solver.duration(i);
         best = i;
       }
     }
-    if (best == net.acts.size()) {
+    if (best == acts.size()) {
       result.feasible = false;  // everything critical is already at the floor
       break;
     }
@@ -165,8 +135,8 @@ util::Result<CrashPlan> crash_to_deadline(const ScheduleSpace& space,
   }
 
   for (const auto& [i, minutes] : cut) {
-    result.steps.push_back(CrashStep{space.node(net.nodes[i]).activity,
-                                     cal::WorkDuration::minutes(original[i]),
+    result.steps.push_back(CrashStep{space.node(plan.nodes[i]).activity,
+                                     cal::WorkDuration::minutes(acts[i].duration),
                                      cal::WorkDuration::minutes(minutes)});
   }
   std::sort(result.steps.begin(), result.steps.end(),
@@ -176,12 +146,13 @@ util::Result<CrashPlan> crash_to_deadline(const ScheduleSpace& space,
   return result;
 }
 
-std::vector<ActivityDrag> plan_drag(const ScheduleSpace& space, ScheduleRunId plan) {
-  PlanNetwork net = build_network(space, plan, NetworkMode::kFree);
-  auto drags = compute_drag(net.acts).value();  // plan deps are acyclic
+std::vector<ActivityDrag> plan_drag(const ScheduleSpace& space, ScheduleRunId plan_id) {
+  const ScheduleRun& plan = space.plan(plan_id);
+  // Plan deps are acyclic.
+  auto drags = compute_drag(build_network(space, plan, NetworkMode::kFree)).value();
   std::vector<ActivityDrag> out;
-  for (std::size_t i = 0; i < net.nodes.size(); ++i) {
-    const ScheduleNode& n = space.node(net.nodes[i]);
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const ScheduleNode& n = space.node(plan.nodes[i]);
     if (n.completed) continue;  // history has no drag
     out.push_back(ActivityDrag{n.activity, cal::WorkDuration::minutes(drags[i])});
   }
@@ -192,15 +163,14 @@ std::vector<ActivityDrag> plan_drag(const ScheduleSpace& space, ScheduleRunId pl
 }
 
 std::vector<DeadlineSlack> deadline_slack(const ScheduleSpace& space,
-                                          ScheduleRunId plan,
+                                          ScheduleRunId plan_id,
                                           cal::WorkInstant deadline) {
-  PlanNetwork net = build_network(space, plan, NetworkMode::kPinned);
-  auto solved = compute_cpm(net.acts).value();
-  std::int64_t margin =
-      deadline.minutes_since_epoch() - (net.anchor + solved.makespan);
+  const ScheduleRun& plan = space.plan(plan_id);
+  auto solved = compute_cpm(build_network(space, plan, NetworkMode::kPinned)).value();
+  const std::int64_t margin = (deadline - plan.anchor).count_minutes() - solved.makespan;
   std::vector<DeadlineSlack> out;
-  for (std::size_t i = 0; i < net.nodes.size(); ++i) {
-    const ScheduleNode& n = space.node(net.nodes[i]);
+  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
+    const ScheduleNode& n = space.node(plan.nodes[i]);
     if (n.completed) continue;
     out.push_back(DeadlineSlack{
         n.activity, cal::WorkDuration::minutes(solved.total_slack[i] + margin)});

@@ -85,16 +85,15 @@ util::Result<ExecutionResult> Executor::execute_concurrent(
 
   Sweep s(tree, clock_->now());
   s.dispatch = true;
-  const auto& resources = db_->resources();
-  std::vector<int> capacities;
-  for (const auto& r : resources) capacities.push_back(r.capacity);
+  s.bookings = sched::ResourceBookings::of(*db_, cal::WorkInstant());
+  const std::vector<int>& capacities = s.bookings.capacities();
   for (const auto& [activity, assigned] : options.assignments) {
     if (!tree.schema().find_rule_by_activity(activity))
       return util::not_found("dispatch: assignment for unknown activity '" + activity +
                              "'");
     std::vector<std::size_t> requirements;
     for (meta::ResourceId r : assigned) {
-      if (!r.valid() || r.value() > resources.size())
+      if (!r.valid() || r.value() > capacities.size())
         return util::not_found("dispatch: unknown resource " + r.str());
       requirements.push_back(r.value() - 1);
     }
@@ -104,10 +103,6 @@ util::Result<ExecutionResult> Executor::execute_concurrent(
                            demand.error().message);
     s.demands.emplace(activity, std::move(demand).take());
   }
-  s.bookings = sched::ResourceBookings(std::move(capacities));
-  for (std::size_t r = 0; r < resources.size(); ++r)
-    for (auto [from, to] : resources[r].time_off)
-      s.bookings.block(r, from.minutes_since_epoch(), to.minutes_since_epoch());
 
   auto result = sweep(tree, designer, s);
   clock_->advance_to(s.makespan);

@@ -312,6 +312,7 @@ Scenario generate(const ScenarioSpec& spec_in) {
   if (spec.minutes_per_day < 60) spec.minutes_per_day = 60;
   if (spec.max_attempts < 1) spec.max_attempts = 1;
   if (spec.timeout_minutes < 0) spec.timeout_minutes = 0;
+  if (spec.backoff_minutes < 0) spec.backoff_minutes = 0;
   spec.dist_sigma = clamp(spec.dist_sigma, 0.0, 4.0);
   spec.dist_alpha = clamp(spec.dist_alpha, 0.05, 16.0);
   spec.adversity = clamp(spec.adversity, 0.0, 1.0);
@@ -344,6 +345,7 @@ Scenario generate(const ScenarioSpec& spec_in) {
   s.policy = spec.policy;
   s.max_attempts = spec.max_attempts;
   s.timeout_minutes = spec.timeout_minutes;
+  s.backoff_minutes = spec.backoff_minutes;
 
   if (spec.adversity > 0 && !s.graph.rules.empty()) {
     const auto n_rules = static_cast<std::int64_t>(s.graph.rules.size());
@@ -418,9 +420,7 @@ util::Result<std::unique_ptr<hercules::WorkflowManager>> make_manager(
   exec::ExecutionOptions opts;
   opts.on_failure = scenario.policy;
   opts.retry.max_attempts = scenario.max_attempts;
-  // Retry backoff advances the clock without being journaled; scenarios must
-  // stay replayable from snapshot + journal, so it is always zero here.
-  opts.retry.backoff = cal::WorkDuration::minutes(0);
+  opts.retry.backoff = cal::WorkDuration::minutes(scenario.backoff_minutes);
   opts.retry.timeout = cal::WorkDuration::minutes(scenario.timeout_minutes);
   m->set_exec_options(std::move(opts));
 
@@ -470,6 +470,7 @@ util::Json scenario_to_json(const Scenario& s) {
   spec.set("policy", exec::failure_policy_name(s.spec.policy));
   spec.set("max_attempts", static_cast<std::int64_t>(s.spec.max_attempts));
   spec.set("timeout_minutes", s.spec.timeout_minutes);
+  spec.set("backoff_minutes", s.spec.backoff_minutes);
   spec.set("duration_dist", duration_dist_name(s.spec.duration_dist));
   spec.set("dist_sigma", s.spec.dist_sigma);
   spec.set("dist_alpha", s.spec.dist_alpha);
@@ -507,6 +508,7 @@ util::Json scenario_to_json(const Scenario& s) {
   doc.set("policy", exec::failure_policy_name(s.policy));
   doc.set("max_attempts", static_cast<std::int64_t>(s.max_attempts));
   doc.set("timeout_minutes", s.timeout_minutes);
+  doc.set("backoff_minutes", s.backoff_minutes);
 
   JsonObject adv;
   JsonArray replans;
@@ -570,6 +572,8 @@ util::Result<Scenario> scenario_from_json(const util::Json& json) {
     if (spec.contains("dist_sigma")) s.spec.dist_sigma = spec.at("dist_sigma").as_double();
     if (spec.contains("dist_alpha")) s.spec.dist_alpha = spec.at("dist_alpha").as_double();
     if (spec.contains("adversity")) s.spec.adversity = spec.at("adversity").as_double();
+    if (spec.contains("backoff_minutes"))
+      s.spec.backoff_minutes = spec.at("backoff_minutes").as_int();
 
     const auto& graph = doc.at("graph").as_object();
     s.graph.schema_name = graph.at("schema_name").as_string();
@@ -604,6 +608,8 @@ util::Result<Scenario> scenario_from_json(const util::Json& json) {
     s.policy = policy2.value();
     s.max_attempts = static_cast<int>(doc.at("max_attempts").as_int());
     s.timeout_minutes = doc.at("timeout_minutes").as_int();
+    if (doc.contains("backoff_minutes"))
+      s.backoff_minutes = doc.at("backoff_minutes").as_int();
     if (doc.contains("adversarial")) {
       const auto& adv = doc.at("adversarial").as_object();
       for (const auto& k : adv.at("replans").as_array())

@@ -139,6 +139,7 @@ struct ScenarioSpec {
   exec::FailurePolicy policy = exec::FailurePolicy::kAbort;
   int max_attempts = 1;
   std::int64_t timeout_minutes = 0;  ///< per-attempt budget; 0 = unlimited
+  std::int64_t backoff_minutes = 0;  ///< work time before each retry
 };
 
 /// A fully materialized scenario: spec provenance + explicit graph +
@@ -156,6 +157,7 @@ struct Scenario {
   exec::FailurePolicy policy = exec::FailurePolicy::kAbort;
   int max_attempts = 1;
   std::int64_t timeout_minutes = 0;
+  std::int64_t backoff_minutes = 0;
   AdversarialPlan adversarial;
 
   [[nodiscard]] std::string dsl() const { return render_schema(graph); }

@@ -96,43 +96,35 @@ std::string frame_journal_line(std::string_view payload) {
   return framed;
 }
 
-UnframedLine unframe_journal_line(std::string_view line, bool is_final) {
+UnframedLine unframe_journal_line(std::string_view line, bool unterminated) {
+  // A line that runs out before its frame is complete is a prefix of a
+  // frame: a tear when nothing follows it, corruption anywhere else.  Any
+  // other damage is corruption wherever it is.
+  const UnframedLine corrupt{FrameStatus::kCorrupt, {}};
+  const UnframedLine cut{unterminated ? FrameStatus::kTorn : FrameStatus::kCorrupt, {}};
   constexpr std::string_view kMagic = "J1 ";
-  if (line.substr(0, kMagic.size()) != kMagic) {
-    // No magic: either a pre-framing journal line (the caller JSON-parses it
-    // and applies the same torn-tail rule) or a frame whose header was torn
-    // so early the magic itself is incomplete.
-    if (is_final && kMagic.substr(0, line.size()) == line)
-      return {FrameStatus::kTorn, {}};
-    return {FrameStatus::kLegacy, line};
-  }
+  if (line.size() < kMagic.size()) return kMagic.starts_with(line) ? cut : corrupt;
+  if (!line.starts_with(kMagic)) return corrupt;
   std::string_view rest = line.substr(kMagic.size());
 
+  const std::size_t digits = std::min(rest.find_first_not_of("0123456789"), rest.size());
+  if (digits == rest.size()) return cut;
   std::uint64_t declared = 0;
-  const char* end = rest.data() + rest.size();
-  auto [next, ec] = std::from_chars(rest.data(), end, declared);
-  const std::string_view after_len(next, static_cast<std::size_t>(end - next));
-  if (ec != std::errc{} || after_len.substr(0, 1) != " " ||
-      after_len.size() < 10) {
-    // Header cut off mid-length / mid-checksum.  Only a tear produces a
-    // PREFIX of a valid header; anything else (or a short header that is not
-    // the tail) is corruption.
-    return {is_final ? FrameStatus::kTorn : FrameStatus::kCorrupt, {}};
-  }
-  bool crc_ok = false;
-  const std::uint32_t stored =
-      util::crc32c_from_hex(after_len.substr(1, 8), &crc_ok);
-  std::string_view payload = after_len.substr(10);
-  // The header is structurally complete from here on, so damage in it can
-  // only be in-place corruption, never a tear.
-  if (!crc_ok || after_len[9] != ' ') return {FrameStatus::kCorrupt, {}};
-  if (payload.size() != declared) {
-    // Fewer bytes than declared at the very end of the file is the crash
-    // signature; fewer (or more) anywhere else means the file was damaged.
-    if (payload.size() < declared && is_final) return {FrameStatus::kTorn, {}};
-    return {FrameStatus::kCorrupt, {}};
-  }
-  if (util::crc32c(payload) != stored) return {FrameStatus::kCorrupt, {}};
+  if (digits == 0 || rest[digits] != ' ' ||
+      std::from_chars(rest.data(), rest.data() + digits, declared).ec != std::errc{})
+    return corrupt;
+  rest.remove_prefix(digits + 1);
+
+  const std::string_view crc_hex = rest.substr(0, 8);
+  if (crc_hex.find_first_not_of("0123456789abcdef") != std::string_view::npos)
+    return corrupt;
+  if (rest.size() <= crc_hex.size()) return cut;
+  if (rest[crc_hex.size()] != ' ') return corrupt;
+  const std::string_view payload = rest.substr(crc_hex.size() + 1);
+  if (payload.size() < declared) return cut;
+  bool hex_ok = false;  // checked above
+  const std::uint32_t stored = util::crc32c_from_hex(crc_hex, &hex_ok);
+  if (payload.size() > declared || util::crc32c(payload) != stored) return corrupt;
   return {FrameStatus::kOk, payload};
 }
 
@@ -207,9 +199,11 @@ util::Result<std::unique_ptr<WorkflowManager>> recover_from_json(
 
   std::vector<std::string_view> lines = journal_lines(journal_text);
   if (stats != nullptr) stats->lines_seen = lines.size();
+  // Each line reaches the file together with its newline, in one write, so
+  // only a last line with no newline after it can be torn.
+  const bool unterminated = !journal_text.empty() && journal_text.back() != '\n';
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    const bool last = i + 1 == lines.size();
-    auto frame = unframe_journal_line(lines[i], last);
+    auto frame = unframe_journal_line(lines[i], unterminated && i + 1 == lines.size());
     if (frame.status == FrameStatus::kTorn) {
       // Crash debris: the append that never finished.  Nothing was
       // acknowledged for it, so dropping it IS the correct recovery.
@@ -224,13 +218,6 @@ util::Result<std::unique_ptr<WorkflowManager>> recover_from_json(
     }
     auto parsed = Json::parse(frame.payload);
     if (!parsed.ok() || !parsed.value().is_object()) {
-      // A verified frame always holds the JSON object that was checksummed,
-      // so a parse failure here means a legacy (unframed) line was damaged
-      // — or torn, if it is the final one.
-      if (last && frame.status == FrameStatus::kLegacy) {
-        if (stats != nullptr) stats->torn_tail += 1;
-        break;
-      }
       auto st = note_corruption(stats, i + 1, lines.size(),
                                 parsed.ok() ? std::string("not an object")
                                             : parsed.error().message);

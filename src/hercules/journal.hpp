@@ -12,14 +12,17 @@
 //
 // On disk each line is framed `J1 <len> <crc32c> <payload>` (see
 // frame_journal_line): the length prefix makes a torn final record
-// self-evident and the CRC-32C catches in-place corruption.  Plain unframed
-// JSON lines from older journals still replay (legacy fallback).
+// self-evident and the CRC-32C catches in-place corruption.  Every line is
+// a frame; there is no unframed form.
 //
 // Recovery = load the last snapshot, replay the journal tail over it
-// (recover_from_json / recover_project).  A torn final line is ignored; any
-// earlier malformed line is a real error (or, when the caller passes a
-// RecoveryStats, replay stops at the last verified record and the damage is
-// reported + quarantined instead).  The journal does NOT capture
+// (recover_from_json / recover_project).  A line is written together with
+// its newline in one write, so the one line a crash can tear is a last line
+// with no newline after it, and a tear leaves a prefix of a frame: such a
+// line is ignored.  Every other line that fails to verify is corruption, a
+// real error (or, when the caller passes a RecoveryStats, replay stops at
+// the last verified record and the damage is reported + quarantined
+// instead).  The journal does NOT capture
 // schedule-space mutations (plans, links) or manual clock advances between
 // runs; snapshot after those if they must survive a crash.
 //
@@ -98,9 +101,10 @@ class RunJournal : public meta::DatabaseObserver {
 };
 
 /// Splits journal text into its non-empty lines, in order.  The returned
-/// views point into `text`; the final element may be a torn partial line
-/// (recover_from_json tolerates that).  Exposed so the fuzz harness can
-/// replay every journal prefix and assert crash-point recovery composes.
+/// views point into `text`; when `text` does not end in a newline the final
+/// element may be a torn partial line (recover_from_json tolerates that).
+/// Exposed so the fuzz harness can replay every journal prefix and assert
+/// crash-point recovery composes.
 [[nodiscard]] std::vector<std::string_view> journal_lines(std::string_view text);
 
 /// Wraps one journal payload in the on-disk record frame:
@@ -114,23 +118,22 @@ class RunJournal : public meta::DatabaseObserver {
 /// Verdict on one stored journal line.
 enum class FrameStatus {
   kOk,       ///< framed, length and checksum verified
-  kLegacy,   ///< pre-framing plain line; caller validates the payload itself
-  kTorn,     ///< incomplete final record (crash mid-append): truncate here
-  kCorrupt,  ///< complete but failing verification: stop, never replay past it
+  kTorn,     ///< a crash cut the last record short: truncate here
+  kCorrupt,  ///< failing verification: stop, never replay past it
 };
 
 struct UnframedLine {
-  FrameStatus status = FrameStatus::kLegacy;
-  std::string_view payload;  ///< valid for kOk / kLegacy
+  FrameStatus status = FrameStatus::kCorrupt;
+  std::string_view payload;  ///< valid for kOk
 };
 
-/// Classifies one line as produced by journal_lines.  `is_final` selects the
-/// torn-tail interpretation: an under-length or header-torn FINAL record is
-/// the expected debris of a crash mid-append (kTorn); the same damage
-/// earlier — or a full-length record whose checksum fails anywhere — is
-/// corruption (kCorrupt).  Lines without the `J1 ` magic are kLegacy.
+/// Classifies one line as produced by journal_lines.  `unterminated` says
+/// the line is the journal's last and no newline follows it: only then can
+/// it be the debris of a crash mid-append, and it is kTorn when it is a
+/// prefix of a frame (cut inside the magic, the length, the checksum or the
+/// payload).  Every other line that fails to verify is kCorrupt.
 [[nodiscard]] UnframedLine unframe_journal_line(std::string_view line,
-                                                bool is_final);
+                                                bool unterminated);
 
 /// What recovery found and did; filled by recover_from_json/recover_project
 /// when the caller passes one (which also switches mid-stream corruption
@@ -148,9 +151,10 @@ struct RecoveryStats {
 };
 
 /// Reconstructs a manager from a snapshot plus the journal written after it.
-/// The journal text may end in a torn line (crash mid-append); that line is
-/// dropped.  Mid-stream damage (a checksum failure, a malformed record
-/// before the tail) is handled two ways:
+/// The journal text may end in a torn line (crash mid-append): a prefix of
+/// a frame with no newline after it.  That line is dropped.  Any other
+/// damage (a checksum failure, a damaged header, a malformed record) is
+/// handled two ways:
 ///   - stats == nullptr (strict): fail with kParse — the default for callers
 ///     that must not mask corruption (the CLI, the fuzz oracle).
 ///   - stats != nullptr (resilient): stop at the last verified record,

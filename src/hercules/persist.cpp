@@ -362,9 +362,14 @@ class Persistence {
 
       for (const auto& r : root.at("resources").as_array()) {
         const auto& o = r.as_object();
+        const std::int64_t capacity = o.at("capacity").as_int();
+        if (capacity < 1 || capacity > std::numeric_limits<int>::max())
+          return util::invalid("resource capacity " + std::to_string(capacity) +
+                               " is outside 1.." +
+                               std::to_string(std::numeric_limits<int>::max()));
         auto rid = m->db_->add_resource(o.at("name").as_string(),
                                         o.at("kind").as_string(),
-                                        static_cast<int>(o.at("capacity").as_int()));
+                                        static_cast<int>(capacity));
         for (const auto& w : o.at("time_off").as_array()) {
           const auto& window = w.as_array();
           if (window.size() != 2)
@@ -405,9 +410,11 @@ class Persistence {
         auto& plan = m->space_->plan_mut(pid);
         plan.anchor = instant_of(o.at("anchor"));
         plan.deadline = optional_instant_of(o.at("deadline"));
-        plan.status = o.at("status").as_string() == "active"
-                          ? sched::PlanStatus::kActive
-                          : sched::PlanStatus::kSuperseded;
+        const std::string& status = o.at("status").as_string();
+        if (status != "active" && status != "superseded")
+          return util::parse_error("unknown plan status '" + status + "'");
+        plan.status = status == "active" ? sched::PlanStatus::kActive
+                                         : sched::PlanStatus::kSuperseded;
       }
 
       for (const auto& nj : root.at("schedule_nodes").as_array()) {

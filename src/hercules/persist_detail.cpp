@@ -95,8 +95,10 @@ util::Status restore_run(meta::Database& db, const schema::TaskSchema& schema,
         meta::EntityInstanceId{static_cast<std::uint64_t>(o.at("output").as_int())};
   run.started_at = instant_of(o.at("started"));
   run.finished_at = instant_of(o.at("finished"));
-  run.status = o.at("status").as_string() == "completed" ? meta::RunStatus::kCompleted
-                                                         : meta::RunStatus::kFailed;
+  const std::string& status = o.at("status").as_string();
+  if (status == "completed") run.status = meta::RunStatus::kCompleted;
+  else if (status == "failed") run.status = meta::RunStatus::kFailed;
+  else return util::parse_error("unknown run status '" + status + "'");
   auto rid = db.record_run(std::move(run));
   if (!rid.ok()) return rid.error();
   if (rid.value().value() != static_cast<std::uint64_t>(o.at("id").as_int()))

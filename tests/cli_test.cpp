@@ -445,6 +445,91 @@ TEST(Cli, FaultsCommandComposesAndShows) {
   fail(s, "faults bogus");
 }
 
+// --- numbers: decimal digits in range, or a plain decimal; nothing else ----
+
+/// Runs a line that must be refused as invalid.
+void refused(CliSession& s, const std::string& line) {
+  auto r = s.execute_line(line);
+  ASSERT_FALSE(r.ok()) << line << " was accepted:\n" << r.value();
+  EXPECT_EQ(r.error().code, util::Error::Code::kInvalid)
+      << line << ": " << r.error().str();
+}
+
+TEST(CliNumbers, ResourceCapacityIsAtLeastOne) {
+  CliSession s = circuit_session();
+  for (const char* line :
+       {"resource ghost person 2x", "resource zero person 0", "resource neg person -1",
+        "resource dec person 2.0", "resource plus person +2",
+        "resource huge person 2147483648"})
+    refused(s, line);
+  EXPECT_TRUE(s.manager()->db().resources().empty());
+  ok(s, "plan adder level");  // no capacity-0 resource blocks leveling
+  ok(s, "resource farm machine 2147483647");
+}
+
+TEST(CliNumbers, VacationDays) {
+  CliSession s = circuit_session();
+  ok(s, "resource alice");
+  for (const char* line :
+       {"vacation alice 1970-01-05 3x", "vacation alice 1970-01-05 -1",
+        "vacation alice 1970-01-05 1.5", "vacation alice 1970-01-05 0",
+        "vacation alice 1970-01-05 2147483648"})
+    refused(s, line);
+  EXPECT_TRUE(s.manager()->db().resources()[0].time_off.empty());
+}
+
+TEST(CliNumbers, RetryAttempts) {
+  CliSession s = circuit_session();
+  for (const char* line :
+       {"retry 2x", "retry -1", "retry 0", "retry 1.5", "retry 2147483648"})
+    refused(s, line);
+  EXPECT_EQ(s.manager()->exec_options().retry.max_attempts, 1);
+}
+
+TEST(CliNumbers, RiskSamplesSeedAndThreads) {
+  CliSession s = circuit_session();
+  ok(s, "plan adder");
+  for (const char* line :
+       {"risk adder 50x", "risk adder 0", "risk adder -5", "risk adder 1e3",
+        "risk adder 50 -7", "risk adder 50 7x", "risk adder 50 7 2x",
+        "risk adder 50 7 -1"})
+    refused(s, line);
+}
+
+TEST(CliNumbers, FaultSeedCountsAndToolOptions) {
+  CliSession s = circuit_session();
+  ok(s, "faults seed 42");
+  for (const char* line :
+       {"faults seed -5", "faults seed 5x", "faults seed 18446744073709551616",
+        "faults crashafter -1", "faults crashafter 3x", "faults tool spice fail 0.5x",
+        "faults tool spice fail -0.5", "faults tool spice latency 1e2",
+        "faults tool spice failon 1 3x", "faults tool spice crashon 0",
+        "faults tool spice failon 2147483648"})
+    refused(s, line);
+  ASSERT_NE(s.manager()->fault_injector(), nullptr);
+  EXPECT_EQ(s.manager()->fault_injector()->seed(), 42u);
+  EXPECT_EQ(s.manager()->fault_injector()->plan().crash_after_total, 0u);
+  EXPECT_TRUE(s.manager()->fault_injector()->plan().tools.empty());
+}
+
+TEST(CliNumbers, SelectId) {
+  CliSession s = circuit_session();
+  ok(s, "plan adder");
+  ok(s, "browse");
+  for (const char* line : {"select 1x", "select -1", "select 1.0"}) refused(s, line);
+  fail(s, "display");  // nothing was selected
+}
+
+TEST(CliNumbers, ToolNoiseAndFailRate) {
+  CliSession s;
+  ok(s, "schema " + kInlineSchema);
+  for (const char* line :
+       {"tool flaky simulator 2h noise 0.2x", "tool flaky simulator 2h fail -0.1",
+        "tool flaky simulator 2h noise 1e-1", "tool flaky simulator 2h fail 0x1"})
+    refused(s, line);
+  ok(s, "tool flaky simulator 2h noise 0.2 fail 0.1");  // nothing was registered
+}
+
 TEST(Cli, InjectedFailuresDriveRetriesEndToEnd) {
   CliSession s = circuit_session();
   ok(s, "faults tool spice failon 1");

@@ -84,6 +84,35 @@ TEST(Fuzz, OracleMaskRestrictsChecking) {
                    .empty());
 }
 
+TEST(Fuzz, RecoveryOracleHoldsWithRetryBackoff) {
+  // Every first invocation of a tool fails, so each activity retries after
+  // a 30-minute backoff.  The uninterrupted run must replay byte-identically
+  // from snapshot + journal, and a crash on the first retry (invocation 2)
+  // must recover exactly the journaled failed attempt.
+  Scenario s = generate({.seed = 5,
+                         .shape = Shape::kChain,
+                         .size = 3,
+                         .fault_seed = 11,
+                         .policy = exec::FailurePolicy::kRetryThenAbort,
+                         .max_attempts = 3,
+                         .backoff_minutes = 30});
+  s.faults.tools["*"].fail_on = {1, 3, 5};
+  EXPECT_TRUE(run_scenario(s, {.oracles = kOracleRecovery}).empty())
+      << describe(run_scenario(s, {.oracles = kOracleRecovery}));
+
+  auto m = make_manager(s).take();
+  auto result = m->execute_task("job", "fuzz").take();
+  ASSERT_TRUE(result.success);
+  const auto& runs = m->db().runs();
+  ASSERT_GE(runs.size(), 2u);
+  EXPECT_EQ(runs[1].started_at - runs[0].finished_at, cal::WorkDuration::minutes(30));
+
+  Scenario crash = s;
+  crash.faults.crash_after_total = 2;
+  EXPECT_TRUE(run_scenario(crash, {.oracles = kOracleRecovery}).empty())
+      << describe(run_scenario(crash, {.oracles = kOracleRecovery}));
+}
+
 TEST(Fuzz, FuzzLoopSmoke) {
   FuzzOptions options;
   options.seed = 99;

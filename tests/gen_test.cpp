@@ -164,6 +164,39 @@ TEST(Gen, JsonRoundTripIsByteIdentical) {
   }
 }
 
+TEST(Gen, RetryBackoffRoundTripsAndReachesTheManager) {
+  Scenario s = generate({.seed = 13,
+                         .shape = Shape::kChain,
+                         .size = 3,
+                         .policy = exec::FailurePolicy::kRetryThenAbort,
+                         .max_attempts = 3,
+                         .backoff_minutes = 45});
+  EXPECT_EQ(s.backoff_minutes, 45);
+  auto j = scenario_to_json(s);
+  auto back = scenario_from_json(j);
+  ASSERT_TRUE(back.ok()) << back.error().message;
+  EXPECT_EQ(back.value().backoff_minutes, 45);
+  EXPECT_EQ(back.value().spec.backoff_minutes, 45);
+  EXPECT_EQ(scenario_to_json(back.value()).dump(), j.dump());
+  auto m = make_manager(back.value());
+  ASSERT_TRUE(m.ok()) << m.error().message;
+  EXPECT_EQ(m.value()->exec_options().retry.backoff.count_minutes(), 45);
+
+  // A corpus file from before the field existed reads it as 0.
+  auto without_backoff = [](const util::JsonObject& o) {
+    util::JsonObject out;
+    for (const auto& [key, value] : o)
+      if (key != "backoff_minutes") out.set(key, value);
+    return out;
+  };
+  util::JsonObject old = without_backoff(j.as_object());
+  old.set("spec", without_backoff(j.as_object().at("spec").as_object()));
+  auto legacy = scenario_from_json(util::Json(std::move(old)));
+  ASSERT_TRUE(legacy.ok()) << legacy.error().message;
+  EXPECT_EQ(legacy.value().backoff_minutes, 0);
+  EXPECT_EQ(legacy.value().spec.backoff_minutes, 0);
+}
+
 TEST(GenAdversarial, ZeroAdversityKeepsThePlanEmpty) {
   Scenario s = generate({.seed = 14, .shape = Shape::kRandom, .size = 8});
   EXPECT_TRUE(s.adversarial.empty());

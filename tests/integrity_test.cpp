@@ -82,7 +82,7 @@ TEST(JournalFrame, RoundTrip) {
   const std::string payload = R"({"clock":7,"runs":[]})";
   const std::string framed = frame_journal_line(payload);
   ASSERT_EQ(framed.substr(0, 3), "J1 ");
-  auto unframed = unframe_journal_line(framed, /*is_final=*/false);
+  auto unframed = unframe_journal_line(framed, /*unterminated=*/false);
   EXPECT_EQ(unframed.status, FrameStatus::kOk);
   EXPECT_EQ(unframed.payload, payload);
 }
@@ -91,35 +91,56 @@ TEST(JournalFrame, TornVersusCorruptClassification) {
   const std::string framed = frame_journal_line(R"({"clock":7})");
   // Every strict prefix of a framed line is a tear when final...
   for (std::size_t cut = 0; cut < framed.size(); ++cut) {
-    auto at_tail = unframe_journal_line(framed.substr(0, cut), /*is_final=*/true);
+    auto at_tail = unframe_journal_line(framed.substr(0, cut), /*unterminated=*/true);
     EXPECT_NE(at_tail.status, FrameStatus::kOk) << "cut at " << cut;
     EXPECT_NE(at_tail.status, FrameStatus::kCorrupt) << "cut at " << cut;
   }
   // ...but a header-complete prefix mid-file is corruption, and in-place
   // damage is corruption even at the tail.
   auto mid_file = unframe_journal_line(framed.substr(0, framed.size() - 1),
-                                       /*is_final=*/false);
+                                       /*unterminated=*/false);
   EXPECT_EQ(mid_file.status, FrameStatus::kCorrupt);
   std::string flipped = framed;
   flipped[flipped.size() - 3] ^= 0x20;
-  EXPECT_EQ(unframe_journal_line(flipped, /*is_final=*/true).status,
+  EXPECT_EQ(unframe_journal_line(flipped, /*unterminated=*/true).status,
             FrameStatus::kCorrupt);
   // Damage inside the checksum field itself.
   std::string bad_crc = framed;
   bad_crc[framed.find(' ', 3) + 1] = 'z';
-  EXPECT_EQ(unframe_journal_line(bad_crc, /*is_final=*/true).status,
+  EXPECT_EQ(unframe_journal_line(bad_crc, /*unterminated=*/true).status,
             FrameStatus::kCorrupt);
 }
 
-TEST(JournalFrame, UnframedLineFallsBackToLegacy) {
-  auto legacy = unframe_journal_line(R"({"clock":7})", /*is_final=*/false);
-  EXPECT_EQ(legacy.status, FrameStatus::kLegacy);
-  EXPECT_EQ(legacy.payload, R"({"clock":7})");
-  // A final line that is a prefix of the magic itself is crash debris.
-  EXPECT_EQ(unframe_journal_line("J", /*is_final=*/true).status,
+TEST(JournalFrame, OnlyAnUnterminatedFramePrefixIsATear) {
+  // There is no unframed form: a plain JSON line is corrupt wherever it is.
+  for (bool unterminated : {false, true}) {
+    EXPECT_EQ(unframe_journal_line(R"({"clock":7})", unterminated).status,
+              FrameStatus::kCorrupt);
+    EXPECT_EQ(unframe_journal_line("garbage", unterminated).status,
+              FrameStatus::kCorrupt);
+  }
+  // A prefix of the magic is crash debris only with no newline after it.
+  EXPECT_EQ(unframe_journal_line("J", /*unterminated=*/true).status, FrameStatus::kTorn);
+  EXPECT_EQ(unframe_journal_line("J", /*unterminated=*/false).status,
+            FrameStatus::kCorrupt);
+  // A complete record with a damaged header is no prefix of any frame.
+  const std::string framed = frame_journal_line(R"({"clock":7})");
+  std::string bad_magic = framed;
+  bad_magic[1] = '7';
+  EXPECT_EQ(unframe_journal_line(bad_magic, /*unterminated=*/true).status,
+            FrameStatus::kCorrupt);
+  std::string bad_separator = framed;
+  bad_separator[framed.find(' ', 3)] = 'x';
+  EXPECT_EQ(unframe_journal_line(bad_separator, /*unterminated=*/true).status,
+            FrameStatus::kCorrupt);
+  // A length raised past the payload reads as a cut record, which only an
+  // unterminated line can be.
+  std::string long_length = framed;
+  long_length[3] = '9';
+  EXPECT_EQ(unframe_journal_line(long_length, /*unterminated=*/true).status,
             FrameStatus::kTorn);
-  EXPECT_EQ(unframe_journal_line("J", /*is_final=*/false).status,
-            FrameStatus::kLegacy);
+  EXPECT_EQ(unframe_journal_line(long_length, /*unterminated=*/false).status,
+            FrameStatus::kCorrupt);
 }
 
 // --- snapshot footer --------------------------------------------------------
@@ -425,6 +446,38 @@ TEST(CorruptJournal, TruncatedLengthPrefixIsATornTailNotCorruption) {
     EXPECT_EQ(stats.corrupt_lines, 0u) << "keep " << keep;
     // Strict mode agrees: a torn tail is not an error.
     EXPECT_TRUE(recover_from_json(corpus.snapshot, journal).ok());
+  }
+}
+
+TEST(CorruptJournal, DamagedHeaderOnACompleteFinalRecordIsCorruption) {
+  // The final record is complete and newline-terminated, so no crash tore
+  // it: damage to its header is corruption, never a tear.  An acknowledged
+  // run must not vanish unreported.
+  const Corpus corpus = make_corpus();
+  const std::string& last = corpus.lines[2];
+  std::string bad_magic = last;
+  bad_magic[1] = '7';  // J1 -> J7
+  std::string bad_length = last;
+  bad_length[3] = bad_length[3] == '9' ? '8' : '9';  // one digit of the length
+  for (const std::string& damaged : {bad_magic, bad_length}) {
+    const std::string journal = join({corpus.lines[0], corpus.lines[1], damaged});
+
+    auto strict = recover_from_json(corpus.snapshot, journal);
+    ASSERT_FALSE(strict.ok()) << damaged.substr(0, 16);
+    EXPECT_EQ(strict.error().code, util::Error::Code::kParse);
+
+    TempFile snapshot("/tmp/herc_integrity_header_snap.json");
+    TempFile wal("/tmp/herc_integrity_header.wal");
+    ASSERT_TRUE(util::write_file(snapshot.path, corpus.snapshot).ok());
+    ASSERT_TRUE(util::write_file(wal.path, journal).ok());
+    RecoveryStats stats;
+    auto resilient = recover_project(snapshot.path, wal.path, &stats);
+    ASSERT_TRUE(resilient.ok()) << resilient.error().str();
+    EXPECT_EQ(stats.lines_applied, 2u);
+    EXPECT_EQ(stats.corrupt_lines, 1u);
+    EXPECT_EQ(stats.torn_tail, 0u);
+    EXPECT_EQ(stats.quarantine_path, wal.path + ".corrupt");
+    EXPECT_EQ(slurp(stats.quarantine_path), journal);
   }
 }
 

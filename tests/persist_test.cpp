@@ -330,6 +330,36 @@ TEST(Persist, MalformedNestedRecordsRejectedCleanly) {
   EXPECT_FALSE(bad_type.ok());
 }
 
+TEST(Persist, OutOfRangeCapacityAndUnknownStatusesAreRefused) {
+  const std::string text = save_to_json(*full_scenario());
+  auto mutate = [&](auto&& fn) {
+    auto doc = util::Json::parse(text).take();
+    fn(doc.as_object());
+    return load_from_json(doc.dump(2));
+  };
+  // A capacity must be 1..INT_MAX; a cast used to turn 2^32+1 into 1.
+  const std::int64_t capacities[] = {0, -3, (std::int64_t{1} << 32) + 1};
+  for (std::int64_t capacity : capacities) {
+    auto loaded = mutate([&](util::JsonObject& doc) {
+      doc.at("resources").as_array()[0].as_object().set("capacity", capacity);
+    });
+    ASSERT_FALSE(loaded.ok()) << capacity;
+    EXPECT_EQ(loaded.error().code, util::Error::Code::kInvalid) << capacity;
+  }
+  // A status name the writer never writes used to read as failed or
+  // superseded.
+  auto bogus_run = mutate([](util::JsonObject& doc) {
+    doc.at("runs").as_array()[0].as_object().set("status", "bogus");
+  });
+  ASSERT_FALSE(bogus_run.ok());
+  EXPECT_EQ(bogus_run.error().code, util::Error::Code::kParse);
+  auto bogus_plan = mutate([](util::JsonObject& doc) {
+    doc.at("plans").as_array()[0].as_object().set("status", "bogus");
+  });
+  ASSERT_FALSE(bogus_plan.ok());
+  EXPECT_EQ(bogus_plan.error().code, util::Error::Code::kParse);
+}
+
 TEST(Persist, InvalidCalendarLoadsAsAnError) {
   auto m = full_scenario();
   auto doc = util::Json::parse(save_to_json(*m)).take();

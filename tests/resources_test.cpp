@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/resources.hpp"
+#include "schema/schema.hpp"
 #include "util/rng.hpp"
 
 namespace herc::sched {
@@ -30,7 +31,7 @@ TEST(Leveling, SingleResourceSerializesParallelWork) {
   LevelingInput in;
   in.activities = {{.duration = 10, .preds = {}}, {.duration = 20, .preds = {}}};
   in.requirements = {{0}, {0}};
-  in.capacities = {1};
+  in.bookings = ResourceBookings({1});
   auto r = level_serial(in).take();
   // They cannot overlap.
   bool overlap = r.start[0] < r.finish[1] && r.start[1] < r.finish[0];
@@ -42,7 +43,7 @@ TEST(Leveling, CapacityTwoAllowsOverlap) {
   LevelingInput in;
   in.activities = {{.duration = 10, .preds = {}}, {.duration = 20, .preds = {}}};
   in.requirements = {{0}, {0}};
-  in.capacities = {2};
+  in.bookings = ResourceBookings({2});
   auto r = level_serial(in).take();
   EXPECT_EQ(r.makespan, 20);  // both start at 0
   EXPECT_EQ(r.start[0], 0);
@@ -56,7 +57,7 @@ TEST(Leveling, PriorityFollowsEarlyStartThenIndex) {
                    {.duration = 5, .preds = {}},
                    {.duration = 5, .preds = {}}};
   in.requirements = {{0}, {0}, {0}};
-  in.capacities = {1};
+  in.bookings = ResourceBookings({1});
   auto r = level_serial(in).take();
   EXPECT_EQ(r.start[0], 0);
   EXPECT_EQ(r.start[1], 5);
@@ -69,7 +70,7 @@ TEST(Leveling, PrecedenceStillRespectedUnderContention) {
                    {.duration = 10, .preds = {0}},
                    {.duration = 25, .preds = {}}};
   in.requirements = {{0}, {0}, {0}};
-  in.capacities = {1};
+  in.bookings = ResourceBookings({1});
   auto r = level_serial(in).take();
   EXPECT_GE(r.start[1], r.finish[0]);
   // No overlap anywhere on the single resource.
@@ -87,7 +88,7 @@ TEST(Leveling, MultiResourceActivityNeedsAll) {
                    {.duration = 10, .preds = {}},
                    {.duration = 10, .preds = {}}};
   in.requirements = {{0}, {0, 1}, {1}};
-  in.capacities = {1, 1};
+  in.bookings = ResourceBookings({1, 1});
   auto r = level_serial(in).take();
   // 0 and 2 run in parallel at t=0 (different resources); 1 must wait for both.
   EXPECT_EQ(r.start[0], 0);
@@ -108,8 +109,8 @@ TEST(Leveling, BlockedWindowsDelayWork) {
   LevelingInput in;
   in.activities = {{.duration = 10, .preds = {}}};
   in.requirements = {{0}};
-  in.capacities = {1};
-  in.blocked = {{{5, 25}}};
+  in.bookings = ResourceBookings({1});
+  in.bookings.block(0, 5, 25);
   auto r = level_serial(in).take();
   // Cannot start at 0 (would span the window) nor inside it: starts at 25.
   EXPECT_EQ(r.start[0], 25);
@@ -119,8 +120,8 @@ TEST(Leveling, WorkFitsBeforeBlockedWindow) {
   LevelingInput in;
   in.activities = {{.duration = 5, .preds = {}}};
   in.requirements = {{0}};
-  in.capacities = {1};
-  in.blocked = {{{5, 25}}};
+  in.bookings = ResourceBookings({1});
+  in.bookings.block(0, 5, 25);
   auto r = level_serial(in).take();
   EXPECT_EQ(r.start[0], 0);  // finishes exactly as the vacation begins
 }
@@ -130,40 +131,24 @@ TEST(Leveling, BlockedSaturatesAllCapacity) {
   LevelingInput in;
   in.activities = {{.duration = 10, .preds = {}}, {.duration = 10, .preds = {}}};
   in.requirements = {{0}, {0}};
-  in.capacities = {2};
-  in.blocked = {{{0, 20}}};
+  in.bookings = ResourceBookings({2});
+  in.bookings.block(0, 0, 20);
   auto r = level_serial(in).take();
   EXPECT_EQ(r.start[0], 20);
   EXPECT_EQ(r.start[1], 20);  // both units free again at 20
-}
-
-TEST(Leveling, BlockedValidation) {
-  LevelingInput wrong_size;
-  wrong_size.activities = {{.duration = 1, .preds = {}}};
-  wrong_size.requirements = {{}};
-  wrong_size.capacities = {1, 1};
-  wrong_size.blocked = {{{0, 5}}};  // 1 entry for 2 resources
-  EXPECT_FALSE(level_serial(wrong_size).ok());
-
-  LevelingInput empty_window;
-  empty_window.activities = {{.duration = 1, .preds = {}}};
-  empty_window.requirements = {{0}};
-  empty_window.capacities = {1};
-  empty_window.blocked = {{{5, 5}}};
-  EXPECT_FALSE(level_serial(empty_window).ok());
 }
 
 TEST(Leveling, ValidationErrors) {
   LevelingInput bad_req;
   bad_req.activities = {{.duration = 1, .preds = {}}};
   bad_req.requirements = {{5}};
-  bad_req.capacities = {1};
+  bad_req.bookings = ResourceBookings({1});
   EXPECT_FALSE(level_serial(bad_req).ok());
 
   LevelingInput bad_cap;
   bad_cap.activities = {{.duration = 1, .preds = {}}};
   bad_cap.requirements = {{0}};
-  bad_cap.capacities = {0};
+  bad_cap.bookings = ResourceBookings({0});
   EXPECT_FALSE(level_serial(bad_cap).ok());
 
   LevelingInput mismatch;
@@ -182,7 +167,7 @@ TEST(Leveling, RepeatedRequirementConsumesMultipleUnits) {
   LevelingInput in;
   in.activities = {{.duration = 10, .preds = {}}, {.duration = 10, .preds = {}}};
   in.requirements = {{0}, {0, 0}};
-  in.capacities = {2};
+  in.bookings = ResourceBookings({2});
   auto r = level_serial(in).take();
   bool overlap = r.start[0] < r.finish[1] && r.start[1] < r.finish[0];
   EXPECT_FALSE(overlap);
@@ -192,7 +177,7 @@ TEST(Leveling, RejectsDemandAboveCapacity) {
   LevelingInput in;
   in.activities = {{.duration = 10, .preds = {}}};
   in.requirements = {{0, 0, 0}};
-  in.capacities = {2};
+  in.bookings = ResourceBookings({2});
   auto r = level_serial(in);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, util::Error::Code::kInvalid);
@@ -222,6 +207,27 @@ TEST(ResourceBookings, EarliestFitWaitsForUnitsAndTimeOff) {
   EXPECT_EQ(bookings.earliest_fit(one, 2, 10), 2);
 }
 
+TEST(ResourceBookings, OfTheDatabaseCountsMinutesFromTheOrigin) {
+  const schema::TaskSchema schema =
+      schema::parse_schema("schema s { data d; tool t; rule Make: d <- t(); }").take();
+  meta::Database db(schema);
+  const auto alice = db.add_resource("alice");
+  const auto farm = db.add_resource("farm", "machine", 2);
+  ASSERT_TRUE(db.add_time_off(alice, cal::WorkInstant(100), cal::WorkInstant(200)).ok());
+  ASSERT_TRUE(db.add_time_off(alice, cal::WorkInstant(300), cal::WorkInstant(400)).ok());
+  ASSERT_TRUE(db.add_time_off(farm, cal::WorkInstant(0), cal::WorkInstant(50)).ok());
+
+  const ResourceBookings bookings = ResourceBookings::of(db, cal::WorkInstant(150));
+  EXPECT_EQ(bookings.capacities(), (std::vector<int>{1, 2}));
+  const Demand person = demand_of({0}, bookings.capacities()).value();
+  const Demand machines = demand_of({1, 1}, bookings.capacities()).value();
+  // alice is away until minute 50 after the origin and again over [150, 250).
+  EXPECT_EQ(bookings.earliest_fit(person, 0, 10), 50);
+  EXPECT_EQ(bookings.earliest_fit(person, 0, 120), 250);
+  // farm's time off ended before the origin.
+  EXPECT_EQ(bookings.earliest_fit(machines, 0, 10), 0);
+}
+
 // --- property: random contention never violates capacity or precedence -------
 
 class LevelingProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -232,16 +238,17 @@ TEST_P(LevelingProperty, CapacityAndPrecedenceInvariants) {
   LevelingInput in;
   in.activities.resize(n);
   in.requirements.resize(n);
-  in.capacities = {1, 2, 3};
+  const std::vector<int> capacities = {1, 2, 3};
+  in.bookings = ResourceBookings(capacities);
   for (std::size_t i = 0; i < n; ++i) {
     in.activities[i].duration = rng.uniform_int(1, 60);
     for (std::size_t j = 0; j < i; ++j)
       if (rng.chance(0.06)) in.activities[i].preds.push_back(j);
-    for (std::size_t r = 0; r < in.capacities.size(); ++r) {
+    for (std::size_t r = 0; r < capacities.size(); ++r) {
       if (!rng.chance(0.4)) continue;
       in.requirements[i].push_back(r);
       // A repeated entry takes a second unit of the wider pools.
-      if (in.capacities[r] > 1 && rng.chance(0.25)) in.requirements[i].push_back(r);
+      if (capacities[r] > 1 && rng.chance(0.25)) in.requirements[i].push_back(r);
     }
   }
   auto result = level_serial(in).take();
@@ -263,7 +270,7 @@ TEST_P(LevelingProperty, CapacityAndPrecedenceInvariants) {
       if (result.start[j] <= t && t < result.finish[j])
         for (std::size_t r : in.requirements[j]) ++usage[r];
     }
-    for (const auto& [r, u] : usage) EXPECT_LE(u, in.capacities[r]) << "resource " << r;
+    for (const auto& [r, u] : usage) EXPECT_LE(u, capacities[r]) << "resource " << r;
   }
 }
 
